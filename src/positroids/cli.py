@@ -10,6 +10,7 @@ output is reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -20,6 +21,7 @@ from .cluster import Seed, initial_seed, mutation_class
 from .combinatorics import (
     DecoratedPermutation,
     DimensionError,
+    KSet,
     SizeCapError,
     ValidationError,
     alignments,
@@ -119,13 +121,9 @@ def cmd_necklace(sigma: DecoratedPermutation, cfg: Config) -> int:
 
 def cmd_positroid(sigma: DecoratedPermutation, cfg: Config) -> int:
     necklace = necklace_from_permutation(sigma)
-    import itertools
-
     n, k = sigma.n, sigma.k
     if n > cfg.n_cap:
         raise SizeCapError(f"n={n} exceeds --n-cap {cfg.n_cap}")
-    from .combinatorics import KSet
-
     rows = []
     for combo in itertools.combinations(range(1, n + 1), k):
         lab = KSet(combo, n)

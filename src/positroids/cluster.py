@@ -263,10 +263,6 @@ class IceQuiver:
         frozen = {v.id for v in self.vertices if v.frozen}
         return frozenset((s, t, m) for s, t, m in self.arrows if not (s in frozen and t in frozen))
 
-    def frozen_frozen_arrows(self) -> frozenset[tuple[int, int, int]]:
-        frozen = {v.id for v in self.vertices if v.frozen}
-        return frozenset((s, t, m) for s, t, m in self.arrows if s in frozen and t in frozen)
-
     def arrows_in(self, vid: int) -> tuple[tuple[int, int], ...]:
         return tuple((s, m) for s, t, m in self.arrows if t == vid)
 

@@ -14,12 +14,15 @@ profile meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from bisect import bisect
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Mapping, Sequence
 
+from . import cm
 from .cluster import LaurentPoly, Seed, mutate_seed, mutation_class
 from .combinatorics import (
     DimensionError,
@@ -36,8 +39,8 @@ __all__ = [
     "RationalMatrix",
     "CellPoint",
     "minor",
+    "pluecker_table",
     "pluecker_relation_check",
-    "evaluate",
     "minor_assignment",
     "perfect_orientation",
     "sample_cell_point",
@@ -53,24 +56,29 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """A k x n matrix of exact rationals, one affine chart representative."""
+    """A k x n matrix of exact rationals, one affine chart representative.
+    ``n`` is stored, so a matrix with no rows (Gr(0, n)) keeps its width."""
 
     rows: tuple[tuple[Fraction, ...], ...]
+    n: int
 
     @classmethod
-    def of(cls, rows: Sequence[Sequence]) -> RationalMatrix:
+    def of(cls, rows: Sequence[Sequence], n: int | None = None) -> RationalMatrix:
         data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if data and any(len(row) != len(data[0]) for row in data):
-            raise DimensionError("ragged rows")
-        return cls(data)
+        if n is None:
+            n = len(data[0]) if data else 0
+        if any(len(row) != n for row in data):
+            raise DimensionError(f"ragged rows: expected {n} entries per row")
+        return cls(data, n)
 
     @property
     def k(self) -> int:
         return len(self.rows)
 
-    @property
-    def n(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    @cached_property
+    def minors(self) -> Mapping[tuple[int, ...], Fraction]:
+        """:func:`pluecker_table`, built on first use, once per matrix; read only."""
+        return pluecker_table(self)
 
     def minor(self, columns: KSet) -> Fraction:
         return minor(self, columns)
@@ -99,8 +107,46 @@ class RationalMatrix:
         return cls.of(data)
 
 
+def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
+    """Every maximal minor of ``matrix``, keyed by sorted 1-based column tuple.
+
+    Rows are scaled to integers by the lcm of their denominators; the nonzero
+    minors of the first r rows come from those of the first r - 1 rows by
+    Laplace expansion along row r, and each integer determinant is divided
+    once by the product of the row scales.  That is about sum_r r * C(n, r)
+    integer products, and the values are the canonical Fractions that exact
+    elimination gives; Gr(0, n) has the single minor ``{(): 1}``.  Each call
+    builds a new table: ``matrix.minors`` is the one kept per matrix.
+    """
+    scale = 1
+    level: dict[tuple[int, ...], int] = {(): 1}
+    for row in matrix.rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        scale *= lcm
+        entries = [(j, x.numerator * (lcm // x.denominator)) for j, x in enumerate(row, 1) if x]
+        grown: dict[tuple[int, ...], int] = {}
+        for cols, det in level.items():
+            size = len(cols)
+            for j, a in entries:
+                p = bisect(cols, j)
+                if p and cols[p - 1] == j:
+                    continue
+                key = cols[:p] + (j,) + cols[p:]
+                # cofactor sign: (-1) ** (number of columns in cols after j)
+                term = -a * det if (size - p) & 1 else a * det
+                grown[key] = grown.get(key, 0) + term
+        level = {cols: det for cols, det in grown.items() if det}
+    return {
+        cols: Fraction(level.get(cols, 0), scale)
+        for cols in itertools.combinations(range(1, matrix.n + 1), matrix.k)
+    }
+
+
 def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
     """Exact determinant of the selected columns.
+
+    A lookup in ``matrix.minors``: one integer table per matrix, built by
+    :func:`pluecker_table`, which yields the Fractions elimination gives.
 
     >>> m = RationalMatrix.of([[1, 0, 2], [0, 1, 3]])
     >>> minor(m, KSet.of([1, 2], 3))
@@ -110,24 +156,7 @@ def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
         raise DimensionError(f"need {matrix.k} columns, got {columns.k}")
     if columns.n != matrix.n:
         raise DimensionError(f"matrix has {matrix.n} columns, label lives on [{columns.n}]")
-    size = matrix.k
-    work = [[matrix.rows[i][j - 1] for j in columns.elements] for i in range(size)]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if work[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for i in range(col + 1, size):
-            if work[i][col]:
-                f = work[i][col] * inv
-                for j in range(col, size):
-                    work[i][j] -= f * work[col][j]
-    return det
+    return matrix.minors[columns.elements]
 
 
 def pluecker_relation_check(
@@ -152,12 +181,6 @@ def pluecker_relation_check(
     lhs = minor(matrix, lac) * minor(matrix, lbd)
     rhs = minor(matrix, lab) * minor(matrix, lcd) + minor(matrix, lad) * minor(matrix, lbc)
     return lhs == rhs
-
-
-def evaluate(poly: LaurentPoly, assignment: Mapping[str, Fraction]) -> Fraction:
-    """Exact value of a Laurent polynomial; raises PoleError at a zero base
-    with negative exponent."""
-    return poly.evaluate(assignment)
 
 
 def minor_assignment(matrix: RationalMatrix, labels: Sequence[KSet]) -> dict[str, Fraction]:
@@ -265,23 +288,6 @@ def _orientation_cache(graph: PlabicGraph) -> tuple[tuple[int, tuple[int, int]],
                 directed[eid] = (v, u) if out_of_v else (u, v)
         return directed
 
-    def acyclic(directed: dict[int, tuple[int, int]]) -> bool:
-        outs: dict[int, list[int]] = {v: [] for v in rot}
-        indeg = {v: 0 for v in rot}
-        for tail, head in directed.values():
-            outs[tail].append(head)
-            indeg[head] += 1
-        queue = [v for v, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in outs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return seen == len(indeg)
-
     result: tuple[tuple[int, tuple[int, int]], ...] | None = None
 
     def search() -> bool:
@@ -289,7 +295,7 @@ def _orientation_cache(graph: PlabicGraph) -> tuple[tuple[int, tuple[int, int]],
         free = [v for v in internal if v not in chosen]
         if not free:
             directed = orientation_of(chosen)
-            if acyclic(directed):
+            if _topological_order(rot, directed.values()) is not None:
                 result = tuple(sorted(directed.items()))
                 return True
             return False
@@ -308,6 +314,28 @@ def _orientation_cache(graph: PlabicGraph) -> tuple[tuple[int, tuple[int, int]],
             if not force(v, incident[v][0], trail0):
                 return None
     return result if search() else None
+
+
+def _topological_order(
+    vertices: Iterable[int], arcs: Iterable[tuple[int, int]]
+) -> list[int] | None:
+    """Kahn's sort of the digraph with the given (tail, head) arcs, or None
+    when it has a directed cycle."""
+    outs: dict[int, list[int]] = {v: [] for v in vertices}
+    indeg = dict.fromkeys(outs, 0)
+    for tail, head in arcs:
+        outs[tail].append(head)
+        indeg[head] += 1
+    order = []
+    queue = [v for v, d in indeg.items() if d == 0]
+    while queue:
+        v = queue.pop()
+        order.append(v)
+        for w in outs[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return order if len(order) == len(indeg) else None
 
 
 def _orientation_sources(graph: PlabicGraph, directed: Mapping[int, tuple[int, int]]) -> KSet:
@@ -344,10 +372,10 @@ class CellPoint:
 
 
 @lru_cache(maxsize=None)
-def _graph_positroid(graph: PlabicGraph, n_cap: int):
-    sigma = trip_permutation(graph)
-    necklace = necklace_from_permutation(sigma)
-    return necklace, positroid_members(necklace, n_cap).members
+def _graph_positroid(graph: PlabicGraph, n_cap: int) -> frozenset[tuple[int, ...]]:
+    """Column tuples of the positroid of the graph's trip permutation."""
+    necklace = necklace_from_permutation(trip_permutation(graph))
+    return frozenset(lab.elements for lab in positroid_members(necklace, n_cap).members)
 
 
 def _measurement_matrix(
@@ -357,27 +385,18 @@ def _measurement_matrix(
 ) -> tuple[RationalMatrix, KSet]:
     n = graph.boundary
     rot = graph.rotation_map
-    sources = _orientation_sources(graph, directed)
+    order = _topological_order(rot, directed.values())
+    if order is None:
+        raise ConstructionError("orientation has a directed cycle")
     outs: dict[int, list[tuple[int, int]]] = {v: [] for v in rot}
-    indeg = {v: 0 for v in rot}
     for eid, (tail, head) in directed.items():
         outs[tail].append((head, eid))
-        indeg[head] += 1
-    order = []
-    queue = [v for v, d in indeg.items() if d == 0]
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for w, _ in outs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != len(indeg):
-        raise ConstructionError("orientation has a directed cycle")
+    sources = _orientation_sources(graph, directed)
+    # before[j - 1] is the number of sources smaller than j
+    before = list(itertools.accumulate((j in sources for j in range(1, n + 1)), initial=0))
 
-    src_list = list(sources.elements)
     rows = []
-    for s in src_list:
+    for i, s in enumerate(sources.elements):
         reach = {v: Fraction(0) for v in rot}
         reach[s] = Fraction(1)
         for v in order:
@@ -389,11 +408,12 @@ def _measurement_matrix(
         for j in range(1, n + 1):
             if j in sources:
                 row.append(Fraction(1) if j == s else Fraction(0))
-            else:
-                between = sum(1 for t in src_list if min(s, j) < t < max(s, j))
-                row.append((Fraction(-1) ** between) * reach[j])
+                continue
+            # the sign is (-1) ** (number of sources strictly between s and j)
+            between = before[j - 1] - i - 1 if s < j else i - before[j - 1]
+            row.append(-reach[j] if between & 1 else reach[j])
         rows.append(tuple(row))
-    return RationalMatrix(tuple(rows)), sources
+    return RationalMatrix(tuple(rows), n), sources
 
 
 def sample_cell_point(
@@ -424,15 +444,12 @@ def sample_cell_point(
             raise ValidationError("weights must be positive")
     matrix, sources = _measurement_matrix(graph, directed, weights)
 
-    necklace, members = _graph_positroid(graph, n_cap)
-    n, k = necklace.n, necklace.k
-    for combo in itertools.combinations(range(1, n + 1), k):
-        lab = KSet(combo, n)
-        value = minor(matrix, lab)
-        if lab in members and value <= 0:
-            raise ConstructionError(f"minor {lab} should be positive, got {value}")
-        if lab not in members and value != 0:
-            raise ConstructionError(f"minor {lab} should vanish, got {value}")
+    members = _graph_positroid(graph, n_cap)
+    for cols, value in matrix.minors.items():
+        if cols in members and value <= 0:
+            raise ConstructionError(f"minor {KSet(cols, matrix.n)} should be positive, got {value}")
+        if cols not in members and value != 0:
+            raise ConstructionError(f"minor {KSet(cols, matrix.n)} should vanish, got {value}")
     return CellPoint(
         matrix,
         tuple(sorted(weights.items())),
@@ -471,12 +488,9 @@ def sample_generic_matrix(k: int, n: int, rng: random.Random) -> RationalMatrix:
     """Random integer matrix with every maximal minor nonzero."""
     while True:
         m = RationalMatrix.of(
-            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)], n
         )
-        if all(
-            minor(m, KSet(c, n)) != 0
-            for c in itertools.combinations(range(1, n + 1), k)
-        ):
+        if all(m.minors.values()):
             return m
 
 
@@ -514,7 +528,7 @@ def _exchange_identities(seed: Seed, limit: int) -> list[dict]:
     return out
 
 
-def _restricted_identities(necklace: GrassmannNecklace, n_cap: int) -> list[dict]:
+def _restricted_identities(necklace: GrassmannNecklace, members: frozenset[KSet]) -> list[dict]:
     """Two-term specializations of three-term relations on the cell.
 
     Whenever a product in a three-term relation contains a minor from the
@@ -524,7 +538,6 @@ def _restricted_identities(necklace: GrassmannNecklace, n_cap: int) -> list[dict
     n, k = necklace.n, necklace.k
     if k < 2:
         return []  # no quadruple fits around a (k-2)-core
-    members = positroid_members(necklace, n_cap).members
     out = []
     ground = range(1, n + 1)
     for core in itertools.combinations(ground, k - 2):
@@ -565,8 +578,6 @@ def verify_identities(
     every cell point.  ``corrupt`` perturbs one mutated variable first and is
     a negative control: the report must then contain failures.
     """
-    from . import cm
-
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):
         raise ValidationError("seed must be fully labeled")
@@ -581,10 +592,8 @@ def verify_identities(
         variables[vid] = variables[vid] + LaurentPoly.const(1)
         # drop the label too, otherwise the direct-minor route would bypass
         # the corrupted variable and defeat the negative control
-        from dataclasses import replace as _replace
-
         vertices = tuple(
-            _replace(v, label=None) if v.id == vid else v
+            replace(v, label=None) if v.id == vid else v
             for v in broken.quiver.vertices
         )
         victim["mutated"] = Seed.of(
@@ -592,21 +601,17 @@ def verify_identities(
         )
         victim["name"] += ":corrupted"
 
+    assignments = [minor_assignment(matrix, initial_labels) for matrix in generic]
     for item in exchanges:
         entry = {"name": item["name"], "points_checked": 0, "failures": []}
         member, mutated, vid = item["seed"], item["mutated"], item["vid"]
-        for pidx, matrix in enumerate(generic):
-            assignment = minor_assignment(matrix, initial_labels)
+        sides = (member.quiver.arrows_in(vid), member.quiver.arrows_out(vid))
+        for pidx, (matrix, assignment) in enumerate(zip(generic, assignments)):
             lhs = _value(member, vid, matrix, assignment) * _value(
                 mutated, vid, matrix, assignment
             )
             rhs = Fraction(0)
-            for side in ("in", "out"):
-                arrows = (
-                    member.quiver.arrows_in(vid)
-                    if side == "in"
-                    else member.quiver.arrows_out(vid)
-                )
+            for arrows in sides:
                 product = Fraction(1)
                 for w, mult in arrows:
                     product *= _value(member, w, matrix, assignment) ** mult
@@ -618,13 +623,18 @@ def verify_identities(
                 )
         report["identities"].append(entry)
 
-    for item in _restricted_identities(necklace, n_cap):
+    # the labels below are k-subsets of [n], read straight from the tables
+    n, k = necklace.n, necklace.k
+    if any((point.matrix.k, point.matrix.n) != (k, n) for point in points):
+        raise DimensionError(f"cell points must be {k} x {n} matrices")
+    tables = [point.matrix.minors for point in points]
+    positroid = positroid_members(necklace, n_cap)
+    members = positroid.members
+
+    for item in _restricted_identities(necklace, members):
         entry = {"name": item["name"], "points_checked": 0, "failures": []}
-        for pidx, point in enumerate(points):
-            values = [
-                minor(point.matrix, p[0]) * minor(point.matrix, p[1])
-                for p in item["pairs"]
-            ]
+        for pidx, table in enumerate(tables):
+            values = [table[p[0].elements] * table[p[1].elements] for p in item["pairs"]]
             lhs, rhs = values[0], values[1] + values[2]
             entry["points_checked"] += 1
             if lhs != rhs:
@@ -633,14 +643,11 @@ def verify_identities(
                 )
         report["identities"].append(entry)
 
-    if necklace.k == 2:
-        members = positroid_members(necklace, n_cap).members
+    if k == 2:
         for label in sorted(members, key=lambda s: s.elements):
-            decomposition = (
-                cm.k2_generator_decomposition(label, necklace)
-                if not cm.in_gp_b(label, necklace)
-                else None
-            )
+            if cm.in_gp_b(label, necklace):
+                continue
+            decomposition = cm.k2_generator_decomposition(label, necklace)
             if decomposition is None:
                 continue
             j_set, l1, l2 = decomposition
@@ -649,9 +656,9 @@ def verify_identities(
                 "points_checked": 0,
                 "failures": [],
             }
-            for pidx, point in enumerate(points):
-                lhs = minor(point.matrix, label) * minor(point.matrix, j_set)
-                rhs = minor(point.matrix, l1) * minor(point.matrix, l2)
+            for pidx, table in enumerate(tables):
+                lhs = table[label.elements] * table[j_set.elements]
+                rhs = table[l1.elements] * table[l2.elements]
                 entry["points_checked"] += 1
                 if lhs != rhs:
                     entry["failures"].append(
@@ -660,17 +667,9 @@ def verify_identities(
             report["identities"].append(entry)
 
     entry = {"name": "vanishing-profile", "points_checked": 0, "failures": []}
-    members = positroid_members(necklace, n_cap).members
-    n, k = necklace.n, necklace.k
-    for pidx, point in enumerate(points):
-        zero = {
-            KSet(c, n)
-            for c in itertools.combinations(range(1, n + 1), k)
-            if minor(point.matrix, KSet(c, n)) == 0
-        }
-        expected = {
-            KSet(c, n) for c in itertools.combinations(range(1, n + 1), k)
-        } - members
+    expected = positroid.complement()
+    for pidx, table in enumerate(tables):
+        zero = {KSet(c, n) for c, value in table.items() if value == 0}
         entry["points_checked"] += 1
         if zero != expected:
             entry["failures"].append(

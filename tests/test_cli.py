@@ -166,6 +166,21 @@ def test_sample_seed_changes_the_draw(capsys):
     assert base[1] != other[1]
 
 
+@pytest.mark.parametrize("spec", ["id:+", "id:+,+,+", "id:-,-"])
+def test_verify_and_sample_handle_k0_and_kn_cells(capsys, spec):
+    # Gr(0, n) and Gr(n, n) are single points: one minor, the empty or the full set
+    code, out, err = run(capsys, "verify", spec, "--points", "3")
+    assert code == 0 and not err
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert [e["name"] for e in report["identities"]] == ["vanishing-profile"]
+    code, out, err = run(capsys, "sample", spec, "--format", "json")
+    assert code == 0 and not err
+    (point,) = json.loads(out)
+    k = spec.count("-")
+    assert len(point["matrix"]) == len(point["sources"]) == k
+
+
 def test_out_flag_writes_the_file_instead_of_stdout(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "necklace", "(13)(24)", "--format", "json", "--out", str(target))

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from positroids import (
     DecoratedPermutation,
@@ -22,11 +24,13 @@ from positroids import (
     sample_cell_point,
     verify_identities,
 )
+from positroids import numeric
 from positroids.combinatorics import DimensionError, ValidationError
 from positroids.numeric import (
     ConstructionError,
     minor_assignment,
     perfect_orientation,
+    pluecker_table,
     sample_generic_matrix,
 )
 
@@ -34,7 +38,9 @@ from conftest import ks, random_decorated, uniform_perm
 
 
 def det_cofactor(rows):
-    # slow but independent of the elimination in minor()
+    # slow but independent of the integer expansion behind minor()
+    if not rows:
+        return Fraction(1)  # the empty determinant
     if len(rows) == 1:
         return rows[0][0]
     total = Fraction(0)
@@ -55,6 +61,11 @@ def test_matrix_construction_and_rank():
     assert RationalMatrix.of([[1, 2], [2, 4]]).rank() == 1
     with pytest.raises(DimensionError):
         RationalMatrix.of([[1, 2], [3]])
+    with pytest.raises(DimensionError):
+        RationalMatrix.of([[1, 2]], 3)
+    empty = RationalMatrix.of([], 4)  # Gr(0, 4) keeps its column count
+    assert empty.k == 0 and empty.n == 4
+    assert minor(empty, KSet((), 4)) == 1
 
 
 def test_minor_goldens():
@@ -77,6 +88,56 @@ def test_minor_agrees_with_cofactor_expansion():
         cols = KSet.of(rng.sample(range(1, nn + 1), kk), nn)
         rows = [[m.rows[i][j - 1] for j in cols.elements] for i in range(kk)]
         assert minor(m, cols) == det_cofactor(rows)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small k x n rational matrices with mixed denominators, biased toward
+    zero columns, repeated columns and rank-deficient rows."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.one_of(st.sampled_from(sorted({0, min(1, n), n})), st.integers(0, n)))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        for row in rows:
+            row[b] = row[a]
+    if k >= 2 and draw(st.booleans()):
+        c, d = draw(entry), draw(entry)
+        rows[-1] = [c * x + d * y for x, y in zip(rows[0], rows[1])]
+    return RationalMatrix.of(rows, n)
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_pluecker_table_agrees_with_cofactor_expansion(m):
+    table = pluecker_table(m)
+    assert list(table) == list(itertools.combinations(range(1, m.n + 1), m.k))
+    for cols, value in table.items():
+        assert type(value) is Fraction
+        assert value == det_cofactor([[row[j - 1] for j in cols] for row in m.rows])
+        assert minor(m, KSet(cols, m.n)) == value
+
+
+def test_sampling_builds_each_table_once(monkeypatch, ex_135264):
+    built = []
+
+    def counting(matrix):
+        built.append(matrix)
+        return pluecker_table(matrix)
+
+    monkeypatch.setattr(numeric, "pluecker_table", counting)
+    g = ex_135264["graph"]
+    points = tuple(sample_cell_point(g, rng_seed=i) for i in range(3))
+    assert built == [p.matrix for p in points]
+    generic = (sample_generic_matrix(3, 6, random.Random(4)),)
+    del built[:]
+    report = verify_identities(ex_135264["necklace"], ex_135264["seed"], points, generic)
+    assert report["passed"] and built == []
 
 
 def test_matrix_json_round_trip():
@@ -275,6 +336,13 @@ def test_identity_sweep_handles_rank_one_cells():
     report = verify_identities(neck, seed, points, generic)
     assert report["passed"]
     assert {e["name"] for e in report["identities"]} == {"vanishing-profile"}
+
+
+def test_identity_sweep_rejects_points_of_another_shape(ex_135264):
+    other = sample_cell_point(bridge_graph_from_permutation(uniform_perm(3, 7)))
+    generic = (sample_generic_matrix(3, 6, random.Random(0)),)
+    with pytest.raises(DimensionError):
+        verify_identities(ex_135264["necklace"], ex_135264["seed"], (other,), generic)
 
 
 def test_corrupting_a_variable_is_caught(ex_135264):
