@@ -543,15 +543,15 @@ def seeds_match_square_moves(seed: Seed, graph) -> bool:
     if any(l is None for l in labels.values()):
         raise ValidationError("seed must be fully labeled")
     collection = seed.collection()
-    graph_labels = plabic.face_labels(graph).collection()
-    if graph_labels != collection:
+    labeling = plabic.face_labels(graph)
+    if labeling.collection() != collection:
         raise ValidationError("graph does not realize the seed's collection")
     ok = True
     for vid in seed.quiver.mutable_ids():
         new_label = seed_square_move(seed, vid)
         if new_label is None:
             continue
-        moved_graph = plabic.square_move(graph, labels[vid])
+        moved_graph = plabic.square_move(graph, labels[vid], labeling)
         expected = plabic.quiver_from_graph(moved_graph)
         mutated = fz_mutate_quiver(seed.quiver, vid)
         names = {v.id: (v.label.label() if v.id != vid else new_label.label())

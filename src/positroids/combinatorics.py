@@ -240,7 +240,10 @@ class DecoratedPermutation:
                 raise ValidationError(f"cannot parse permutation {text!r}")
             for part in body[1:-1].split(")("):
                 part = part.strip()
-                entries = [int(p) for p in part.split(",")] if "," in part else [int(ch) for ch in part]
+                try:
+                    entries = [int(p) for p in part.split(",")] if "," in part else [int(ch) for ch in part]
+                except ValueError:
+                    raise ValidationError(f"cycle ({part}) has an entry that is not a number") from None
                 if len(entries) < 2:
                     raise ValidationError(f"cycle ({part}) is too short; colored fixed points go after ':'")
                 cycles.append(tuple(entries))

@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+# Graphs whose orientation and positroid stay cached.  Callers sample one
+# graph at a time, so a small bound keeps every hit and long runs stay flat.
+GRAPH_CACHE_SIZE = 16
+
+
 class ConstructionError(RuntimeError):
     """No valid network construction exists for the request."""
 
@@ -209,7 +214,7 @@ def perfect_orientation(graph: PlabicGraph) -> dict[int, tuple[int, int]]:
     return dict(cached)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _orientation_cache(graph: PlabicGraph) -> tuple[tuple[int, tuple[int, int]], ...] | None:
     n = graph.boundary
     rot = graph.rotation_map
@@ -371,7 +376,7 @@ class CellPoint:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _graph_positroid(graph: PlabicGraph, n_cap: int) -> frozenset[tuple[int, ...]]:
     """Column tuples of the positroid of the graph's trip permutation."""
     necklace = necklace_from_permutation(trip_permutation(graph))

@@ -62,6 +62,9 @@ class PlabicGraph:
     edges: tuple[tuple[int, int], ...]
     rotation: tuple[tuple[int, tuple[int, ...]], ...]
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @classmethod
     def of(
         cls,
@@ -70,14 +73,12 @@ class PlabicGraph:
         edges: list[tuple[int, int]] | tuple[tuple[int, int], ...],
         rotation: Mapping[int, list[int] | tuple[int, ...]],
     ) -> PlabicGraph:
-        g = cls(
+        return cls(
             boundary,
             tuple(sorted(colors.items())),
             tuple((u, v) for u, v in edges),
             tuple(sorted((v, tuple(r)) for v, r in rotation.items())),
         )
-        g.validate()
-        return g
 
     @property
     def color_map(self) -> dict[int, str]:
@@ -89,9 +90,6 @@ class PlabicGraph:
 
     def internal_ids(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.colors)
-
-    def degree(self, v: int) -> int:
-        return len(self.rotation_map[v])
 
     def validate(self) -> None:
         n = self.boundary
@@ -223,8 +221,6 @@ class _Disk:
     """Augmented dart structures: graph edges plus the boundary arcs."""
 
     def __init__(self, g: PlabicGraph):
-        g.validate()
-        self.g = g
         self.n = g.boundary
         self.m = len(g.edges)
         self.ends: list[tuple[int, int]] = list(g.edges)
@@ -242,9 +238,6 @@ class _Disk:
         self.pos = {v: {e: k for k, e in enumerate(r)} for v, r in rot.items()}
         self.colors = g.color_map
         self.deg = {v: len(r) for v, r in g.rotation}
-
-    def tail(self, d: int) -> int:
-        return self.ends[d >> 1][d & 1]
 
     def head(self, d: int) -> int:
         return self.ends[d >> 1][1 - (d & 1)]
@@ -266,13 +259,9 @@ class _Disk:
         v = self.head(d)
         if v <= self.n:
             return None
-        r = self.g.rotation_map[v]
-        k = r.index(d >> 1)
+        r = self.rot[v]
         step = 1 if self.colors[v] == BLACK else -1
-        return self.dart(r[(k + step) % len(r)], v)
-
-    def graph_darts(self) -> range:
-        return range(2 * self.m)
+        return self.dart(r[(self.pos[v][d >> 1] + step) % len(r)], v)
 
     def all_darts(self) -> range:
         return range(2 * len(self.ends))
@@ -280,65 +269,48 @@ class _Disk:
 
 def trips(g: PlabicGraph) -> list[Trip]:
     """The n boundary-to-boundary strands, one starting at each boundary vertex."""
-    disk = _Disk(g)
+    return _trips(_Disk(g))
+
+
+def _trips(disk: _Disk) -> list[Trip]:
+    # trip_next is injective and never returns a dart leaving the boundary, so
+    # each strand runs without repeats until it reaches the boundary
     out = []
     for i in range(1, disk.n + 1):
-        d = disk.dart(g.rotation_map[i][0], i)
-        darts = [d]
-        guard = 4 * disk.m + 4
-        while True:
-            nxt = disk.trip_next(darts[-1])
-            if nxt is None:
-                break
+        darts = [disk.dart(disk.rot[i][-1], i)]  # the leg, last in the rotation
+        nxt = disk.trip_next(darts[-1])
+        while nxt is not None:
             darts.append(nxt)
-            guard -= 1
-            if guard < 0:
-                raise ValidationError("trip failed to terminate")
+            nxt = disk.trip_next(nxt)
         out.append(Trip(i, disk.head(darts[-1]), tuple(darts)))
     return out
 
 
-def _closed_orbits(g: PlabicGraph, strands: list[Trip]) -> list[tuple[int, ...]]:
-    disk = _Disk(g)
-    used = {d for t in strands for d in t.darts}
-    orbits = []
-    seen: set[int] = set()
-    for d0 in disk.graph_darts():
-        if d0 in used or d0 in seen or disk.tail(d0) <= disk.n:
-            continue
-        orbit = [d0]
-        seen.add(d0)
-        d = disk.trip_next(d0)
-        while d is not None and d != d0:
-            orbit.append(d)
-            seen.add(d)
-            d = disk.trip_next(d)
-        orbits.append(tuple(orbit))
-    return orbits
+def _face_orbit(disk: _Disk, d0: int) -> tuple[int, ...]:
+    """Darts of the face left of d0, starting at the face's smallest dart."""
+    orbit = [d0]
+    d = disk.face_next(d0)
+    while d != d0:
+        orbit.append(d)
+        d = disk.face_next(d)
+    k = orbit.index(min(orbit))
+    return tuple(orbit[k:] + orbit[:k])
 
 
 def _face_orbits(disk: _Disk) -> tuple[list[tuple[int, ...]], dict[int, int]]:
     faces: list[tuple[int, ...]] = []
     dart_face: dict[int, int] = {}
     for d0 in disk.all_darts():
-        if d0 in dart_face:
-            continue
-        orbit = [d0]
-        dart_face[d0] = len(faces)
-        d = disk.face_next(d0)
-        while d != d0:
-            orbit.append(d)
-            dart_face[d] = len(faces)
-            d = disk.face_next(d)
-        faces.append(tuple(orbit))
+        if d0 not in dart_face:
+            orbit = _face_orbit(disk, d0)
+            dart_face.update((d, len(faces)) for d in orbit)
+            faces.append(orbit)
     return faces, dart_face
 
 
 class _Analysis:
     def __init__(self, g: PlabicGraph):
-        self.g = g
-        self.disk = _Disk(g)
-        disk = self.disk
+        self.disk = disk = _Disk(g)
         n = disk.n
 
         self.faces, self.dart_face = _face_orbits(disk)
@@ -353,18 +325,20 @@ class _Analysis:
             self.outer = None
         self.interior = [i for i in range(len(self.faces)) if i != self.outer]
 
-        self.trips = trips(g)
+        self.trips = _trips(disk)
         self.cap_edges = {
             eid
             for eid, (u, v) in enumerate(g.edges)
             if (u > n and disk.deg[u] == 1) or (v > n and disk.deg[v] == 1)
         }
 
-        # adjacency of faces across graph edges, with per-edge ids kept
-        self.edge_faces = {
-            eid: (self.dart_face[2 * eid], self.dart_face[2 * eid + 1])
-            for eid in range(disk.m)
-        }
+        # faces across each graph edge, as (edge id, neighbouring face)
+        self.adjacent: list[list[tuple[int, int]]] = [[] for _ in self.faces]
+        for eid in range(disk.m):
+            fa, fb = self.dart_face[2 * eid], self.dart_face[2 * eid + 1]
+            if fa != fb:
+                self.adjacent[fa].append((eid, fb))
+                self.adjacent[fb].append((eid, fa))
 
         self.sides = [self._trip_sides(t) for t in self.trips]
 
@@ -426,10 +400,7 @@ class _Analysis:
         queue = deque(side)
         while queue:
             fid = queue.popleft()
-            for eid, (fa, fb) in self.edge_faces.items():
-                if fid not in (fa, fb) or fa == fb:
-                    continue
-                other = fb if fid == fa else fa
+            for eid, other in self.adjacent[fid]:
                 flip = traversals.get(eid, 0) == 1
                 want = ("R" if side[fid] == "L" else "L") if flip else side[fid]
                 if other not in side:
@@ -467,10 +438,11 @@ def validate_reduced(g: PlabicGraph) -> bool:
     in the same order; faces have distinct labels of a common size; the face
     count matches k(n-k) - (alignment count) + 1.
     """
-    strands = trips(g)
-    if _closed_orbits(g, strands):
-        return False
     disk = _Disk(g)
+    strands = _trips(disk)
+    # trips follow a permutation of the darts; any dart they miss is on a closed strand
+    if sum(len(t.darts) for t in strands) != 2 * disk.m:
+        return False
     for t in strands:
         eids = t.edge_ids()
         for k in range(len(eids)):
@@ -703,13 +675,13 @@ def _split_corner(g: PlabicGraph, corner: int, e_in: int, e_out: int) -> PlabicG
     return PlabicGraph.of(g.boundary, colors, edges, rotation)
 
 
-def _corner_runs(g: PlabicGraph, disk: _Disk, face: Face) -> int | None:
+def _corner_runs(disk: _Disk, face: Face) -> int | None:
     """Number of cyclic color runs among the face's corners, or None when the
     face revisits a vertex or touches the boundary."""
     corners = [disk.head(d) for d in face.darts]
-    if any(v <= g.boundary for v in corners) or len(set(corners)) != len(corners):
+    if any(v <= disk.n for v in corners) or len(set(corners)) != len(corners):
         return None
-    cols = [g.color_map[v] for v in corners]
+    cols = [disk.colors[v] for v in corners]
     changes = sum(cols[i] != cols[i - 1] for i in range(len(cols)))
     return changes if changes else 1
 
@@ -721,50 +693,43 @@ def square_move(g: PlabicGraph, pivot: KSet, labeling: FaceLabeling | None = Non
     are contracted, and any remaining corner of degree above three is split so
     that its on-face part is trivalent.  The result must be a quadrilateral
     with alternating corner colors, whose four corners are then flipped.
+
+    The graph is labeled once at most (never when ``labeling`` is given): the
+    face is followed through each contraction by one of its surviving darts,
+    and a split keeps the face's darts and corners.
     """
     lab = labeling if labeling is not None else face_labels(g)
     face = lab.face_with_label(pivot)
     if face.frozen:
         raise ValidationError(f"face {pivot} touches the boundary")
-    runs = _corner_runs(g, _Disk(g), face)
-    if runs != 4:
+    disk = _Disk(g)
+    if _corner_runs(disk, face) != 4:
         raise ValidationError(f"face {pivot} does not normalize to a quadrilateral")
 
+    darts = face.darts
     while True:
-        disk = _Disk(g)
-        face = face_labels(g).face_with_label(pivot)
-        corners = [disk.head(d) for d in face.darts]
-        cols = [g.color_map[v] for v in corners]
+        cols = [disk.colors[disk.head(d)] for d in darts]
         same = next((i for i in range(len(cols)) if cols[i] == cols[i - 1]), None)
         if same is None:
             break
-        g = _contract_edge(g, face.darts[same] >> 1)
-
-    for spot in range(4):
+        eid = darts[same] >> 1
+        g = _contract_edge(g, eid)
         disk = _Disk(g)
-        face = face_labels(g).face_with_label(pivot)
-        corners = [disk.head(d) for d in face.darts]
-        if disk.deg[corners[spot]] > 3:
-            e_in = face.darts[spot] >> 1
-            e_out = face.darts[(spot + 1) % 4] >> 1
-            g = _split_corner(g, corners[spot], e_in, e_out)
+        # edge ids above the contracted one shift down by one; end bits stay
+        d = next(d for d in darts if d >> 1 != eid)
+        darts = _face_orbit(disk, d - 2 if d >> 1 > eid else d)
 
-    disk = _Disk(g)
-    face = face_labels(g).face_with_label(pivot)
-    corners = [disk.head(d) for d in face.darts]
-    colors = g.color_map
-    return g.recolor({v: (WHITE if colors[v] == BLACK else BLACK) for v in corners})
+    corners = [disk.head(d) for d in darts]
+    for spot, v in enumerate(corners):
+        if disk.deg[v] > 3:
+            g = _split_corner(g, v, darts[spot] >> 1, darts[(spot + 1) % 4] >> 1)
+    return g.recolor({v: (WHITE if disk.colors[v] == BLACK else BLACK) for v in corners})
 
 
 def movable_faces(labeling: FaceLabeling) -> tuple[Face, ...]:
     """Interior faces that normalize to an alternating quadrilateral."""
-    g = labeling.graph
-    disk = _Disk(g)
-    return tuple(
-        f
-        for f in labeling.faces
-        if not f.frozen and _corner_runs(g, disk, f) == 4
-    )
+    disk = _Disk(labeling.graph)
+    return tuple(f for f in labeling.faces if not f.frozen and _corner_runs(disk, f) == 4)
 
 
 def quiver_from_graph(g: PlabicGraph, labeling: FaceLabeling | None = None) -> IceQuiver:

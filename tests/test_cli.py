@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from positroids import PlabicGraph, bridge_graph_from_permutation, cli, face_labels
 from positroids.combinatorics import DecoratedPermutation
@@ -195,6 +199,30 @@ def test_unparseable_permutation_exits_2(capsys):
     code, out, err = run(capsys, "necklace", "(13)(24")
     assert code == 2 and out == ""
     assert "cannot parse" in err
+
+
+@pytest.mark.parametrize("spec", ["(1 2)", "(1a)", "(1,x)"])
+def test_malformed_cycle_entries_exit_2(capsys, spec):
+    code, out, err = run(capsys, "necklace", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# no "," or "{", so every cycle entry is one digit and n stays small
+SPEC_TEXT = st.text(alphabet="()123456789:+-id ", max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(SPEC_TEXT, SPEC_TEXT.map(lambda t: f"({t})")))
+def test_arbitrary_permutation_text_exits_0_or_2(text):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["necklace", text])
+        except SystemExit as exc:  # argparse takes a leading "-" for an option
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_size_cap_exits_2_and_can_be_raised(capsys):

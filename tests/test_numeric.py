@@ -251,6 +251,24 @@ def test_sampling_is_deterministic_per_seed(ex_135264):
     assert sample_cell_point(g, rng_seed=3) != sample_cell_point(g, rng_seed=4)
 
 
+def test_graph_caches_stay_bounded():
+    rng = random.Random(61)
+    graphs = set()
+    while len(graphs) < 2 * numeric.GRAPH_CACHE_SIZE + 3:
+        graphs.add(bridge_graph_from_permutation(random_decorated(rng, rng.randint(4, 6))))
+    caches = (numeric._orientation_cache, numeric._graph_positroid)
+    for cache in caches:
+        cache.cache_clear()
+    for g in graphs:
+        hits = [cache.cache_info().hits for cache in caches]
+        sample_cell_point(g, rng_seed=1)
+        sample_cell_point(g, rng_seed=2)
+        # the second draw on the same graph reuses both entries
+        assert [cache.cache_info().hits for cache in caches] == [h + 1 for h in hits]
+        assert all(cache.cache_info().currsize <= numeric.GRAPH_CACHE_SIZE for cache in caches)
+    assert all(cache.cache_info().currsize == numeric.GRAPH_CACHE_SIZE for cache in caches)
+
+
 def test_explicit_weights_are_validated(ex_135264):
     g = ex_135264["graph"]
     good = {eid: Fraction(1) for eid in range(len(g.edges))}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -21,8 +22,9 @@ from positroids import (
     trips,
     validate_reduced,
 )
+from positroids import plabic
 from positroids.combinatorics import ValidationError
-from positroids.plabic import movable_faces
+from positroids.plabic import _contract_edge, _corner_runs, _Disk, _split_corner, movable_faces
 
 from conftest import assert_frozen_glued, ks, random_decorated, uniform_perm
 
@@ -102,6 +104,22 @@ def test_graph_validation_rejects_bad_structure():
         PlabicGraph.of(2, {5: "white"}, [(1, 5), (2, 5)], {1: [0], 2: [1], 5: [0]})
 
 
+@pytest.mark.parametrize("color", ["white", "black"])
+def test_closed_strand_graph_is_not_reduced(color, monkeypatch):
+    # the interior triangle carries a strand that never reaches the boundary
+    g = PlabicGraph.of(
+        3,
+        {4: color, 5: color, 6: color},
+        [(1, 4), (2, 5), (3, 6), (4, 5), (5, 6), (6, 4)],
+        {1: [0], 2: [1], 3: [2], 4: [0, 5, 3], 5: [1, 3, 4], 6: [2, 4, 5]},
+    )
+    assert sum(len(t.darts) for t in trips(g)) < 2 * len(g.edges)
+    assert not validate_reduced(g)
+    # the strands alone reject it, before any face analysis
+    monkeypatch.setattr(plabic, "_Analysis", None)
+    assert not validate_reduced(g)
+
+
 def test_bubble_graph_is_not_reduced():
     # parallel edges between opposite colors create a contractible bigon
     g = PlabicGraph.of(
@@ -148,6 +166,68 @@ def test_square_move_preserves_the_trip_permutation():
             assert trip_permutation(moved) == sigma
             assert validate_reduced(moved)
             done += 1
+
+
+def reference_square_move(g, pivot, labeling):
+    """Square move that relabels the whole graph after every contraction and
+    split and looks the pivot face up again by its label."""
+    face = labeling.face_with_label(pivot)
+    if face.frozen or _corner_runs(_Disk(g), face) != 4:
+        raise ValidationError(f"face {pivot} is not movable")
+    while True:
+        disk = _Disk(g)
+        face = face_labels(g).face_with_label(pivot)
+        cols = [g.color_map[disk.head(d)] for d in face.darts]
+        same = next((i for i in range(len(cols)) if cols[i] == cols[i - 1]), None)
+        if same is None:
+            break
+        g = _contract_edge(g, face.darts[same] >> 1)
+    for spot in range(4):
+        disk = _Disk(g)
+        face = face_labels(g).face_with_label(pivot)
+        corners = [disk.head(d) for d in face.darts]
+        if disk.deg[corners[spot]] > 3:
+            e_in = face.darts[spot] >> 1
+            e_out = face.darts[(spot + 1) % 4] >> 1
+            g = _split_corner(g, corners[spot], e_in, e_out)
+    disk = _Disk(g)
+    corners = [disk.head(d) for d in face_labels(g).face_with_label(pivot).darts]
+    colors = g.color_map
+    return g.recolor({v: ("white" if colors[v] == "black" else "black") for v in corners})
+
+
+def test_square_move_matches_the_relabelling_reference():
+    rng = random.Random(47)
+    graphs = [m for m, _ in graph_mutation_class(bridge_graph_from_permutation(uniform_perm(3, 6)))[0]]
+    assert len(graphs) == 34
+    graphs += [bridge_graph_from_permutation(random_decorated(rng, rng.randint(4, 7))) for _ in range(12)]
+    moves = 0
+    for g in graphs:
+        lab = face_labels(g)
+        for face in movable_faces(lab):
+            fast = json.dumps(square_move(g, face.label, lab).to_json())
+            assert fast == json.dumps(reference_square_move(g, face.label, lab).to_json())
+            assert fast == json.dumps(square_move(g, face.label).to_json())
+            moves += 1
+    assert moves > 100
+
+
+def test_square_move_with_a_labeling_analyses_nothing(monkeypatch):
+    g = bridge_graph_from_permutation(uniform_perm(3, 6))
+    lab = face_labels(g)
+    built = []
+
+    class CountingAnalysis(plabic._Analysis):
+        def __init__(self, graph):
+            built.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(plabic, "_Analysis", CountingAnalysis)
+    for face in movable_faces(lab):
+        square_move(g, face.label, lab)
+    assert movable_faces(lab) and built == []
+    square_move(g, movable_faces(lab)[0].label)
+    assert len(built) == 1
 
 
 def test_square_move_rejects_non_movable_faces(ex_135264):
