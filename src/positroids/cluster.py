@@ -14,7 +14,6 @@ frozen-frozen arrows.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -269,17 +268,6 @@ class IceQuiver:
     def arrows_out(self, vid: int) -> tuple[tuple[int, int], ...]:
         return tuple((t, m) for s, t, m in self.arrows if s == vid)
 
-    def has_core_two_cycle_or_loop(self) -> bool:
-        # both are excluded by construction; kept as an explicit probe for tests
-        seen = {}
-        for s, t, m in self.core_arrows():
-            if s == t:
-                return True
-            if (t, s) in seen:
-                return True
-            seen[(s, t)] = m
-        return False
-
     def core_key(self, names: Mapping[int, object] | None = None) -> frozenset:
         """Canonical form of the Q-circle part under a vertex naming."""
         names = names or {v.id: (v.label.label() if v.label else v.id) for v in self.vertices}
@@ -317,25 +305,36 @@ class IceQuiver:
         return "\n".join(lines)
 
 
-def fz_mutate_quiver(quiver: IceQuiver, vid: int) -> IceQuiver:
-    """Matrix mutation at a mutable vertex, applied to the full matrix
-    (frozen-frozen entries included so they stay recorded)."""
+def _mutated_arrows(quiver: IceQuiver, vid: int) -> tuple[tuple[int, int, int], ...]:
     if quiver.vertex(vid).frozen:
         raise ValidationError(f"cannot mutate frozen vertex {vid}")
-    ids = [v.id for v in quiver.vertices]
-    b = {(i, j): quiver.b(i, j) for i in ids for j in ids if i != j}
-    new = {}
-    for i in ids:
-        for j in ids:
-            if i == j:
-                continue
-            if i == vid or j == vid:
-                new[(i, j)] = -b[(i, j)]
-            else:
-                bik, bkj = b[(i, vid)], b[(vid, j)]
-                new[(i, j)] = b[(i, j)] + (abs(bik) * bkj + bik * abs(bkj)) // 2
-    arrows = tuple((i, j, m) for (i, j), m in new.items() if m > 0)
-    return IceQuiver(quiver.vertices, arrows)
+    net: dict[tuple[int, int], int] = {}
+    ins, outs = [], []
+    for s, t, m in quiver.arrows:
+        if t == vid:
+            ins.append((s, m))
+            net[(t, s)] = m
+        elif s == vid:
+            outs.append((t, m))
+            net[(t, s)] = m
+        else:
+            net[(s, t)] = m
+    for i, p in ins:
+        for j, q in outs:
+            total = net.pop((i, j), 0) - net.pop((j, i), 0) + p * q
+            if total:
+                net[(i, j) if total > 0 else (j, i)] = abs(total)
+    return tuple((s, t, m) for (s, t), m in net.items())
+
+
+def fz_mutate_quiver(quiver: IceQuiver, vid: int) -> IceQuiver:
+    """Fomin-Zelevinsky mutation at a mutable vertex k, applied to the arrows.
+
+    Every arrow at k is reversed.  Each path i -> k -> j of multiplicities p
+    and q adds p*q arrows i -> j, cancelling opposite arrows j -> i first;
+    arrows away from k are unchanged.  Frozen-frozen arrows follow the same
+    rule, so they stay recorded.  A frozen k raises ValidationError."""
+    return IceQuiver(quiver.vertices, _mutated_arrows(quiver, vid))
 
 
 @dataclass(frozen=True)
@@ -410,6 +409,7 @@ def mutate_seed(seed: Seed, vid: int) -> Seed:
     """Mutation at a mutable vertex: exchange polynomial divided exactly by the
     departing variable.  The vertex keeps a label only when the mutation is a
     square move in the quiver; otherwise it becomes unlabeled."""
+    arrows = _mutated_arrows(seed.quiver, vid)
     var = dict(seed.variables)
     top = LaurentPoly.const(1)
     for w, m in seed.quiver.arrows_in(vid):
@@ -425,11 +425,10 @@ def mutate_seed(seed: Seed, vid: int) -> Seed:
     new_label = seed_square_move(seed, vid)
     if new_label is None:
         new_label = _symbol_label(new_var, seed)
-    new_quiver = fz_mutate_quiver(seed.quiver, vid)
     vertices = tuple(
-        replace(v, label=new_label) if v.id == vid else v for v in new_quiver.vertices
+        replace(v, label=new_label) if v.id == vid else v for v in seed.quiver.vertices
     )
-    return Seed.of(IceQuiver(vertices, new_quiver.arrows), var)
+    return Seed.of(IceQuiver(vertices, arrows), var)
 
 
 def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool]:

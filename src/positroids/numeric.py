@@ -54,6 +54,9 @@ __all__ = [
 # graph at a time, so a small bound keeps every hit and long runs stay flat.
 GRAPH_CACHE_SIZE = 16
 
+# Seeds explored before ``verify_identities`` gives up on a mutation class.
+MUTATION_CLASS_LIMIT = 500
+
 
 class ConstructionError(RuntimeError):
     """No valid network construction exists for the request."""
@@ -512,10 +515,10 @@ def _value(seed: Seed, vid: int, matrix: RationalMatrix, assignment: Mapping[str
     return seed.variable(vid).evaluate(assignment)
 
 
-def _exchange_identities(seed: Seed, limit: int) -> list[dict]:
-    seeds, complete = mutation_class(seed, limit=limit)
+def _exchange_identities(seed: Seed) -> list[dict]:
+    seeds, complete = mutation_class(seed, limit=MUTATION_CLASS_LIMIT)
     if not complete:
-        raise ValidationError(f"mutation class exceeded the limit {limit}")
+        raise ValidationError(f"mutation class exceeded the limit {MUTATION_CLASS_LIMIT}")
     out = []
     for idx, member in enumerate(seeds):
         for vid in member.quiver.mutable_ids():
@@ -570,7 +573,6 @@ def verify_identities(
     points: Sequence[CellPoint],
     generic: Sequence[RationalMatrix],
     corrupt: bool = False,
-    limit: int = 500,
     n_cap: int = 12,
 ) -> dict:
     """Exact verification sweep; no tolerances anywhere.
@@ -581,14 +583,15 @@ def verify_identities(
     the restricted two-term identities on every cell point; the k=2 generator
     decompositions on every cell point; and the exact vanishing profile of
     every cell point.  ``corrupt`` perturbs one mutated variable first and is
-    a negative control: the report must then contain failures.
+    a negative control: the report must then contain failures.  A mutation
+    class of more than ``MUTATION_CLASS_LIMIT`` seeds raises ValidationError.
     """
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):
         raise ValidationError("seed must be fully labeled")
     report: dict = {"identities": [], "passed": True}
 
-    exchanges = _exchange_identities(seed, limit)
+    exchanges = _exchange_identities(seed)
     if corrupt and exchanges:
         victim = exchanges[0]
         broken = victim["mutated"]

@@ -62,6 +62,20 @@ def ks(text: str, n: int) -> KSet:
     return KSet.from_label(text, n)
 
 
+def has_core_two_cycle_or_loop(quiver) -> bool:
+    """Whether the arrows with a mutable end hold a loop or an opposing pair.
+
+    ``IceQuiver`` rejects both when it is built, so this is an independent
+    probe of that promise.
+    """
+    seen = set()
+    for s, t, _ in quiver.core_arrows():
+        if s == t or (t, s) in seen:
+            return True
+        seen.add((s, t))
+    return False
+
+
 def assert_frozen_glued(sigma: DecoratedPermutation) -> None:
     """Check the quiver of a disconnected cell against its components.
 

@@ -31,7 +31,7 @@ from positroids.cluster import (
 )
 from positroids.combinatorics import ValidationError
 
-from conftest import ks, uniform_perm
+from conftest import has_core_two_cycle_or_loop, ks, uniform_perm
 
 
 def sym(name):
@@ -168,7 +168,7 @@ def test_quiver_b_matrix_and_neighbourhoods():
     assert q.mutable_ids() == (0,)
     assert q.arrows_in(0) == ((1, 1),)
     assert q.arrows_out(0) == ((2, 1),)
-    assert not q.has_core_two_cycle_or_loop()
+    assert not has_core_two_cycle_or_loop(q)
 
 
 def test_quiver_mutation_is_an_involution():
@@ -197,6 +197,77 @@ def test_quiver_mutation_reverses_arrows_at_the_vertex():
     assert mutated.b(0, 2) == -1
     # composite path 1 -> 0 -> 2 leaves a frozen-frozen arrow behind
     assert mutated.b(1, 2) == 1
+
+
+def full_matrix_mutation(quiver, vid):
+    """Reference: b'_ij = -b_ij at the pivot k, else
+    b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, over every ordered pair."""
+    ids = [v.id for v in quiver.vertices]
+    b = {(i, j): quiver.b(i, j) for i in ids for j in ids if i != j}
+    new = {}
+    for (i, j), bij in b.items():
+        if vid in (i, j):
+            new[(i, j)] = -bij
+        else:
+            bik, bkj = b[(i, vid)], b[(vid, j)]
+            new[(i, j)] = bij + (abs(bik) * bkj + bik * abs(bkj)) // 2
+    return IceQuiver(quiver.vertices, tuple((i, j, m) for (i, j), m in new.items() if m > 0))
+
+
+def test_quiver_mutation_matches_the_full_matrix_rule_on_random_quivers():
+    rng = random.Random(17)
+    frozen_frozen = 0
+    for _ in range(300):
+        m = rng.randint(1, 8)
+        vs = tuple(QuiverVertex(i, rng.random() < 0.4) for i in range(m))
+        arrows = []
+        for s in range(m):
+            for t in range(s + 1, m):
+                if rng.random() < 0.6:
+                    mult = rng.randint(1, 3)
+                    arrows.append((s, t, mult) if rng.random() < 0.5 else (t, s, mult))
+        q = IceQuiver(vs, tuple(arrows))
+        frozen_frozen += len(q.arrows) - len(q.core_arrows())
+        for v in q.mutable_ids():
+            assert fz_mutate_quiver(q, v) == full_matrix_mutation(q, v)
+    assert frozen_frozen > 0
+
+
+def test_seed_mutation_matches_the_full_matrix_rule_on_gr36():
+    g = bridge_graph_from_permutation(uniform_perm(3, 6))
+    seeds, complete = mutation_class(initial_seed(quiver_from_graph(g)))
+    assert complete
+    pairs = 0
+    for seed in seeds:
+        for v in seed.quiver.mutable_ids():
+            expected = full_matrix_mutation(seed.quiver, v)
+            assert fz_mutate_quiver(seed.quiver, v) == expected
+            assert mutate_seed(seed, v).quiver.arrows == expected.arrows
+            pairs += 1
+    assert pairs == 4 * len(seeds)
+
+
+def test_mutation_at_a_frozen_vertex_is_refused():
+    q = small_quiver()
+    seed = initial_seed(q)
+    for v in (1, 2):
+        with pytest.raises(ValidationError, match="frozen"):
+            fz_mutate_quiver(q, v)
+        with pytest.raises(ValidationError, match="frozen"):
+            mutate_seed(seed, v)
+
+
+def test_seed_mutation_builds_one_quiver_and_no_exchange_matrix(monkeypatch):
+    g = bridge_graph_from_permutation(uniform_perm(3, 6))
+    seed = initial_seed(quiver_from_graph(g))
+    built = []
+    validate = IceQuiver.__post_init__
+    monkeypatch.setattr(IceQuiver, "__post_init__", lambda q: built.append(q) or validate(q))
+    monkeypatch.setattr(IceQuiver, "b", lambda *_: pytest.fail("IceQuiver.b called"))
+    for v in seed.quiver.mutable_ids():
+        mutate_seed(seed, v)
+        fz_mutate_quiver(seed.quiver, v)
+    assert len(built) == 2 * len(seed.quiver.mutable_ids())
 
 
 def test_quiver_json_and_dot_are_stable():

@@ -26,7 +26,13 @@ from positroids import plabic
 from positroids.combinatorics import ValidationError
 from positroids.plabic import _contract_edge, _corner_runs, _Disk, _split_corner, movable_faces
 
-from conftest import assert_frozen_glued, ks, random_decorated, uniform_perm
+from conftest import (
+    assert_frozen_glued,
+    has_core_two_cycle_or_loop,
+    ks,
+    random_decorated,
+    uniform_perm,
+)
 
 
 def every_decorated(n):
@@ -270,7 +276,7 @@ def test_quivers_have_no_loops_or_core_two_cycles():
         sigma = random_decorated(rng, rng.randint(3, 8))
         g = bridge_graph_from_permutation(sigma)
         q = quiver_from_graph(g)
-        assert not q.has_core_two_cycle_or_loop()
+        assert not has_core_two_cycle_or_loop(q)
 
 
 @pytest.mark.parametrize(
