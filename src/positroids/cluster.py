@@ -14,10 +14,9 @@ frozen-frozen arrows.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 from positroids.combinatorics import (
     DimensionError,
@@ -34,6 +33,8 @@ class LaurentDivisionError(ArithmeticError):
 class PoleError(ZeroDivisionError):
     """Evaluation hit a zero base under a negative exponent."""
 
+
+T = TypeVar("T")
 
 _Exp = frozenset  # frozenset[tuple[str, int]], omitting zero exponents
 
@@ -431,28 +432,33 @@ def mutate_seed(seed: Seed, vid: int) -> Seed:
     return Seed.of(IceQuiver(vertices, arrows), var)
 
 
-def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool]:
-    """Breadth-first closure of a seed under mutation at all mutable vertices.
+def closure(
+    start: T, moves: Callable[[T], Iterable[T]], key: Callable[[T], Hashable], limit: int | None = None
+) -> tuple[list[T], bool]:
+    """Breadth-first closure of ``start`` under ``moves``, deduplicated by ``key``.
 
-    Returns (seeds, complete); ``complete`` is False when ``limit`` stopped the
-    exploration early.
+    ``moves(x)`` yields the neighbours of x; it is called once per member, in
+    the order the members are returned.  Returns (members, complete): at the
+    first unseen neighbour past ``limit`` members the exploration stops and
+    ``complete`` is False.
     """
-    seen = {seed.key(): seed}
-    queue = deque([seed])
-    complete = True
-    while queue:
-        cur = queue.popleft()
-        for vid in cur.quiver.mutable_ids():
-            nxt = mutate_seed(cur, vid)
-            key = nxt.key()
-            if key in seen:
+    members = [start]
+    seen = {key(start)}
+    for cur in members:  # the list is the queue: members appended here are visited in turn
+        for nxt in moves(cur):
+            k = key(nxt)
+            if k in seen:
                 continue
-            if limit is not None and len(seen) >= limit:
-                complete = False
-                continue
-            seen[key] = nxt
-            queue.append(nxt)
-    return list(seen.values()), complete
+            if limit is not None and len(members) >= limit:
+                return members, False
+            seen.add(k)
+            members.append(nxt)
+    return members, True
+
+
+def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool]:
+    """:func:`closure` of a seed under mutation at all mutable vertices."""
+    return closure(seed, lambda s: (mutate_seed(s, v) for v in s.quiver.mutable_ids()), Seed.key, limit)
 
 
 def square_move_exchange(

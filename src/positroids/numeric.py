@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import cm
-from .cluster import LaurentPoly, Seed, mutate_seed, mutation_class
+from .cluster import LaurentPoly, Seed, closure, mutate_seed
 from .combinatorics import (
     DimensionError,
     GrassmannNecklace,
@@ -111,8 +111,8 @@ class RationalMatrix:
         return [[str(x) for x in row] for row in self.rows]
 
     @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]]) -> RationalMatrix:
-        return cls.of(data)
+    def from_json(cls, data: Sequence[Sequence[str]], n: int | None = None) -> RationalMatrix:
+        return cls.of(data, n)
 
 
 def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
@@ -516,23 +516,23 @@ def _value(seed: Seed, vid: int, matrix: RationalMatrix, assignment: Mapping[str
 
 
 def _exchange_identities(seed: Seed) -> list[dict]:
-    seeds, complete = mutation_class(seed, limit=MUTATION_CLASS_LIMIT)
-    if not complete:
-        raise ValidationError(f"mutation class exceeded the limit {MUTATION_CLASS_LIMIT}")
+    # one exploration: every mutation the closure makes is also an exchange
+    # entry, so each (member, vertex) pair is mutated once
     out = []
-    for idx, member in enumerate(seeds):
+    visits = itertools.count()
+
+    def moves(member: Seed):
+        idx = next(visits)
         for vid in member.quiver.mutable_ids():
             mutated = mutate_seed(member, vid)
             pivot = member.quiver.vertex(vid).label
             name = pivot.label() if pivot is not None else f"v{vid}"
-            out.append(
-                {
-                    "name": f"exchange:{name}@{idx}",
-                    "seed": member,
-                    "mutated": mutated,
-                    "vid": vid,
-                }
-            )
+            out.append({"name": f"exchange:{name}@{idx}", "seed": member, "mutated": mutated, "vid": vid})
+            yield mutated
+
+    _, complete = closure(seed, moves, Seed.key, limit=MUTATION_CLASS_LIMIT)
+    if not complete:
+        raise ValidationError(f"mutation class exceeded the limit {MUTATION_CLASS_LIMIT}")
     return out
 
 
@@ -583,8 +583,9 @@ def verify_identities(
     the restricted two-term identities on every cell point; the k=2 generator
     decompositions on every cell point; and the exact vanishing profile of
     every cell point.  ``corrupt`` perturbs one mutated variable first and is
-    a negative control: the report must then contain failures.  A mutation
-    class of more than ``MUTATION_CLASS_LIMIT`` seeds raises ValidationError.
+    a negative control: the report must then contain failures.  The mutation
+    class exploration stops at its first seed past ``MUTATION_CLASS_LIMIT``
+    and raises ValidationError.
     """
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):

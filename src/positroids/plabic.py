@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from positroids.cluster import IceQuiver, QuiverVertex
+from positroids.cluster import IceQuiver, QuiverVertex, closure
 from positroids.combinatorics import (
     DecoratedPermutation,
     GrassmannNecklace,
@@ -789,25 +789,13 @@ def quiver_from_graph(g: PlabicGraph, labeling: FaceLabeling | None = None) -> I
 def graph_mutation_class(
     g: PlabicGraph, limit: int | None = None
 ) -> tuple[list[tuple[PlabicGraph, FaceLabeling]], bool]:
-    """Closure of a reduced graph under square moves, deduplicated by the face
-    label collection.  Returns (members, complete)."""
-    start = face_labels(g)
-    seen: dict[frozenset[KSet], tuple[PlabicGraph, FaceLabeling]] = {
-        start.collection(): (g, start)
-    }
-    queue = deque([(g, start)])
-    complete = True
-    while queue:
-        cur, lab = queue.popleft()
+    """:func:`~positroids.cluster.closure` of a reduced graph under square moves,
+    deduplicated by the face label collection.  Returns (members, complete)."""
+
+    def moves(member: tuple[PlabicGraph, FaceLabeling]):
+        cur, lab = member
         for face in movable_faces(lab):
             moved = square_move(cur, face.label, lab)
-            mlab = face_labels(moved)
-            key = mlab.collection()
-            if key in seen:
-                continue
-            if limit is not None and len(seen) >= limit:
-                complete = False
-                continue
-            seen[key] = (moved, mlab)
-            queue.append((moved, mlab))
-    return list(seen.values()), complete
+            yield moved, face_labels(moved)
+
+    return closure((g, face_labels(g)), moves, lambda m: m[1].collection(), limit)

@@ -153,6 +153,13 @@ def test_verify_corrupt_control_fails_loudly(capsys):
     assert any(e["failures"] for e in report["identities"])
 
 
+def test_verify_on_an_infinite_type_cell_exits_2(capsys):
+    # the Gr(4,8) top cell has infinitely many seeds
+    code, out, err = run(capsys, "verify", "(15)(26)(37)(48)")
+    assert code == 2 and out == ""
+    assert err == "error: mutation class exceeded the limit 500\n"
+
+
 def test_sample_emits_requested_points(capsys):
     code, out, _ = run(capsys, "sample", "(13)(24)", "--points", "2", "--format", "json")
     assert code == 0

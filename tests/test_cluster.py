@@ -24,6 +24,7 @@ from positroids.cluster import (
     LaurentDivisionError,
     PoleError,
     QuiverVertex,
+    closure,
     fz_mutate_quiver,
     seed_square_move,
     seeds_match_square_moves,
@@ -322,8 +323,36 @@ def test_hexagon_mutation_leaves_the_pluecker_ring(ex_135264):
 
 def test_mutation_class_respects_limit():
     g = bridge_graph_from_permutation(uniform_perm(2, 6))
-    seeds, complete = mutation_class(initial_seed(quiver_from_graph(g)), limit=4)
-    assert not complete and len(seeds) == 4
+    seed = initial_seed(quiver_from_graph(g))
+    full, complete = mutation_class(seed)
+    assert complete and len(full) == 14
+    keys = [s.key() for s in full]
+    for limit in range(1, len(full) + 2):
+        seeds, complete = mutation_class(seed, limit=limit)
+        assert [s.key() for s in seeds] == keys[:limit]
+        assert complete == (limit >= len(full))
+
+
+def test_closure_calls_moves_once_per_member_in_member_order():
+    # integers mod 10 under x -> x + 3 and x -> 7x
+    visited = []
+
+    def moves(x):
+        visited.append(x)
+        return [(x + 3) % 10, (7 * x) % 10]
+
+    members, complete = closure(1, moves, key=lambda x: x)
+    assert complete and members == [1, 4, 7, 8, 0, 9, 6, 3, 2, 5]
+    assert visited == members
+
+    visited.clear()
+    members, complete = closure(1, moves, key=lambda x: x, limit=4)
+    assert not complete and members == [1, 4, 7, 8]
+    assert visited == [1, 4, 7]  # 7 yields 0, the first unseen number past the limit
+
+    visited.clear()
+    members, complete = closure(1, moves, key=lambda x: x % 5)
+    assert complete and members == [1, 4, 7, 8, 0] and visited == members
 
 
 # --- square-move detection on seeds ------------------------------------

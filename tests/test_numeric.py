@@ -17,14 +17,18 @@ from positroids import (
     RationalMatrix,
     bridge_graph_from_permutation,
     gauge_rescale,
+    initial_seed,
     minor,
+    mutate_seed,
+    mutation_class,
     necklace_from_permutation,
     pluecker_relation_check,
     positroid_members,
+    quiver_from_graph,
     sample_cell_point,
     verify_identities,
 )
-from positroids import numeric
+from positroids import cluster, numeric
 from positroids.combinatorics import DimensionError, ValidationError
 from positroids.numeric import (
     ConstructionError,
@@ -145,6 +149,9 @@ def test_matrix_json_round_trip():
     data = m.to_json()
     assert data == [["1/3", "2"], ["0", "-5/7"]]
     assert RationalMatrix.from_json(data) == m
+    empty = RationalMatrix.of([], 4)  # a point of Gr(0, 4): no rows, four columns
+    assert empty.to_json() == []
+    assert RationalMatrix.from_json(empty.to_json(), 4) == empty
 
 
 def test_three_term_relation_holds_for_arbitrary_matrices():
@@ -361,6 +368,58 @@ def test_identity_sweep_rejects_points_of_another_shape(ex_135264):
     generic = (sample_generic_matrix(3, 6, random.Random(0)),)
     with pytest.raises(DimensionError):
         verify_identities(ex_135264["necklace"], ex_135264["seed"], (other,), generic)
+
+
+def two_pass_exchanges(seed):
+    # the route the one-pass sweep replaced: explore the class, then mutate
+    # every (member, vertex) pair a second time
+    seeds, complete = mutation_class(seed, limit=numeric.MUTATION_CLASS_LIMIT)
+    assert complete
+    out = []
+    for idx, member in enumerate(seeds):
+        for vid in member.quiver.mutable_ids():
+            pivot = member.quiver.vertex(vid).label
+            name = pivot.label() if pivot is not None else f"v{vid}"
+            out.append((f"exchange:{name}@{idx}", vid, member.key(), mutate_seed(member, vid).key()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [DecoratedPermutation.from_cycle_string(c) for c in ("(135)(264)", "(14)(25)(36)", "(1357)(2468)")]
+    + [random_decorated(random.Random(s), 7) for s in range(8)],
+    ids=str,
+)
+def test_exchange_sweep_matches_the_two_pass_reference(sigma):
+    seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
+    swept = [
+        (e["name"], e["vid"], e["seed"].key(), e["mutated"].key())
+        for e in numeric._exchange_identities(seed)
+    ]
+    assert swept == two_pass_exchanges(seed)
+
+
+def test_exchange_sweep_mutates_each_pair_once(monkeypatch):
+    # Gr(3,6) top cell: 50 seeds with 4 mutable vertices each; both bindings
+    # are counted, so a second mutation of a pair shows wherever it is made
+    calls = []
+
+    def counting(seed, vid):
+        calls.append(vid)
+        return mutate_seed(seed, vid)
+
+    monkeypatch.setattr(cluster, "mutate_seed", counting)
+    monkeypatch.setattr(numeric, "mutate_seed", counting)
+    sigma = uniform_perm(3, 6)
+    g = bridge_graph_from_permutation(sigma)
+    report = verify_identities(
+        necklace_from_permutation(sigma),
+        initial_seed(quiver_from_graph(g)),
+        (sample_cell_point(g),),
+        (sample_generic_matrix(3, 6, random.Random(0)),),
+    )
+    assert report["passed"]
+    assert len(calls) == 200
 
 
 def test_corrupting_a_variable_is_caught(ex_135264):

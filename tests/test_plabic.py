@@ -316,5 +316,11 @@ def test_graph_mutation_class_counts_and_limit():
     members, complete = graph_mutation_class(g)
     assert complete and len(members) == 2
     assert all(validate_reduced(m) for m, _ in members)
-    partial, complete = graph_mutation_class(bridge_graph_from_permutation(uniform_perm(2, 6)), limit=3)
-    assert not complete and len(partial) == 3
+    # a limit keeps a prefix of the unlimited class, in the same order
+    g = bridge_graph_from_permutation(uniform_perm(2, 6))
+    full, complete = graph_mutation_class(g)
+    assert complete and len(full) == 14
+    for limit in range(1, len(full) + 2):
+        members, complete = graph_mutation_class(g, limit=limit)
+        assert members == full[:limit]
+        assert complete == (limit >= len(full))
