@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 
@@ -57,14 +58,30 @@ class Config:
     corrupt: bool = False
 
 
-def parse_permutation(spec: str) -> DecoratedPermutation:
+def parse_permutation(spec: str, n_cap: int) -> DecoratedPermutation:
+    """Parse a permutation spec, refusing n above ``n_cap``.
+
+    Cycle notation is checked on its largest entry before the permutation of
+    [n] is built, so a huge entry costs nothing.  Only comma-separated cycles
+    hold entries above 9, and their digit runs (``int`` accepts "_" between
+    digits) bound every entry.
+    """
     spec = spec.strip()
     if spec.startswith("{"):
         try:
-            return DecoratedPermutation.from_json(json.loads(spec))
+            sigma = DecoratedPermutation.from_json(json.loads(spec))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValidationError(f"bad permutation JSON: {exc}") from exc
-    return DecoratedPermutation.from_cycle_string(spec)
+    else:
+        cycles = spec.partition(":")[0].split(")(")
+        runs = (run for part in cycles if "," in part for run in re.findall(r"[\d_]+", part))
+        largest = max((int(run.replace("_", "") or 0) for run in runs), default=0)
+        if largest > n_cap:
+            raise SizeCapError(f"entry {largest} exceeds --n-cap {n_cap}")
+        sigma = DecoratedPermutation.from_cycle_string(spec)
+    if sigma.n > n_cap:
+        raise SizeCapError(f"n={sigma.n} exceeds --n-cap {n_cap}")
+    return sigma
 
 
 def emit(text: str, cfg: Config) -> None:
@@ -122,8 +139,6 @@ def cmd_necklace(sigma: DecoratedPermutation, cfg: Config) -> int:
 def cmd_positroid(sigma: DecoratedPermutation, cfg: Config) -> int:
     necklace = necklace_from_permutation(sigma)
     n, k = sigma.n, sigma.k
-    if n > cfg.n_cap:
-        raise SizeCapError(f"n={n} exceeds --n-cap {cfg.n_cap}")
     rows = []
     for combo in itertools.combinations(range(1, n + 1), k):
         lab = KSet(combo, n)
@@ -262,13 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Positroid combinatorics: necklaces, plabic graphs, seeds, cell points.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("necklace", "necklace, complement, connectivity and dimension data"),
-        ("positroid", "per k-set membership flags (positroid / CM / GP)"),
-        ("plabic", "bridge-decomposition plabic graph"),
-        ("seeds", "mutation class of the graph's seed"),
-        ("verify", "exact identity verification on sampled points"),
-        ("sample", "sample boundary-measurement cell points"),
+    # the formats each handler writes; the first is the default
+    for name, formats, doc in [
+        ("necklace", ["table", "json"], "necklace, complement, connectivity and dimension data"),
+        ("positroid", ["table", "json"], "per k-set membership flags (positroid / CM / GP)"),
+        ("plabic", ["table", "json", "dot"], "bridge-decomposition plabic graph"),
+        ("seeds", ["table", "json", "dot"], "mutation class of the graph's seed"),
+        ("verify", ["json"], "exact identity verification on sampled points"),
+        ("sample", ["table", "json"], "sample boundary-measurement cell points"),
     ]:
         p = sub.add_parser(name, help=doc)
         p.add_argument("permutation", help='cycle notation, "id:+,-" style, or JSON')
@@ -276,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rng-seed", type=int, default=0, dest="rng_seed")
         p.add_argument(
             "--format",
-            choices=["json", "dot", "table"],
-            default="table",
+            choices=formats,
+            default=formats[0],
             dest="fmt",
         )
         p.add_argument("--out", default=None, metavar="FILE")
@@ -306,11 +322,8 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
         corrupt=getattr(args, "corrupt", False),
     )
-    if args.command == "verify" and cfg.fmt == "dot":
-        print("error: verify has no dot output", file=sys.stderr)
-        return 2
     try:
-        sigma = parse_permutation(args.permutation)
+        sigma = parse_permutation(args.permutation, cfg.n_cap)
         return HANDLERS[args.command](sigma, cfg)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

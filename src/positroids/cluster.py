@@ -23,6 +23,7 @@ from positroids.combinatorics import (
     KSet,
     ValidationError,
     cyclically_ordered,
+    three_term,
 )
 
 
@@ -249,15 +250,6 @@ class IceQuiver:
     def mutable_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices if not v.frozen)
 
-    def b(self, i: int, j: int) -> int:
-        total = 0
-        for s, t, m in self.arrows:
-            if (s, t) == (i, j):
-                total += m
-            elif (s, t) == (j, i):
-                total -= m
-        return total
-
     def core_arrows(self) -> frozenset[tuple[int, int, int]]:
         """Arrows with at least one mutable endpoint (the Q-circle part)."""
         frozen = {v.id for v in self.vertices if v.frozen}
@@ -467,48 +459,34 @@ def square_move_exchange(
     """Replacement label for a quadrilateral exchange, or None.
 
     ``ins`` and ``outs`` are the labels of the two incoming and two outgoing
-    quiver neighbors of the pivot.  The pattern requires a common (k-2)-set L
-    and boundary letters a, b, c, d in cyclic order with pivot = Lac, the four
-    neighbors Lab, Lbc, Lcd, Lad, and opposite sides on the same arrow
-    direction; the move replaces the pivot by Lbd.  Collection membership of
-    the four neighbor sets alone is not enough: a hexagonal face can have all
-    four sets present without any square move existing, which is why the
-    quiver neighborhood is required here.
+    quiver neighbors of the pivot.  The pattern is a three-term relation
+    (:func:`three_term`): a common (k-2)-set L and boundary letters a, b, c, d
+    in cyclic order with pivot = Lac, where ``ins`` and ``outs`` are the two
+    products {Lab, Lcd} and {Lad, Lbc}; the move replaces the pivot by Lbd.
+    Collection membership of the four neighbor sets alone is not enough: a
+    hexagonal face can have all four sets present without any square move
+    existing, which is why the quiver neighborhood is required here.
     """
     n = pivot.n
     sides = (*ins, *outs)
     common = set(pivot.elements)
     for s in sides:
         common &= set(s.elements)
-    if len(common) != pivot.k - 2:
-        return None
     ac = set(pivot.elements) - common
-    if len(ac) != 2:
-        return None
-    extra = set()
+    bd = set()
     for s in sides:
-        d = set(s.elements) - common
-        if len(d) != 2:
-            return None
-        extra |= d
-    bd = extra - ac
-    if len(bd) != 2 or len(extra) != 4:
+        bd |= set(s.elements) - common - ac
+    if len(ac) != 2 or len(bd) != 2:
         return None
     a, c = sorted(ac)
     x, y = sorted(bd)
     b, d = (x, y) if cyclically_ordered(a, x, c, y, n) else (y, x)
     if not cyclically_ordered(a, b, c, d, n):
         return None
-    core = sorted(common)
-    lab = KSet.of(core + [a, b], n)
-    lbc = KSet.of(core + [b, c], n)
-    lcd = KSet.of(core + [c, d], n)
-    lad = KSet.of(core + [a, d], n)
-    if {*sides} != {lab, lbc, lcd, lad}:
+    (_, lbd), *products = three_term(sorted(common), a, b, c, d, n)
+    if {frozenset(ins), frozenset(outs)} != set(map(frozenset, products)):
         return None
-    if {frozenset(ins)} - {frozenset((lab, lcd)), frozenset((lbc, lad))}:
-        return None
-    return KSet.of(core + [b, d], n)
+    return lbd
 
 
 def seed_square_move(seed: Seed, vid: int) -> KSet | None:

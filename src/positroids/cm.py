@@ -21,6 +21,7 @@ from .combinatorics import (
     cyclically_ordered,
     in_positroid,
     noncrossing,
+    three_term,
 )
 
 __all__ = [
@@ -222,8 +223,7 @@ def k2_generator_decomposition(
     a, c = label.elements
     x, y = crossing.elements
     b, d = (x, y) if cyclically_ordered(a, x, c, y, n) else (y, x)
-    first = (KSet.of([a, b], n), KSet.of([c, d], n))
-    second = (KSet.of([a, d], n), KSet.of([b, c], n))
+    _, first, second = three_term((), a, b, c, d, n)
     first_in = all(in_positroid(necklace, s) for s in first)
     second_in = all(in_positroid(necklace, s) for s in second)
     if first_in == second_in:

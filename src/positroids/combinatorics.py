@@ -114,6 +114,31 @@ class KSet:
         return "{" + ",".join(str(e) for e in self.elements) + "}"
 
 
+def three_term(
+    core: Iterable[int], a: int, b: int, c: int, d: int, n: int
+) -> tuple[tuple[KSet, KSet], tuple[KSet, KSet], tuple[KSet, KSet]]:
+    """The six sets of a three-term Pluecker relation through the core L.
+
+    Returns ((Lac, Lbd), (Lab, Lcd), (Lad, Lbc)).  When a, b, c, d lie outside
+    L in cyclic order, every point of the Grassmannian satisfies
+    D(Lac) D(Lbd) = D(Lab) D(Lcd) + D(Lad) D(Lbc) (Scott, arXiv:math/0311148):
+    the crossing pair on the left, the two noncrossing reroutings on the right.
+
+    >>> [tuple(s.label() for s in pair) for pair in three_term([5], 1, 2, 3, 4, 6)]
+    [('135', '245'), ('125', '345'), ('145', '235')]
+    """
+    base = list(core)
+
+    def with_letters(x: int, y: int) -> KSet:
+        return KSet.of(base + [x, y], n)
+
+    return (
+        (with_letters(a, c), with_letters(b, d)),
+        (with_letters(a, b), with_letters(c, d)),
+        (with_letters(a, d), with_letters(b, c)),
+    )
+
+
 def shifted_leq(i: int, a: KSet, b: KSet) -> bool:
     """Gale order at base point i: componentwise <=_i after sorting both by <_i.
 
@@ -161,9 +186,6 @@ class DecoratedPermutation:
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
-
-    def color_of(self, i: int) -> int:
-        return dict(self.colors)[i]
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.colors)

@@ -20,7 +20,7 @@ from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import cm
 from .cluster import LaurentPoly, Seed, closure, mutate_seed
@@ -31,6 +31,7 @@ from .combinatorics import (
     ValidationError,
     necklace_from_permutation,
     positroid_members,
+    three_term,
 )
 from .plabic import BLACK, WHITE, PlabicGraph, trip_permutation
 
@@ -87,25 +88,6 @@ class RationalMatrix:
     def minors(self) -> Mapping[tuple[int, ...], Fraction]:
         """:func:`pluecker_table`, built on first use, once per matrix; read only."""
         return pluecker_table(self)
-
-    def minor(self, columns: KSet) -> Fraction:
-        return minor(self, columns)
-
-    def rank(self) -> int:
-        work = [list(row) for row in self.rows]
-        r = 0
-        for col in range(self.n):
-            pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            for i in range(r + 1, len(work)):
-                if work[i][col]:
-                    f = work[i][col] / work[r][col]
-                    for j in range(col, self.n):
-                        work[i][j] -= f * work[r][j]
-            r += 1
-        return r
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
@@ -178,17 +160,9 @@ def pluecker_relation_check(
     quad = (a, b, c, d)
     if len(set(quad)) != 4 or set(quad) & set(core.elements):
         raise DimensionError("quadruple must be four distinct entries outside the core")
-    n = core.n
-    base = list(core.elements)
-    lac = KSet.of(base + [a, c], n)
-    lbd = KSet.of(base + [b, d], n)
-    lab = KSet.of(base + [a, b], n)
-    lcd = KSet.of(base + [c, d], n)
-    lad = KSet.of(base + [a, d], n)
-    lbc = KSet.of(base + [b, c], n)
-    lhs = minor(matrix, lac) * minor(matrix, lbd)
-    rhs = minor(matrix, lab) * minor(matrix, lcd) + minor(matrix, lad) * minor(matrix, lbc)
-    return lhs == rhs
+    pairs = three_term(core, a, b, c, d, core.n)
+    lhs, *rhs = (minor(matrix, p) * minor(matrix, q) for p, q in pairs)
+    return lhs == sum(rhs)
 
 
 def minor_assignment(matrix: RationalMatrix, labels: Sequence[KSet]) -> dict[str, Fraction]:
@@ -536,35 +510,75 @@ def _exchange_identities(seed: Seed) -> list[dict]:
     return out
 
 
-def _restricted_identities(necklace: GrassmannNecklace, members: frozenset[KSet]) -> list[dict]:
-    """Two-term specializations of three-term relations on the cell.
+def _minor_identities(
+    necklace: GrassmannNecklace, members: frozenset[KSet]
+) -> list[tuple[str, tuple[KSet, KSet], tuple[tuple[KSet, KSet], ...]]]:
+    """Product identities among minors on the cell, as (name, lhs pair, rhs
+    pairs): the left product equals the sum of the right ones.
 
-    Whenever a product in a three-term relation contains a minor from the
-    positroid complement it drops on the cell; the leftover equality between
-    the surviving products is a nontrivial exact check.
+    ``restricted:`` entries are two-term specializations of three-term
+    relations: whenever a product contains a minor from the positroid
+    complement it drops on the cell, and the equality between the surviving
+    products is a nontrivial exact check.  ``k2:`` entries are the rank-two
+    resolutions of :func:`cm.k2_generator_decomposition`.
     """
     n, k = necklace.n, necklace.k
-    if k < 2:
-        return []  # no quadruple fits around a (k-2)-core
     out = []
+
+    def add(kind: str, lhs: tuple[KSet, KSet], *rhs: tuple[KSet, KSet]) -> None:
+        name = "=".join(f"{x.label()}*{y.label()}" for x, y in (lhs, *rhs))
+        out.append((f"{kind}:{name}", lhs, rhs))
+
     ground = range(1, n + 1)
-    for core in itertools.combinations(ground, k - 2):
-        rest = [x for x in ground if x not in core]
-        for a, b, c, d in itertools.combinations(rest, 4):
-            base = list(core)
-            pairs = [
-                (KSet.of(base + [a, c], n), KSet.of(base + [b, d], n)),
-                (KSet.of(base + [a, b], n), KSet.of(base + [c, d], n)),
-                (KSet.of(base + [a, d], n), KSet.of(base + [b, c], n)),
-            ]
-            alive = [p for p in pairs if p[0] in members and p[1] in members]
-            if len(alive) == len(pairs) or not alive:
-                continue
-            name = "restricted:" + "=".join(
-                f"{p[0].label()}*{p[1].label()}" for p in alive
-            )
-            out.append({"name": name, "pairs": pairs, "alive": alive})
+    if k >= 2:  # otherwise no quadruple fits around a (k-2)-core
+        for core in itertools.combinations(ground, k - 2):
+            rest = [x for x in ground if x not in core]
+            for quad in itertools.combinations(rest, 4):
+                pairs = three_term(core, *quad, n)
+                alive = [p for p in pairs if p[0] in members and p[1] in members]
+                if 0 < len(alive) < len(pairs):
+                    add("restricted", *alive)
+    if k == 2:
+        for label in sorted(members, key=lambda s: s.elements):
+            decomposition = cm.k2_generator_decomposition(label, necklace)
+            if decomposition is not None:
+                j_set, l1, l2 = decomposition
+                add("k2", (label, j_set), (l1, l2))
     return out
+
+
+def _product(table: Mapping[tuple[int, ...], Fraction], pair: tuple[KSet, KSet]) -> Fraction:
+    return table[pair[0].elements] * table[pair[1].elements]
+
+
+def _exchange_checks(
+    item: dict, generic: Sequence[RationalMatrix], assignments: Sequence[Mapping[str, Fraction]]
+) -> Iterator[tuple[str, Fraction, Fraction]]:
+    # x * x' against the two monomials of the exchange binomial
+    member, mutated, vid = item["seed"], item["mutated"], item["vid"]
+    sides = (member.quiver.arrows_in(vid), member.quiver.arrows_out(vid))
+    for pidx, (matrix, assignment) in enumerate(zip(generic, assignments)):
+        lhs = _value(member, vid, matrix, assignment) * _value(
+            mutated, vid, matrix, assignment
+        )
+        rhs = Fraction(0)
+        for arrows in sides:
+            product = Fraction(1)
+            for w, mult in arrows:
+                product *= _value(member, w, matrix, assignment) ** mult
+            rhs += product
+        yield f"generic:{pidx}", lhs, rhs
+
+
+def _entry(name: str, checks: Iterable[tuple[str, object, object]], show=str) -> dict:
+    """One report entry from (point, lhs, rhs) triples; a failure records both
+    sides through ``show``."""
+    entry = {"name": name, "points_checked": 0, "failures": []}
+    for point, lhs, rhs in checks:
+        entry["points_checked"] += 1
+        if lhs != rhs:
+            entry["failures"].append({"point": point, "lhs": show(lhs), "rhs": show(rhs)})
+    return entry
 
 
 def verify_identities(
@@ -590,7 +604,6 @@ def verify_identities(
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):
         raise ValidationError("seed must be fully labeled")
-    report: dict = {"identities": [], "passed": True}
 
     exchanges = _exchange_identities(seed)
     if corrupt and exchanges:
@@ -611,26 +624,9 @@ def verify_identities(
         victim["name"] += ":corrupted"
 
     assignments = [minor_assignment(matrix, initial_labels) for matrix in generic]
-    for item in exchanges:
-        entry = {"name": item["name"], "points_checked": 0, "failures": []}
-        member, mutated, vid = item["seed"], item["mutated"], item["vid"]
-        sides = (member.quiver.arrows_in(vid), member.quiver.arrows_out(vid))
-        for pidx, (matrix, assignment) in enumerate(zip(generic, assignments)):
-            lhs = _value(member, vid, matrix, assignment) * _value(
-                mutated, vid, matrix, assignment
-            )
-            rhs = Fraction(0)
-            for arrows in sides:
-                product = Fraction(1)
-                for w, mult in arrows:
-                    product *= _value(member, w, matrix, assignment) ** mult
-                rhs += product
-            entry["points_checked"] += 1
-            if lhs != rhs:
-                entry["failures"].append(
-                    {"point": f"generic:{pidx}", "lhs": str(lhs), "rhs": str(rhs)}
-                )
-        report["identities"].append(entry)
+    identities = [
+        _entry(item["name"], _exchange_checks(item, generic, assignments)) for item in exchanges
+    ]
 
     # the labels below are k-subsets of [n], read straight from the tables
     n, k = necklace.n, necklace.k
@@ -638,57 +634,19 @@ def verify_identities(
         raise DimensionError(f"cell points must be {k} x {n} matrices")
     tables = [point.matrix.minors for point in points]
     positroid = positroid_members(necklace, n_cap)
-    members = positroid.members
+    for name, lhs, rhs in _minor_identities(necklace, positroid.members):
+        checks = (
+            (f"cell:{pidx}", _product(table, lhs), sum(_product(table, pair) for pair in rhs))
+            for pidx, table in enumerate(tables)
+        )
+        identities.append(_entry(name, checks))
 
-    for item in _restricted_identities(necklace, members):
-        entry = {"name": item["name"], "points_checked": 0, "failures": []}
-        for pidx, table in enumerate(tables):
-            values = [table[p[0].elements] * table[p[1].elements] for p in item["pairs"]]
-            lhs, rhs = values[0], values[1] + values[2]
-            entry["points_checked"] += 1
-            if lhs != rhs:
-                entry["failures"].append(
-                    {"point": f"cell:{pidx}", "lhs": str(lhs), "rhs": str(rhs)}
-                )
-        report["identities"].append(entry)
-
-    if k == 2:
-        for label in sorted(members, key=lambda s: s.elements):
-            if cm.in_gp_b(label, necklace):
-                continue
-            decomposition = cm.k2_generator_decomposition(label, necklace)
-            if decomposition is None:
-                continue
-            j_set, l1, l2 = decomposition
-            entry = {
-                "name": f"k2:{label.label()}*{j_set.label()}={l1.label()}*{l2.label()}",
-                "points_checked": 0,
-                "failures": [],
-            }
-            for pidx, table in enumerate(tables):
-                lhs = table[label.elements] * table[j_set.elements]
-                rhs = table[l1.elements] * table[l2.elements]
-                entry["points_checked"] += 1
-                if lhs != rhs:
-                    entry["failures"].append(
-                        {"point": f"cell:{pidx}", "lhs": str(lhs), "rhs": str(rhs)}
-                    )
-            report["identities"].append(entry)
-
-    entry = {"name": "vanishing-profile", "points_checked": 0, "failures": []}
     expected = positroid.complement()
-    for pidx, table in enumerate(tables):
-        zero = {KSet(c, n) for c, value in table.items() if value == 0}
-        entry["points_checked"] += 1
-        if zero != expected:
-            entry["failures"].append(
-                {
-                    "point": f"cell:{pidx}",
-                    "lhs": sorted(s.label() for s in zero),
-                    "rhs": sorted(s.label() for s in expected),
-                }
-            )
-    report["identities"].append(entry)
-
-    report["passed"] = all(not e["failures"] for e in report["identities"])
-    return report
+    profiles = (
+        (f"cell:{pidx}", {KSet(c, n) for c, value in table.items() if value == 0}, expected)
+        for pidx, table in enumerate(tables)
+    )
+    identities.append(
+        _entry("vanishing-profile", profiles, show=lambda sets: sorted(s.label() for s in sets))
+    )
+    return {"identities": identities, "passed": all(not e["failures"] for e in identities)}

@@ -76,6 +76,35 @@ def has_core_two_cycle_or_loop(quiver) -> bool:
     return False
 
 
+def quiver_b(quiver, i: int, j: int) -> int:
+    """Exchange-matrix entry b_ij of an ice quiver: arrows i -> j minus arrows j -> i."""
+    total = 0
+    for s, t, m in quiver.arrows:
+        if (s, t) == (i, j):
+            total += m
+        elif (s, t) == (j, i):
+            total -= m
+    return total
+
+
+def matrix_rank(matrix) -> int:
+    """Rank of a ``RationalMatrix`` by exact Gaussian elimination."""
+    work = [list(row) for row in matrix.rows]
+    r = 0
+    for col in range(matrix.n):
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            if work[i][col]:
+                f = work[i][col] / work[r][col]
+                for j in range(col, matrix.n):
+                    work[i][j] -= f * work[r][j]
+        r += 1
+    return r
+
+
 def assert_frozen_glued(sigma: DecoratedPermutation) -> None:
     """Check the quiver of a disconnected cell against its components.
 

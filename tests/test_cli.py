@@ -241,6 +241,57 @@ def test_size_cap_exits_2_and_can_be_raised(capsys):
     assert json.loads(out)["n"] == 13
 
 
+SUBCOMMANDS = ["necklace", "positroid", "plabic", "seeds", "verify", "sample"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("spec", ["(1,999999999)", "(2,1_000_000_000)(3,4)"])
+def test_huge_cycle_entries_are_refused_before_parsing(monkeypatch, capsys, command, spec):
+    # parsing would build the permutation of [n] first: several GiB here
+    monkeypatch.setattr(
+        DecoratedPermutation, "from_cycle_string", lambda *_: pytest.fail("parsed before the cap check")
+    )
+    code, out, err = run(capsys, command, spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: entry ") and "exceeds --n-cap 12" in err
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_n_cap_bounds_every_subcommand(capsys, command):
+    payload = json.dumps({"image": [2, 1] + list(range(3, 14)), "colors": {str(i): 1 for i in range(3, 14)}})
+    for spec in ("(1,13)", payload, "(12):" + ",".join("+" * 11)):
+        code, out, err = run(capsys, command, spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--n-cap 12" in err
+    code, out, err = run(capsys, "plabic", "(1,13)", "--n-cap", "13", "--format", "json")
+    assert code == 0 and not err
+    assert json.loads(out)["boundary"] == 13
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["necklace", "(13)(24)", "--format", "dot"],
+        ["positroid", "(13)(24)", "--format", "dot"],
+        ["sample", "(13)(24)", "--format", "dot"],
+        ["verify", "(13)(24)", "--format", "dot"],
+        ["verify", "(13)(24)", "--format", "table"],
+    ],
+)
+def test_formats_a_subcommand_does_not_write_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice" in captured.err
+
+
+def test_verify_writes_json_by_default_and_on_request(capsys):
+    assert run(capsys, "verify", "(13)(24)", "--points", "2") == run(
+        capsys, "verify", "(13)(24)", "--points", "2", "--format", "json"
+    )
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,9 +31,9 @@ from positroids.cluster import (
     seeds_match_square_moves,
     square_move_exchange,
 )
-from positroids.combinatorics import ValidationError
+from positroids.combinatorics import ValidationError, cyclically_ordered
 
-from conftest import has_core_two_cycle_or_loop, ks, uniform_perm
+from conftest import has_core_two_cycle_or_loop, ks, quiver_b, uniform_perm
 
 
 def sym(name):
@@ -163,9 +164,9 @@ def test_quiver_validation():
 
 def test_quiver_b_matrix_and_neighbourhoods():
     q = small_quiver()
-    assert q.b(1, 0) == 1
-    assert q.b(0, 1) == -1
-    assert q.b(1, 2) == 0
+    assert quiver_b(q, 1, 0) == 1
+    assert quiver_b(q, 0, 1) == -1
+    assert quiver_b(q, 1, 2) == 0
     assert q.mutable_ids() == (0,)
     assert q.arrows_in(0) == ((1, 1),)
     assert q.arrows_out(0) == ((2, 1),)
@@ -194,17 +195,17 @@ def test_quiver_mutation_is_an_involution():
 def test_quiver_mutation_reverses_arrows_at_the_vertex():
     q = small_quiver()
     mutated = fz_mutate_quiver(q, 0)
-    assert mutated.b(1, 0) == -1
-    assert mutated.b(0, 2) == -1
+    assert quiver_b(mutated, 1, 0) == -1
+    assert quiver_b(mutated, 0, 2) == -1
     # composite path 1 -> 0 -> 2 leaves a frozen-frozen arrow behind
-    assert mutated.b(1, 2) == 1
+    assert quiver_b(mutated, 1, 2) == 1
 
 
 def full_matrix_mutation(quiver, vid):
     """Reference: b'_ij = -b_ij at the pivot k, else
     b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, over every ordered pair."""
     ids = [v.id for v in quiver.vertices]
-    b = {(i, j): quiver.b(i, j) for i in ids for j in ids if i != j}
+    b = {(i, j): quiver_b(quiver, i, j) for i in ids for j in ids if i != j}
     new = {}
     for (i, j), bij in b.items():
         if vid in (i, j):
@@ -264,7 +265,6 @@ def test_seed_mutation_builds_one_quiver_and_no_exchange_matrix(monkeypatch):
     built = []
     validate = IceQuiver.__post_init__
     monkeypatch.setattr(IceQuiver, "__post_init__", lambda q: built.append(q) or validate(q))
-    monkeypatch.setattr(IceQuiver, "b", lambda *_: pytest.fail("IceQuiver.b called"))
     for v in seed.quiver.mutable_ids():
         mutate_seed(seed, v)
         fz_mutate_quiver(seed.quiver, v)
@@ -380,6 +380,111 @@ def test_square_move_exchange_golden():
         )
         is None
     )
+
+
+def square_move_exchange_reference(pivot, ins, outs):
+    # the pattern test as written before three_term: per-side size checks,
+    # then the four sides spelled out from the core
+    n = pivot.n
+    sides = (*ins, *outs)
+    common = set(pivot.elements)
+    for s in sides:
+        common &= set(s.elements)
+    if len(common) != pivot.k - 2:
+        return None
+    ac = set(pivot.elements) - common
+    if len(ac) != 2:
+        return None
+    extra = set()
+    for s in sides:
+        d = set(s.elements) - common
+        if len(d) != 2:
+            return None
+        extra |= d
+    bd = extra - ac
+    if len(bd) != 2 or len(extra) != 4:
+        return None
+    a, c = sorted(ac)
+    x, y = sorted(bd)
+    b, d = (x, y) if cyclically_ordered(a, x, c, y, n) else (y, x)
+    if not cyclically_ordered(a, b, c, d, n):
+        return None
+    core = sorted(common)
+    lab = KSet.of(core + [a, b], n)
+    lbc = KSet.of(core + [b, c], n)
+    lcd = KSet.of(core + [c, d], n)
+    lad = KSet.of(core + [a, d], n)
+    if {*sides} != {lab, lbc, lcd, lad}:
+        return None
+    if {frozenset(ins)} - {frozenset((lab, lcd)), frozenset((lbc, lad))}:
+        return None
+    return KSet.of(core + [b, d], n)
+
+
+def random_exchange_pattern(rng):
+    """A pivot and two neighbor pairs built from a core and four letters in
+    random order, sometimes spoiled by a stray set, a swapped side or a
+    wrong pivot."""
+    n = rng.randint(4, 10)
+    k = rng.randint(2, min(5, n - 2))
+    letters = rng.sample(range(1, n + 1), k + 2)
+    core, (w, x, y, z) = letters[: k - 2], letters[k - 2 :]
+
+    def with_letters(p, q):
+        return KSet.of(core + [p, q], n)
+
+    sets = [with_letters(w, y), with_letters(w, x), with_letters(y, z), with_letters(x, y), with_letters(w, z)]
+    if rng.random() < 0.3:
+        size = rng.randint(max(0, k - 1), min(n, k + 1))
+        sets[rng.randrange(5)] = KSet.of(rng.sample(range(1, n + 1), size), n)
+    if rng.random() < 0.2:
+        i, j = rng.randrange(1, 3), rng.randrange(3, 5)
+        sets[i], sets[j] = sets[j], sets[i]
+    if rng.random() < 0.2:
+        sets[0] = with_letters(*rng.sample((w, x, y, z), 2))
+    pivot, first, second = sets[0], (sets[1], sets[2]), (sets[3], sets[4])
+    if rng.random() < 0.5:
+        first, second = second, first
+    if rng.random() < 0.5:
+        first = first[::-1]
+    return pivot, first, second
+
+
+def test_square_move_exchange_matches_the_reference_on_seeded_patterns():
+    rng = random.Random(2024)
+    moves = 0
+    for _ in range(12000):
+        pivot, ins, outs = random_exchange_pattern(rng)
+        got = square_move_exchange(pivot, ins, outs)
+        assert got == square_move_exchange_reference(pivot, ins, outs)
+        moves += got is not None
+    assert moves > 1000
+
+
+@pytest.mark.parametrize("k, n", [(3, 6), (3, 7)])
+def test_square_move_exchange_matches_the_reference_on_top_cell_classes(k, n):
+    # every (seed, mutable vertex) with a labeled pivot: each choice of two
+    # labeled in-neighbors and two labeled out-neighbors, in both roles
+    g = bridge_graph_from_permutation(uniform_perm(k, n))
+    seeds, complete = mutation_class(initial_seed(quiver_from_graph(g)))
+    assert complete
+    results = []
+    for seed in seeds:
+        q = seed.quiver
+        for vid in q.mutable_ids():
+            pivot = q.vertex(vid).label
+            ins = [q.vertex(w).label for w, _ in q.arrows_in(vid)]
+            outs = [q.vertex(w).label for w, _ in q.arrows_out(vid)]
+            if pivot is None:
+                continue
+            for a in itertools.combinations([lab for lab in ins if lab], 2):
+                for b in itertools.combinations([lab for lab in outs if lab], 2):
+                    for args in ((pivot, a, b), (pivot, b, a)):
+                        got = square_move_exchange(*args)
+                        assert got == square_move_exchange_reference(*args)
+                        results.append(got)
+    moves = [got for got in results if got is not None]
+    assert (len(results), len(moves)) == {6: (472, 220), 7: (6844, 2802)}[n]
 
 
 def test_seed_square_move_matches_graph_moves():

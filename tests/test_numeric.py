@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from positroids import (
     verify_identities,
 )
 from positroids import cluster, numeric
-from positroids.combinatorics import DimensionError, ValidationError
+from positroids.combinatorics import DimensionError, ValidationError, three_term
 from positroids.numeric import (
     ConstructionError,
     minor_assignment,
@@ -38,7 +39,7 @@ from positroids.numeric import (
     sample_generic_matrix,
 )
 
-from conftest import ks, random_decorated, uniform_perm
+from conftest import ks, matrix_rank, random_decorated, uniform_perm
 
 
 def det_cofactor(rows):
@@ -61,8 +62,8 @@ def det_cofactor(rows):
 def test_matrix_construction_and_rank():
     m = RationalMatrix.of([[1, 0, 2], ["1/2", 1, 3]])
     assert m.k == 2 and m.n == 3
-    assert m.rank() == 2
-    assert RationalMatrix.of([[1, 2], [2, 4]]).rank() == 1
+    assert matrix_rank(m) == 2
+    assert matrix_rank(RationalMatrix.of([[1, 2], [2, 4]])) == 1
     with pytest.raises(DimensionError):
         RationalMatrix.of([[1, 2], [3]])
     with pytest.raises(DimensionError):
@@ -165,6 +166,32 @@ def test_three_term_relation_holds_for_arbitrary_matrices():
         rest = rng.sample(range(1, nn + 1), 4 + kk - 2)
         quad, core = sorted(rest[:4]), rest[4:]
         assert pluecker_relation_check(m, KSet.of(core, nn), *quad)
+
+
+@st.composite
+def three_term_cases(draw):
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k + 2, 9))
+    letters = draw(st.permutations(range(1, n + 1)))
+    core, quad = sorted(letters[: k - 2]), sorted(letters[k - 2 : k + 2])
+    turn = draw(st.integers(0, 3))  # any rotation of a cyclic order is one
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=k, max_size=k))
+    return RationalMatrix.of(rows, n), core, quad[turn:] + quad[:turn]
+
+
+@settings(max_examples=200, deadline=None)
+@given(three_term_cases())
+def test_three_term_products_satisfy_the_relation(case):
+    m, core, (a, b, c, d) = case
+    n = m.n
+    pairs = three_term(core, a, b, c, d, n)
+    for (p, q), letters in zip(pairs, ((a, c, b, d), (a, b, c, d), (a, d, b, c))):
+        assert p == KSet.of(core + list(letters[:2]), n)
+        assert q == KSet.of(core + list(letters[2:]), n)
+    table = pluecker_table(m)
+    lhs, first, second = (table[p.elements] * table[q.elements] for p, q in pairs)
+    assert lhs == first + second
+    assert pluecker_relation_check(m, KSet.of(core, n), a, b, c, d)
 
 
 def test_three_term_relation_rejects_overlapping_quadruples():
@@ -368,6 +395,53 @@ def test_identity_sweep_rejects_points_of_another_shape(ex_135264):
     generic = (sample_generic_matrix(3, 6, random.Random(0)),)
     with pytest.raises(DimensionError):
         verify_identities(ex_135264["necklace"], ex_135264["seed"], (other,), generic)
+
+
+def off_cell_report():
+    # (12453) is a rank-two cell on [5]; the second point carries a generic
+    # matrix, which lies off the cell
+    sigma = DecoratedPermutation.from_cycle_string("(12453)")
+    g = bridge_graph_from_permutation(sigma)
+    point = sample_cell_point(g, rng_seed=1)
+    generic = sample_generic_matrix(2, 5, random.Random(3))
+    points = (point, dataclasses.replace(point, matrix=generic))
+    report = verify_identities(
+        necklace_from_permutation(sigma), initial_seed(quiver_from_graph(g)), points, (generic,)
+    )
+    return report, generic
+
+
+def test_identity_sweep_names_and_order_on_a_rank_two_cell():
+    report, _ = off_cell_report()
+    assert [e["name"] for e in report["identities"]] == [
+        "restricted:13*24=14*23",
+        "restricted:13*25=15*23",
+        "restricted:14*25=15*24",
+        "restricted:14*35=15*34",
+        "restricted:24*35=25*34",
+        "k2:24*13=14*23",
+        "k2:25*13=15*23",
+        "k2:35*14=15*34",
+        "vanishing-profile",
+    ]
+
+
+def test_identity_sweep_reports_off_cell_points():
+    report, generic = off_cell_report()
+    assert report["passed"] is False
+    for entry in report["identities"]:
+        assert entry["points_checked"] == 2
+        (failure,) = entry["failures"]  # the cell point passes, the generic one fails
+        assert failure["point"] == "cell:1"
+        if entry["name"] == "vanishing-profile":
+            assert failure == {"point": "cell:1", "lhs": [], "rhs": ["12", "45"]}
+            continue
+        products = [
+            [minor(generic, ks(lab, 5)) for lab in side.split("*")]
+            for side in entry["name"].split(":")[1].split("=")
+        ]
+        lhs, rhs = (x * y for x, y in products)
+        assert (failure["lhs"], failure["rhs"]) == (str(lhs), str(rhs))
 
 
 def two_pass_exchanges(seed):
