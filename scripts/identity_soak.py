@@ -29,7 +29,7 @@ from positroids import (
     sample_cell_point,
     verify_identities,
 )
-from positroids.numeric import sample_generic_matrix
+from positroids.numeric import corrupt_seed, sample_generic_matrix
 
 
 @dataclass
@@ -68,7 +68,8 @@ def soak(cfg: Config) -> int:
             sample_generic_matrix(sigma.k, n, random.Random(rng.randint(0, 10**6)))
             for _ in range(cfg.generic)
         )
-        report = verify_identities(neck, seed, points, generic, corrupt=cfg.corrupt)
+        tamper = corrupt_seed if cfg.corrupt else None
+        report = verify_identities(neck, seed, points, generic, tamper=tamper)
         n_idents = len(report["identities"])
         status = "ok" if report["passed"] else "FAILED"
         if cfg.corrupt:

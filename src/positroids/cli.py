@@ -233,8 +233,9 @@ def cmd_verify(sigma: DecoratedPermutation, cfg: Config) -> int:
         numeric.sample_generic_matrix(sigma.k, sigma.n, rng)
         for _ in range(max(2, min(20, cfg.points // 5)))
     ]
+    tamper = numeric.corrupt_seed if cfg.corrupt else None
     report = numeric.verify_identities(
-        necklace, seed, points, generic, corrupt=cfg.corrupt, n_cap=cfg.n_cap
+        necklace, seed, points, generic, n_cap=cfg.n_cap, tamper=tamper
     )
     emit(render_json(report), cfg)
     return 0 if report["passed"] else 1

@@ -1,10 +1,14 @@
 """Ice quivers, Laurent polynomials over an initial cluster, and seed mutation.
 
 Cluster variables are stored fully expanded as Laurent polynomials in the
-initial cluster's symbols (face labels of a plabic graph), with exact rational
-coefficients.  Mutation divides by the departing variable with an explicit
-exactness check: a nonzero remainder is a Laurent-phenomenon violation and
-raises, it is never truncated or approximated.
+initial cluster's symbols (face labels of a plabic graph), with exact
+``Fraction`` coefficients at the boundary.  Products and divisions run in one
+integer kernel: exponents are int tuples over the sorted symbols involved and
+coefficients stay ``int`` until a quotient is not integral.  Every variable
+that mutation reaches lies in Z[x^+-1] (Fomin-Zelevinsky), so mutation stays
+in integers.  It divides by the departing variable with an explicit exactness
+check: a nonzero remainder is a Laurent-phenomenon violation and raises, it is
+never truncated or approximated.
 
 Quivers carry a frozen flag and an optional k-subset label per vertex.  Arrows
 between two frozen vertices are recorded but flagged, and every comparison made
@@ -14,17 +18,15 @@ frozen-frozen arrows.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from operator import add, itemgetter, lt, neg, sub
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
-from positroids.combinatorics import (
-    DimensionError,
-    KSet,
-    ValidationError,
-    cyclically_ordered,
-    three_term,
-)
+from positroids.combinatorics import KSet, ValidationError, cyclically_ordered, three_term
 
 
 class LaurentDivisionError(ArithmeticError):
@@ -38,15 +40,83 @@ class PoleError(ZeroDivisionError):
 T = TypeVar("T")
 
 _Exp = frozenset  # frozenset[tuple[str, int]], omitting zero exponents
+_Packed = dict  # dict[tuple[int, ...], int | Fraction]: exponent vector -> nonzero coefficient
 
 
-def _exp_mul(a: _Exp, b: _Exp) -> _Exp:
-    out = dict(a)
-    for sym, e in b:
-        out[sym] = out.get(sym, 0) + e
-        if out[sym] == 0:
-            del out[sym]
-    return frozenset(out.items())
+def _pack(*polys: LaurentPoly) -> tuple[tuple[str, ...], list[_Packed]]:
+    """Index the symbols of ``polys`` once, sorted by name, and write each
+    polynomial over that index, with integral coefficients as ints."""
+    syms = tuple(sorted({s for p in polys for e, _ in p.terms for s, _ in e}))
+    pos = {s: i for i, s in enumerate(syms)}
+    packed = [{} for _ in polys]
+    for p, out in zip(polys, packed):
+        for e, c in p.terms:
+            vec = [0] * len(syms)
+            for s, x in e:
+                vec[pos[s]] = x
+            out[tuple(vec)] = c.numerator if c.denominator == 1 else c
+    return syms, packed
+
+
+def _unpack(syms: tuple[str, ...], data: _Packed) -> LaurentPoly:
+    # pairs over sorted symbols come out sorted: the order from_dict gives terms
+    rows = sorted(([(s, x) for s, x in zip(syms, vec) if x], c) for vec, c in data.items())
+    return LaurentPoly(tuple((frozenset(pairs), Fraction(c)) for pairs, c in rows))
+
+
+def _kmul(a: _Packed, b: _Packed) -> _Packed:
+    out: _Packed = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _kdiv(p: _Packed, q: _Packed) -> _Packed:
+    """Exact quotient p / q, or LaurentDivisionError.
+
+    Long division in graded-lex order.  Shifted down by their componentwise
+    minima, p and q are polynomials, so a quotient exponent must stay at or
+    above ``shift``.  Candidate leading terms wait in a heap under negated
+    keys; an entry whose term has cancelled since is skipped.
+    """
+    if not q:
+        raise LaurentDivisionError("division by zero")
+    if not p:
+        return {}
+    shift = tuple(map(sub, map(min, zip(*p)), map(min, zip(*q))))
+    lead = max(q, key=lambda e: (sum(e), e))
+    lead_c = q[lead]
+    rest = [(e, c) for e, c in q.items() if e != lead]
+    rem = dict(p)
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+    heapq.heapify(heap)
+    quot: _Packed = {}
+    while heap:
+        e = heapq.heappop(heap)[2]
+        c = rem.pop(e, 0)
+        if not c:
+            continue
+        t = tuple(map(sub, e, lead))
+        if any(map(lt, t, shift)):
+            raise LaurentDivisionError("nonzero remainder")
+        if type(c) is type(lead_c) is int and not c % lead_c:
+            tc = c // lead_c  # exact, so an int quotient never becomes a float
+        else:
+            tc = Fraction(c) / lead_c
+        quot[t] = tc
+        for qe, qc in rest:
+            f = tuple(map(add, t, qe))
+            old = rem.get(f)
+            new = (old or 0) - tc * qc
+            if not new:
+                del rem[f]
+            else:
+                rem[f] = new
+                if old is None:
+                    heapq.heappush(heap, (-sum(f), tuple(map(neg, f)), f))
+    return quot
 
 
 @dataclass(frozen=True)
@@ -88,12 +158,8 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        out: dict[_Exp, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = _exp_mul(e1, e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly.from_dict(out)
+        syms, (a, b) = _pack(self, other)
+        return _unpack(syms, _kmul(a, b))
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -101,57 +167,10 @@ class LaurentPoly:
     def symbols(self) -> frozenset[str]:
         return frozenset(s for e, _ in self.terms for s, _ in e)
 
-    def _shift_down(self) -> tuple[dict[str, int], list[tuple[tuple[tuple[str, int], ...], Fraction]]]:
-        """Factor out the componentwise-minimal monomial, leaving true polynomial terms."""
-        syms = sorted(self.symbols())
-        mins = {s: min(dict(e).get(s, 0) for e, _ in self.terms) for s in syms}
-        shifted = []
-        for e, c in self.terms:
-            exp = dict(e)
-            shifted.append(
-                (tuple(sorted((s, exp.get(s, 0) - mins[s]) for s in syms if exp.get(s, 0) != mins[s])), c)
-            )
-        return mins, shifted
-
     def divide_exact(self, divisor: LaurentPoly) -> LaurentPoly:
         """Exact division in the Laurent ring; raises LaurentDivisionError otherwise."""
-        if not divisor:
-            raise LaurentDivisionError("division by zero")
-        if not self:
-            return LaurentPoly(())
-        pm, pterms = self._shift_down()
-        qm, qterms = divisor._shift_down()
-        syms = sorted({s for e, _ in pterms for s, _ in e} | {s for e, _ in qterms for s, _ in e})
-
-        def order_key(exp: _Exp) -> tuple:
-            d = dict(exp)
-            vec = tuple(d.get(s, 0) for s in syms)
-            return (sum(vec), vec)  # graded lex, a genuine monomial order
-
-        rem = {frozenset(e): c for e, c in pterms}
-        qdict = {frozenset(e): c for e, c in qterms}
-        qlead = max(qdict, key=order_key)
-        qlead_c = qdict[qlead]
-        quot: dict[_Exp, Fraction] = {}
-        while rem:
-            lead = max(rem, key=order_key)
-            diff = dict(lead)
-            for s, x in qlead:
-                diff[s] = diff.get(s, 0) - x
-            if any(x < 0 for x in diff.values()):
-                raise LaurentDivisionError("nonzero remainder")
-            t_exp = frozenset((s, x) for s, x in diff.items() if x)
-            t_coef = rem[lead] / qlead_c
-            quot[t_exp] = quot.get(t_exp, Fraction(0)) + t_coef
-            for qe, qc in qdict.items():
-                e = _exp_mul(t_exp, qe)
-                rem[e] = rem.get(e, Fraction(0)) - t_coef * qc
-                if rem[e] == 0:
-                    del rem[e]
-        shift = dict(pm)
-        for s, m in qm.items():
-            shift[s] = shift.get(s, 0) - m
-        return LaurentPoly.from_dict(quot) * LaurentPoly.monomial(shift)
+        syms, (p, q) = _pack(self, divisor)
+        return _unpack(syms, _kdiv(p, q))
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -166,6 +185,10 @@ class LaurentPoly:
         return total
 
     def fingerprint(self) -> tuple:
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> tuple:
         return tuple((tuple(sorted(e)), c) for e, c in self.terms)
 
     def single_symbol(self) -> str | None:
@@ -202,6 +225,14 @@ class LaurentPoly:
             syms = "*".join(f"[{s}]^{x}" if x != 1 else f"[{s}]" for s, x in sorted(e))
             parts.append(f"{c}" + (f"*{syms}" if syms else ""))
         return " + ".join(parts)
+
+
+_SOURCE, _TARGET = itemgetter(0), itemgetter(1)
+
+
+def _run(arrows: tuple[tuple[int, int, int], ...], end: Callable, vid: int) -> tuple:
+    """The arrows whose ``end`` is ``vid``, from arrows sorted by that end."""
+    return arrows[bisect_left(arrows, vid, key=end) : bisect_right(arrows, vid, key=end)]
 
 
 @dataclass(frozen=True)
@@ -241,11 +272,14 @@ class IceQuiver:
             seen.add((s, t))
         object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
 
+    @cached_property
+    def _index(self) -> tuple[dict[int, QuiverVertex], tuple[tuple[int, int, int], ...]]:
+        """(id -> vertex, the arrows sorted by target).  ``arrows`` is sorted by
+        source, so a vertex's out- and in-arrows are runs found by bisection."""
+        return {v.id: v for v in self.vertices}, tuple(sorted(self.arrows, key=_TARGET))
+
     def vertex(self, vid: int) -> QuiverVertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
+        return self._index[0][vid]
 
     def mutable_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices if not v.frozen)
@@ -256,10 +290,10 @@ class IceQuiver:
         return frozenset((s, t, m) for s, t, m in self.arrows if not (s in frozen and t in frozen))
 
     def arrows_in(self, vid: int) -> tuple[tuple[int, int], ...]:
-        return tuple((s, m) for s, t, m in self.arrows if t == vid)
+        return tuple((s, m) for s, _, m in _run(self._index[1], _TARGET, vid))
 
     def arrows_out(self, vid: int) -> tuple[tuple[int, int], ...]:
-        return tuple((t, m) for s, t, m in self.arrows if s == vid)
+        return tuple((t, m) for _, t, m in _run(self.arrows, _SOURCE, vid))
 
     def core_key(self, names: Mapping[int, object] | None = None) -> frozenset:
         """Canonical form of the Q-circle part under a vertex naming."""
@@ -301,23 +335,17 @@ class IceQuiver:
 def _mutated_arrows(quiver: IceQuiver, vid: int) -> tuple[tuple[int, int, int], ...]:
     if quiver.vertex(vid).frozen:
         raise ValidationError(f"cannot mutate frozen vertex {vid}")
-    net: dict[tuple[int, int], int] = {}
-    ins, outs = [], []
-    for s, t, m in quiver.arrows:
-        if t == vid:
-            ins.append((s, m))
-            net[(t, s)] = m
-        elif s == vid:
-            outs.append((t, m))
-            net[(t, s)] = m
-        else:
-            net[(s, t)] = m
-    for i, p in ins:
-        for j, q in outs:
-            total = net.pop((i, j), 0) - net.pop((j, i), 0) + p * q
+    net: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for arrow in quiver.arrows:  # an arrow off the pivot keeps its tuple
+        s, t, m = arrow
+        net[(t, s) if vid in (s, t) else (s, t)] = (t, s, m) if vid in (s, t) else arrow
+    for i, p in quiver.arrows_in(vid):
+        for j, q in quiver.arrows_out(vid):
+            total = p * q + net.pop((i, j), (0, 0, 0))[2] - net.pop((j, i), (0, 0, 0))[2]
             if total:
-                net[(i, j) if total > 0 else (j, i)] = abs(total)
-    return tuple((s, t, m) for (s, t), m in net.items())
+                arrow = (i, j, total) if total > 0 else (j, i, -total)
+                net[arrow[:2]] = arrow
+    return tuple(net.values())
 
 
 def fz_mutate_quiver(quiver: IceQuiver, vid: int) -> IceQuiver:
@@ -404,24 +432,28 @@ def mutate_seed(seed: Seed, vid: int) -> Seed:
     square move in the quiver; otherwise it becomes unlabeled."""
     arrows = _mutated_arrows(seed.quiver, vid)
     var = dict(seed.variables)
-    top = LaurentPoly.const(1)
-    for w, m in seed.quiver.arrows_in(vid):
-        for _ in range(m):
-            top = top * var[w]
-    bot = LaurentPoly.const(1)
-    for w, m in seed.quiver.arrows_out(vid):
-        for _ in range(m):
-            bot = bot * var[w]
-    new_var = (top + bot).divide_exact(var[vid])
-    var[vid] = new_var
-
+    sides = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
+    ids = [w for side in sides for w, _ in side]
+    syms, (old, *near) = _pack(var[vid], *(var[w] for w in ids))
+    packed = dict(zip(ids, near))
+    binomial: _Packed = {}
+    for side in sides:
+        product = {(0,) * len(syms): 1}
+        for w, m in side:
+            for _ in range(m):
+                product = _kmul(product, packed[w])
+        for e, c in product.items():
+            binomial[e] = binomial.get(e, 0) + c
+    new_var = _unpack(syms, _kdiv({e: c for e, c in binomial.items() if c}, old))
     new_label = seed_square_move(seed, vid)
     if new_label is None:
         new_label = _symbol_label(new_var, seed)
+    # every other vertex and (id, variable) pair is shared with ``seed``
     vertices = tuple(
         replace(v, label=new_label) if v.id == vid else v for v in seed.quiver.vertices
     )
-    return Seed.of(IceQuiver(vertices, arrows), var)
+    variables = tuple((vid, new_var) if pair[0] == vid else pair for pair in seed.variables)
+    return Seed(IceQuiver(vertices, arrows), variables)
 
 
 def closure(
@@ -509,37 +541,3 @@ def seed_square_move(seed: Seed, vid: int) -> KSet | None:
     if any(l is None for l in labs_in + labs_out):
         return None
     return square_move_exchange(v.label, labs_in, labs_out)  # type: ignore[arg-type]
-
-
-def seeds_match_square_moves(seed: Seed, graph) -> bool:
-    """Check, for every square-movable labeled vertex, that matrix mutation of
-    the seed's quiver agrees with the quiver of the square-moved graph.
-
-    ``graph`` must be a plabic graph whose face-label collection equals the
-    seed's collection.  Comparison is on arrows with at least one mutable end,
-    with vertices identified by their labels (the moved vertex by its new
-    label).
-    """
-    from positroids import plabic  # deferred: plabic builds on this module
-
-    labels = seed.cluster_labels()
-    if any(l is None for l in labels.values()):
-        raise ValidationError("seed must be fully labeled")
-    collection = seed.collection()
-    labeling = plabic.face_labels(graph)
-    if labeling.collection() != collection:
-        raise ValidationError("graph does not realize the seed's collection")
-    ok = True
-    for vid in seed.quiver.mutable_ids():
-        new_label = seed_square_move(seed, vid)
-        if new_label is None:
-            continue
-        moved_graph = plabic.square_move(graph, labels[vid], labeling)
-        expected = plabic.quiver_from_graph(moved_graph)
-        mutated = fz_mutate_quiver(seed.quiver, vid)
-        names = {v.id: (v.label.label() if v.id != vid else new_label.label())
-                 for v in seed.quiver.vertices}
-        exp_names = {v.id: v.label.label() for v in expected.vertices}
-        if mutated.core_key(names) != expected.core_key(exp_names):
-            ok = False
-    return ok

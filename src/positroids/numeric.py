@@ -20,7 +20,7 @@ from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import cm
 from .cluster import LaurentPoly, Seed, closure, mutate_seed
@@ -47,6 +47,7 @@ __all__ = [
     "sample_cell_point",
     "sample_generic_matrix",
     "gauge_rescale",
+    "corrupt_seed",
     "verify_identities",
 ]
 
@@ -581,13 +582,23 @@ def _entry(name: str, checks: Iterable[tuple[str, object, object]], show=str) ->
     return entry
 
 
+def corrupt_seed(seed: Seed, vid: int) -> Seed:
+    """Negative control for :func:`verify_identities`: ``seed`` with 1 added
+    to the variable at ``vid`` and that vertex's label dropped, since the
+    direct-minor route would otherwise bypass the broken variable."""
+    variables = dict(seed.variables)
+    variables[vid] = variables[vid] + LaurentPoly.const(1)
+    vertices = tuple(replace(v, label=None) if v.id == vid else v for v in seed.quiver.vertices)
+    return Seed.of(replace(seed.quiver, vertices=vertices), variables)
+
+
 def verify_identities(
     necklace: GrassmannNecklace,
     seed: Seed,
     points: Sequence[CellPoint],
     generic: Sequence[RationalMatrix],
-    corrupt: bool = False,
     n_cap: int = 12,
+    tamper: Callable[[Seed, int], Seed] | None = None,
 ) -> dict:
     """Exact verification sweep; no tolerances anywhere.
 
@@ -596,31 +607,20 @@ def verify_identities(
     variables through their Laurent expansions, which ties the two routes);
     the restricted two-term identities on every cell point; the k=2 generator
     decompositions on every cell point; and the exact vanishing profile of
-    every cell point.  ``corrupt`` perturbs one mutated variable first and is
-    a negative control: the report must then contain failures.  The mutation
-    class exploration stops at its first seed past ``MUTATION_CLASS_LIMIT``
-    and raises ValidationError.
+    every cell point.  ``tamper``, such as :func:`corrupt_seed`, replaces the
+    first exchange's mutated seed, given with its pivot, and that entry's name
+    gains ":corrupted"; it is a negative control, so the report must then
+    contain failures.  The mutation class exploration stops at its first seed
+    past ``MUTATION_CLASS_LIMIT`` and raises ValidationError.
     """
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):
         raise ValidationError("seed must be fully labeled")
 
     exchanges = _exchange_identities(seed)
-    if corrupt and exchanges:
+    if tamper is not None and exchanges:
         victim = exchanges[0]
-        broken = victim["mutated"]
-        vid = victim["vid"]
-        variables = dict(broken.variables)
-        variables[vid] = variables[vid] + LaurentPoly.const(1)
-        # drop the label too, otherwise the direct-minor route would bypass
-        # the corrupted variable and defeat the negative control
-        vertices = tuple(
-            replace(v, label=None) if v.id == vid else v
-            for v in broken.quiver.vertices
-        )
-        victim["mutated"] = Seed.of(
-            type(broken.quiver)(vertices, broken.quiver.arrows), variables
-        )
+        victim["mutated"] = tamper(victim["mutated"], victim["vid"])
         victim["name"] += ":corrupted"
 
     assignments = [minor_assignment(matrix, initial_labels) for matrix in generic]

@@ -180,6 +180,7 @@ def test_criterion_5_square_move_closures_match_brute_force(family):
 
 
 def test_criterion_6_mutation_stays_laurent(family):
+    start = time.monotonic()
     total = 0
     for record in family:
         quiver = quiver_from_graph(record["graph"])
@@ -196,7 +197,9 @@ def test_criterion_6_mutation_stays_laurent(family):
         if pure is not None:
             assert sum(1 for s in seeds if s.is_pure_pluecker()) == pure, record["name"]
         total += len(seeds)
-    print(f"ACCEPTANCE 6: PASS (exact division across {total} seeds)")
+    elapsed = time.monotonic() - start
+    assert elapsed < 6.0
+    print(f"ACCEPTANCE 6: PASS (exact division across {total} seeds, {elapsed:.2f}s)")
 
 
 def test_criterion_7_quivers_are_clean_and_split_over_components(family):

@@ -5,11 +5,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import positroids
 from positroids import PlabicGraph, bridge_graph_from_permutation, cli, face_labels
 from positroids.combinatorics import DecoratedPermutation
 
@@ -116,6 +121,22 @@ def test_seeds_json_for_the_hexagon_cell(capsys):
     assert "D246" in pure[0]["cluster"]
     mixed = [s for s in data["seeds"] if not s["pure"]][0]
     assert any(not c.startswith("D") or "*" in c for c in mixed["cluster"])
+
+
+def test_seeds_json_does_not_depend_on_the_hash_seed():
+    src = str(Path(positroids.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "positroids.cli", "seeds", "(14)(25)(36)", "--format", "json"],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["seeds"]) == 50
 
 
 def test_seeds_limit_marks_incomplete(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -19,16 +20,18 @@ from positroids import (
     initial_seed,
     mutate_seed,
     mutation_class,
+    plabic,
     quiver_from_graph,
 )
+from positroids import cluster
 from positroids.cluster import (
     LaurentDivisionError,
     PoleError,
     QuiverVertex,
+    Seed,
     closure,
     fz_mutate_quiver,
     seed_square_move,
-    seeds_match_square_moves,
     square_move_exchange,
 )
 from positroids.combinatorics import ValidationError, cyclically_ordered
@@ -40,7 +43,7 @@ def sym(name):
     return LaurentPoly.symbol(name)
 
 
-def random_laurent(rng, nonzero=False):
+def random_laurent(rng, nonzero=False, denominators=4):
     terms = {}
     for _ in range(rng.randint(1 if nonzero else 0, 3)):
         e = frozenset(
@@ -49,7 +52,7 @@ def random_laurent(rng, nonzero=False):
             if rng.random() < 0.9
         )
         e = frozenset((s, x) for s, x in e if x)
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        terms[e] = terms.get(e, Fraction(0)) + Fraction(rng.randint(-5, 5), rng.randint(1, denominators))
     poly = LaurentPoly.from_dict(terms)
     if nonzero and not poly:
         return LaurentPoly.const(1)
@@ -113,6 +116,129 @@ def test_division_failures():
     assert q == x * x * x * x + x * x * x * y
 
 
+def exp_mul_reference(a, b):
+    out = dict(a)
+    for sym, e in b:
+        out[sym] = out.get(sym, 0) + e
+        if out[sym] == 0:
+            del out[sym]
+    return frozenset(out.items())
+
+
+def mul_reference(p, q):
+    # the product over frozenset exponents, as written before the integer kernel
+    out = {}
+    for e1, c1 in p.terms:
+        for e2, c2 in q.terms:
+            e = exp_mul_reference(e1, e2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return LaurentPoly.from_dict(out)
+
+
+def shift_down_reference(poly):
+    syms = sorted(poly.symbols())
+    mins = {s: min(dict(e).get(s, 0) for e, _ in poly.terms) for s in syms}
+    shifted = []
+    for e, c in poly.terms:
+        exp = dict(e)
+        shifted.append(
+            (tuple(sorted((s, exp.get(s, 0) - mins[s]) for s in syms if exp.get(s, 0) != mins[s])), c)
+        )
+    return mins, shifted
+
+
+def divide_exact_reference(self, divisor):
+    """The division as written before the integer kernel: graded-lex long
+    division over frozenset exponents, rescanning the remainder each step."""
+    if not divisor:
+        raise LaurentDivisionError("division by zero")
+    if not self:
+        return LaurentPoly(())
+    pm, pterms = shift_down_reference(self)
+    qm, qterms = shift_down_reference(divisor)
+    syms = sorted({s for e, _ in pterms for s, _ in e} | {s for e, _ in qterms for s, _ in e})
+
+    def order_key(exp):
+        d = dict(exp)
+        vec = tuple(d.get(s, 0) for s in syms)
+        return (sum(vec), vec)
+
+    rem = {frozenset(e): c for e, c in pterms}
+    qdict = {frozenset(e): c for e, c in qterms}
+    qlead = max(qdict, key=order_key)
+    qlead_c = qdict[qlead]
+    quot = {}
+    while rem:
+        lead = max(rem, key=order_key)
+        diff = dict(lead)
+        for s, x in qlead:
+            diff[s] = diff.get(s, 0) - x
+        if any(x < 0 for x in diff.values()):
+            raise LaurentDivisionError("nonzero remainder")
+        t_exp = frozenset((s, x) for s, x in diff.items() if x)
+        t_coef = rem[lead] / qlead_c
+        quot[t_exp] = quot.get(t_exp, Fraction(0)) + t_coef
+        for qe, qc in qdict.items():
+            e = exp_mul_reference(t_exp, qe)
+            rem[e] = rem.get(e, Fraction(0)) - t_coef * qc
+            if rem[e] == 0:
+                del rem[e]
+    shift = dict(pm)
+    for s, m in qm.items():
+        shift[s] = shift.get(s, 0) - m
+    return mul_reference(LaurentPoly.from_dict(quot), LaurentPoly.monomial(shift))
+
+
+def division_outcome(divide, p, q):
+    try:
+        return divide(p, q)
+    except LaurentDivisionError:
+        return "LaurentDivisionError"
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_the_reference_division_and_product(seed):
+    rng = random.Random(seed)
+    a, b, noise = random_laurent(rng), random_laurent(rng, nonzero=True), random_laurent(rng)
+    whole_a = random_laurent(rng, denominators=1)
+    whole_b = random_laurent(rng, nonzero=True, denominators=1)
+    one_term = LaurentPoly.monomial(
+        {s: rng.randint(-2, 2) for s in rng.sample("wxyz", rng.randint(0, 3))},
+        Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3)),
+    )
+    cases = [
+        (a * b, b),
+        (a * one_term, one_term),
+        (a, one_term),
+        (a * b + noise, b),  # divisible only when the noise happens to be
+        (a, b),
+        (whole_a * whole_b, whole_b),
+        (whole_a * whole_b, whole_b * LaurentPoly.const(rng.randint(2, 5))),  # inexact int quotients
+        (whole_a * whole_b + whole_b, whole_b),
+        (a, LaurentPoly(())),
+    ]
+    for p, q in cases:
+        assert p * q == mul_reference(p, q)
+        got = division_outcome(LaurentPoly.divide_exact, p, q)
+        assert got == division_outcome(divide_exact_reference, p, q)
+        for poly in (got, p * q):
+            if isinstance(poly, LaurentPoly):
+                assert all(type(c) is Fraction for _, c in poly.terms)
+
+
+def test_kernel_coefficients_print_as_fractions():
+    x = sym("x")
+    six_x = LaurentPoly.monomial({"x": 1}, 6)
+    assert str(LaurentPoly.const(6).divide_exact(LaurentPoly.const(2))) == "3"
+    assert str(six_x.divide_exact(LaurentPoly.const(2))) == "3*[x]"
+    assert str(LaurentPoly.const(3).divide_exact(LaurentPoly.const(2))) == "3/2"
+    assert str((x + x + x) * LaurentPoly.const(1)) == "3*[x]"
+    q = (six_x + LaurentPoly.const(4)).divide_exact(LaurentPoly.monomial({"x": 2}, 4))
+    assert str(q) == "1*[x]^-2 + 3/2*[x]^-1"
+    assert all(type(c) is Fraction for _, c in q.terms)
+
+
 def test_evaluate_pole():
     p = LaurentPoly.monomial({"x": -1})
     with pytest.raises(PoleError):
@@ -171,6 +297,26 @@ def test_quiver_b_matrix_and_neighbourhoods():
     assert q.arrows_in(0) == ((1, 1),)
     assert q.arrows_out(0) == ((2, 1),)
     assert not has_core_two_cycle_or_loop(q)
+
+
+def test_quiver_lookups_match_a_scan_of_the_arrows():
+    rng = random.Random(23)
+    for _ in range(100):
+        m = rng.randint(1, 8)
+        vs = tuple(QuiverVertex(i, rng.random() < 0.4) for i in rng.sample(range(20), m))
+        ids = [v.id for v in vs]
+        arrows = []
+        for s, t in itertools.combinations(ids, 2):
+            if rng.random() < 0.6:
+                mult = rng.randint(1, 3)
+                arrows.append((s, t, mult) if rng.random() < 0.5 else (t, s, mult))
+        q = IceQuiver(vs, tuple(arrows))
+        for v in vs:
+            assert q.vertex(v.id) is v
+            assert q.arrows_in(v.id) == tuple((s, mult) for s, t, mult in q.arrows if t == v.id)
+            assert q.arrows_out(v.id) == tuple((t, mult) for s, t, mult in q.arrows if s == v.id)
+        with pytest.raises(KeyError):
+            q.vertex(20)
 
 
 def test_quiver_mutation_is_an_involution():
@@ -333,6 +479,47 @@ def test_mutation_class_respects_limit():
         assert complete == (limit >= len(full))
 
 
+def mutate_seed_reference(seed, vid):
+    # mutation as written before the integer kernel: the exchange binomial is
+    # built from public Laurent operations and divided by divide_exact
+    arrows = cluster._mutated_arrows(seed.quiver, vid)
+    var = dict(seed.variables)
+    top = LaurentPoly.const(1)
+    for w, m in seed.quiver.arrows_in(vid):
+        for _ in range(m):
+            top = mul_reference(top, var[w])
+    bot = LaurentPoly.const(1)
+    for w, m in seed.quiver.arrows_out(vid):
+        for _ in range(m):
+            bot = mul_reference(bot, var[w])
+    new_var = (top + bot).divide_exact(var[vid])
+    var[vid] = new_var
+    new_label = seed_square_move(seed, vid)
+    if new_label is None:
+        new_label = cluster._symbol_label(new_var, seed)
+    vertices = tuple(
+        dataclasses.replace(v, label=new_label) if v.id == vid else v for v in seed.quiver.vertices
+    )
+    return Seed.of(IceQuiver(vertices, arrows), var)
+
+
+@pytest.mark.parametrize("k, n", [(2, 7), (3, 6)])
+def test_mutation_class_matches_the_reference_division(monkeypatch, k, n):
+    # mutate_seed divides inside the kernel, so the reference route swaps in
+    # the old mutation as well as the old divide_exact
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(k, n))))
+    shipped, complete = mutation_class(start)
+    monkeypatch.setattr(LaurentPoly, "divide_exact", divide_exact_reference)
+    monkeypatch.setattr(cluster, "mutate_seed", mutate_seed_reference)
+    reference, reference_complete = mutation_class(start)
+    assert complete and reference_complete
+    assert len(shipped) == len(reference) == {7: 42, 6: 50}[n]
+    for got, expected in zip(shipped, reference):
+        assert got.key() == expected.key()
+        assert got.to_json() == expected.to_json()
+        assert all(type(c) is Fraction for _, poly in got.variables for _, c in poly.terms)
+
+
 def test_closure_calls_moves_once_per_member_in_member_order():
     # integers mod 10 under x -> x + 3 and x -> 7x
     visited = []
@@ -485,6 +672,38 @@ def test_square_move_exchange_matches_the_reference_on_top_cell_classes(k, n):
                         results.append(got)
     moves = [got for got in results if got is not None]
     assert (len(results), len(moves)) == {6: (472, 220), 7: (6844, 2802)}[n]
+
+
+def seeds_match_square_moves(seed, graph):
+    """Check, for every square-movable labeled vertex, that matrix mutation of
+    the seed's quiver agrees with the quiver of the square-moved graph.
+
+    ``graph`` must be a plabic graph whose face-label collection equals the
+    seed's collection.  Comparison is on arrows with at least one mutable end,
+    with vertices identified by their labels (the moved vertex by its new
+    label).
+    """
+    labels = seed.cluster_labels()
+    if any(l is None for l in labels.values()):
+        raise ValidationError("seed must be fully labeled")
+    collection = seed.collection()
+    labeling = plabic.face_labels(graph)
+    if labeling.collection() != collection:
+        raise ValidationError("graph does not realize the seed's collection")
+    ok = True
+    for vid in seed.quiver.mutable_ids():
+        new_label = seed_square_move(seed, vid)
+        if new_label is None:
+            continue
+        moved_graph = plabic.square_move(graph, labels[vid], labeling)
+        expected = plabic.quiver_from_graph(moved_graph)
+        mutated = fz_mutate_quiver(seed.quiver, vid)
+        names = {v.id: (v.label.label() if v.id != vid else new_label.label())
+                 for v in seed.quiver.vertices}
+        exp_names = {v.id: v.label.label() for v in expected.vertices}
+        if mutated.core_key(names) != expected.core_key(exp_names):
+            ok = False
+    return ok
 
 
 def test_seed_square_move_matches_graph_moves():

@@ -33,6 +33,7 @@ from positroids import cluster, numeric
 from positroids.combinatorics import DimensionError, ValidationError, three_term
 from positroids.numeric import (
     ConstructionError,
+    corrupt_seed,
     minor_assignment,
     perfect_orientation,
     pluecker_table,
@@ -501,7 +502,7 @@ def test_corrupting_a_variable_is_caught(ex_135264):
     points = (sample_cell_point(g),)
     generic = (sample_generic_matrix(3, 6, random.Random(1)),)
     report = verify_identities(
-        ex_135264["necklace"], ex_135264["seed"], points, generic, corrupt=True
+        ex_135264["necklace"], ex_135264["seed"], points, generic, tamper=corrupt_seed
     )
     assert not report["passed"]
     bad = [e for e in report["identities"] if e["failures"]]
