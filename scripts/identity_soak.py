@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from positroids import (
     DecoratedPermutation,
     bridge_graph_from_permutation,
-    face_labels,
     initial_seed,
     necklace_from_permutation,
     quiver_from_graph,
@@ -56,7 +55,7 @@ def soak(cfg: Config) -> int:
         start = time.time()
         graph = bridge_graph_from_permutation(sigma)
         neck = necklace_from_permutation(sigma)
-        seed = initial_seed(quiver_from_graph(graph, face_labels(graph)))
+        seed = initial_seed(quiver_from_graph(graph))
         if cfg.corrupt and not seed.quiver.mutable_ids():
             continue  # nothing to corrupt, the control would be vacuous
         done += 1

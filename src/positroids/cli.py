@@ -15,7 +15,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 
 from . import cm, numeric
 from .cluster import Seed, initial_seed, mutation_class
@@ -47,17 +46,6 @@ USAGE_ERRORS = (
 )
 
 
-@dataclass
-class Config:
-    n_cap: int = 12
-    rng_seed: int = 0
-    fmt: str = "table"
-    limit: int | None = None
-    points: int = 50
-    out: str | None = None
-    corrupt: bool = False
-
-
 def parse_permutation(spec: str, n_cap: int) -> DecoratedPermutation:
     """Parse a permutation spec, refusing n above ``n_cap``.
 
@@ -84,11 +72,11 @@ def parse_permutation(spec: str, n_cap: int) -> DecoratedPermutation:
     return sigma
 
 
-def emit(text: str, cfg: Config) -> None:
+def emit(text: str, args: argparse.Namespace) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -105,9 +93,9 @@ def pretty_variable(seed: Seed, vid: int) -> str:
     return str(seed.variable(vid)).replace("[", "D").replace("]", "")
 
 
-def cmd_necklace(sigma: DecoratedPermutation, cfg: Config) -> int:
+def cmd_necklace(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     necklace = necklace_from_permutation(sigma)
-    positroid = positroid_members(necklace, cfg.n_cap)
+    positroid = positroid_members(necklace, args.n_cap)
     labeling = face_labels(bridge_graph_from_permutation(sigma))
     data = {
         "permutation": sigma.to_json(),
@@ -120,8 +108,8 @@ def cmd_necklace(sigma: DecoratedPermutation, cfg: Config) -> int:
         "alignments": alignments(sigma),
         "faces": len(labeling.faces),
     }
-    if cfg.fmt == "json":
-        emit(render_json(data), cfg)
+    if args.fmt == "json":
+        emit(render_json(data), args)
         return 0
     lines = [
         f"permutation   {sigma.to_cycle_string()}   (k={sigma.k}, n={sigma.n})",
@@ -132,11 +120,11 @@ def cmd_necklace(sigma: DecoratedPermutation, cfg: Config) -> int:
         f"alignments    {data['alignments']}",
         f"faces         {data['faces']}  (= k(n-k) - alignments + 1)",
     ]
-    emit("\n".join(lines), cfg)
+    emit("\n".join(lines), args)
     return 0
 
 
-def cmd_positroid(sigma: DecoratedPermutation, cfg: Config) -> int:
+def cmd_positroid(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     necklace = necklace_from_permutation(sigma)
     n, k = sigma.n, sigma.k
     rows = []
@@ -151,8 +139,8 @@ def cmd_positroid(sigma: DecoratedPermutation, cfg: Config) -> int:
                 "inGPB": cm.in_gp_b(lab, necklace),
             }
         )
-    if cfg.fmt == "json":
-        emit(render_json(rows), cfg)
+    if args.fmt == "json":
+        emit(render_json(rows), args)
         return 0
     lines = [f"{'set':<12} {'inP':<6} {'inCMB':<6} {'inGPB':<6}"]
     for row in rows:
@@ -161,18 +149,18 @@ def cmd_positroid(sigma: DecoratedPermutation, cfg: Config) -> int:
             f"{lab:<12} {str(row['inP']).lower():<6} "
             f"{str(row['inCMB']).lower():<6} {str(row['inGPB']).lower():<6}"
         )
-    emit("\n".join(lines), cfg)
+    emit("\n".join(lines), args)
     return 0
 
 
-def cmd_plabic(sigma: DecoratedPermutation, cfg: Config) -> int:
+def cmd_plabic(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     graph = bridge_graph_from_permutation(sigma)
-    if cfg.fmt == "json":
-        emit(render_json(graph.to_json()), cfg)
+    if args.fmt == "json":
+        emit(render_json(graph.to_json()), args)
         return 0
     labeling = face_labels(graph)
-    if cfg.fmt == "dot":
-        emit(graph.to_dot(labeling), cfg)
+    if args.fmt == "dot":
+        emit(graph.to_dot(labeling), args)
         return 0
     lines = [
         f"plabic graph for {sigma.to_cycle_string()}: "
@@ -183,18 +171,18 @@ def cmd_plabic(sigma: DecoratedPermutation, cfg: Config) -> int:
     for face in labeling.faces:
         marks = f" boundary at {list(face.boundary_marks)}" if face.frozen else ""
         lines.append(f"  {face.label.label()}{marks}")
-    emit("\n".join(lines), cfg)
+    emit("\n".join(lines), args)
     return 0
 
 
-def cmd_seeds(sigma: DecoratedPermutation, cfg: Config) -> int:
+def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     graph = bridge_graph_from_permutation(sigma)
     seed = initial_seed(quiver_from_graph(graph))
-    if cfg.fmt == "dot":
-        emit(seed.quiver.to_dot(), cfg)
+    if args.fmt == "dot":
+        emit(seed.quiver.to_dot(), args)
         return 0
-    seeds, complete = mutation_class(seed, limit=cfg.limit)
-    if cfg.fmt == "json":
+    seeds, complete = mutation_class(seed, limit=args.limit)
+    if args.fmt == "json":
         data = {
             "complete": complete,
             "count": len(seeds),
@@ -209,54 +197,54 @@ def cmd_seeds(sigma: DecoratedPermutation, cfg: Config) -> int:
                 for member in seeds
             ],
         }
-        emit(render_json(data), cfg)
+        emit(render_json(data), args)
         return 0
     lines = [f"{len(seeds)} seeds" + ("" if complete else " (partial: --limit reached)")]
     for idx, member in enumerate(seeds):
         tag = "pure" if member.is_pure_pluecker() else "mixed"
         cluster = "  ".join(pretty_variable(member, v.id) for v in member.quiver.vertices)
         lines.append(f"seed {idx} [{tag}]  {cluster}")
-    emit("\n".join(lines), cfg)
+    emit("\n".join(lines), args)
     return 0
 
 
-def cmd_verify(sigma: DecoratedPermutation, cfg: Config) -> int:
+def cmd_verify(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     necklace = necklace_from_permutation(sigma)
     graph = bridge_graph_from_permutation(sigma)
     seed = initial_seed(quiver_from_graph(graph))
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(args.rng_seed)
     points = [
-        numeric.sample_cell_point(graph, rng_seed=rng.randrange(2**63), n_cap=cfg.n_cap)
-        for _ in range(cfg.points)
+        numeric.sample_cell_point(graph, rng_seed=rng.randrange(2**63), n_cap=args.n_cap)
+        for _ in range(args.points)
     ]
     generic = [
         numeric.sample_generic_matrix(sigma.k, sigma.n, rng)
-        for _ in range(max(2, min(20, cfg.points // 5)))
+        for _ in range(max(2, min(20, args.points // 5)))
     ]
-    tamper = numeric.corrupt_seed if cfg.corrupt else None
+    tamper = numeric.corrupt_seed if args.corrupt else None
     report = numeric.verify_identities(
-        necklace, seed, points, generic, n_cap=cfg.n_cap, tamper=tamper
+        necklace, seed, points, generic, n_cap=args.n_cap, tamper=tamper
     )
-    emit(render_json(report), cfg)
+    emit(render_json(report), args)
     return 0 if report["passed"] else 1
 
 
-def cmd_sample(sigma: DecoratedPermutation, cfg: Config) -> int:
+def cmd_sample(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     graph = bridge_graph_from_permutation(sigma)
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(args.rng_seed)
     points = [
-        numeric.sample_cell_point(graph, rng_seed=rng.randrange(2**63), n_cap=cfg.n_cap)
-        for _ in range(cfg.points)
+        numeric.sample_cell_point(graph, rng_seed=rng.randrange(2**63), n_cap=args.n_cap)
+        for _ in range(args.points)
     ]
-    if cfg.fmt == "json":
-        emit(render_json([p.to_json() for p in points]), cfg)
+    if args.fmt == "json":
+        emit(render_json([p.to_json() for p in points]), args)
         return 0
     lines = []
     for idx, point in enumerate(points):
         lines.append(f"point {idx}  sources {point.sources.label()}")
         for row in point.matrix.rows:
             lines.append("  [" + "  ".join(str(x) for x in row) + "]")
-    emit("\n".join(lines), cfg)
+    emit("\n".join(lines), args)
     return 0
 
 
@@ -314,18 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = Config(
-        n_cap=args.n_cap,
-        rng_seed=args.rng_seed,
-        fmt=args.fmt,
-        limit=getattr(args, "limit", None),
-        points=getattr(args, "points", 50),
-        out=args.out,
-        corrupt=getattr(args, "corrupt", False),
-    )
     try:
-        sigma = parse_permutation(args.permutation, cfg.n_cap)
-        return HANDLERS[args.command](sigma, cfg)
+        sigma = parse_permutation(args.permutation, args.n_cap)
+        return HANDLERS[args.command](sigma, args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import cm
 from .cluster import LaurentPoly, Seed, closure, mutate_seed
 from .combinatorics import (
     DimensionError,
@@ -520,16 +519,14 @@ def _minor_identities(
     ``restricted:`` entries are two-term specializations of three-term
     relations: whenever a product contains a minor from the positroid
     complement it drops on the cell, and the equality between the surviving
-    products is a nontrivial exact check.  ``k2:`` entries are the rank-two
-    resolutions of :func:`cm.k2_generator_decomposition`.
+    products is a nontrivial exact check.  On a rank-two cell these include
+    every resolution (label, J, L1, L2) of
+    :func:`cm.k2_generator_decomposition`: label and J are members and exactly
+    one of the two reroutings lies in the positroid, so the relation through
+    label * J keeps two of its three products.
     """
     n, k = necklace.n, necklace.k
     out = []
-
-    def add(kind: str, lhs: tuple[KSet, KSet], *rhs: tuple[KSet, KSet]) -> None:
-        name = "=".join(f"{x.label()}*{y.label()}" for x, y in (lhs, *rhs))
-        out.append((f"{kind}:{name}", lhs, rhs))
-
     ground = range(1, n + 1)
     if k >= 2:  # otherwise no quadruple fits around a (k-2)-core
         for core in itertools.combinations(ground, k - 2):
@@ -538,13 +535,8 @@ def _minor_identities(
                 pairs = three_term(core, *quad, n)
                 alive = [p for p in pairs if p[0] in members and p[1] in members]
                 if 0 < len(alive) < len(pairs):
-                    add("restricted", *alive)
-    if k == 2:
-        for label in sorted(members, key=lambda s: s.elements):
-            decomposition = cm.k2_generator_decomposition(label, necklace)
-            if decomposition is not None:
-                j_set, l1, l2 = decomposition
-                add("k2", (label, j_set), (l1, l2))
+                    name = "=".join(f"{x.label()}*{y.label()}" for x, y in alive)
+                    out.append((f"restricted:{name}", alive[0], tuple(alive[1:])))
     return out
 
 
@@ -605,8 +597,8 @@ def verify_identities(
     Checks, in order: every exchange relation of every seed in the mutation
     class on every generic matrix (labels evaluated as minors, unlabeled
     variables through their Laurent expansions, which ties the two routes);
-    the restricted two-term identities on every cell point; the k=2 generator
-    decompositions on every cell point; and the exact vanishing profile of
+    the restricted two-term identities on every cell point, which include the
+    k=2 generator decompositions; and the exact vanishing profile of
     every cell point.  ``tamper``, such as :func:`corrupt_seed`, replaces the
     first exchange's mutated seed, given with its pivot, and that entry's name
     gains ":corrupted"; it is a negative control, so the report must then

@@ -27,7 +27,7 @@ exactly when the trip traverses the crossed edge once.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -263,9 +263,6 @@ class _Disk:
         step = 1 if self.colors[v] == BLACK else -1
         return self.dart(r[(self.pos[v][d >> 1] + step) % len(r)], v)
 
-    def all_darts(self) -> range:
-        return range(2 * len(self.ends))
-
 
 def trips(g: PlabicGraph) -> list[Trip]:
     """The n boundary-to-boundary strands, one starting at each boundary vertex."""
@@ -300,7 +297,7 @@ def _face_orbit(disk: _Disk, d0: int) -> tuple[int, ...]:
 def _face_orbits(disk: _Disk) -> tuple[list[tuple[int, ...]], dict[int, int]]:
     faces: list[tuple[int, ...]] = []
     dart_face: dict[int, int] = {}
-    for d0 in disk.all_darts():
+    for d0 in range(2 * len(disk.ends)):
         if d0 not in dart_face:
             orbit = _face_orbit(disk, d0)
             dart_face.update((d, len(faces)) for d in orbit)
@@ -308,126 +305,107 @@ def _face_orbits(disk: _Disk) -> tuple[list[tuple[int, ...]], dict[int, int]]:
     return faces, dart_face
 
 
-class _Analysis:
-    def __init__(self, g: PlabicGraph):
-        self.disk = disk = _Disk(g)
-        n = disk.n
+def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeling:
+    """The one face analysis of g, from its disk and ``_trips(disk)``."""
+    n = disk.n
+    orbits, dart_face = _face_orbits(disk)
+    n_vert = n + len(g.colors)
+    n_edge = len(disk.ends)
+    if n_vert - n_edge + len(orbits) != 2:
+        raise ValidationError("graph is not connected and planar in the disk")
+    outer = dart_face[disk.dart(disk.arc_of[1], 1)] if n >= 2 else None
+    interior = [fid for fid in range(len(orbits)) if fid != outer]
 
-        self.faces, self.dart_face = _face_orbits(disk)
-        n_vert = n + len(g.colors)
-        n_edge = len(disk.ends)
-        if n_vert - n_edge + len(self.faces) != 2:
-            raise ValidationError("graph is not connected and planar in the disk")
+    # faces across each graph edge, as (edge id, neighbouring face)
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in orbits]
+    for eid in range(disk.m):
+        fa, fb = dart_face[2 * eid], dart_face[2 * eid + 1]
+        if fa != fb:
+            adjacent[fa].append((eid, fb))
+            adjacent[fb].append((eid, fa))
 
-        if n >= 2:
-            self.outer: int | None = self.dart_face[disk.dart(disk.arc_of[1], 1)]
+    sides = [_trip_sides(disk, t, dart_face, adjacent, interior) for t in strands]
+
+    labels: dict[int, set[int]] = {fid: set() for fid in interior}
+    for trip, side in zip(strands, sides):
+        for fid, s in side.items():
+            if s == "L":
+                labels[fid].add(trip.target)
+    sizes = {len(s) for s in labels.values()}
+    if len(sizes) > 1:
+        raise ReducednessError(f"face label sizes disagree: {sorted(sizes)}")
+
+    # the face on arc (i-1 -> i) is left of the leg leaving i-1, where strands[i - 2] starts
+    marks: dict[int, list[int]] = {fid: [] for fid in interior}
+    for i in range(1, n + 1):
+        marks[dart_face[strands[i - 2].darts[0]]].append(i)
+
+    image = [t.target for t in strands]
+    colors = {}
+    for t, side in zip(strands, sides):
+        if t.target != t.source:
+            continue
+        svals = set(side.values())
+        if svals <= {"L"}:
+            colors[t.source] = -1
+        elif svals <= {"R"}:
+            colors[t.source] = 1
         else:
-            self.outer = None
-        self.interior = [i for i in range(len(self.faces)) if i != self.outer]
+            raise ReducednessError(f"fixed point {t.source} has faces on both sides")
+    faces = tuple(
+        Face(fid, KSet.of(labels[fid], n), tuple(marks[fid]), orbits[fid]) for fid in interior
+    )
+    return FaceLabeling(g, faces, DecoratedPermutation.of(image, colors))
 
-        self.trips = _trips(disk)
-        self.cap_edges = {
-            eid
-            for eid, (u, v) in enumerate(g.edges)
-            if (u > n and disk.deg[u] == 1) or (v > n and disk.deg[v] == 1)
-        }
 
-        # faces across each graph edge, as (edge id, neighbouring face)
-        self.adjacent: list[list[tuple[int, int]]] = [[] for _ in self.faces]
-        for eid in range(disk.m):
-            fa, fb = self.dart_face[2 * eid], self.dart_face[2 * eid + 1]
-            if fa != fb:
-                self.adjacent[fa].append((eid, fb))
-                self.adjacent[fb].append((eid, fa))
+def _trip_sides(
+    disk: _Disk,
+    trip: Trip,
+    dart_face: dict[int, int],
+    adjacent: list[list[tuple[int, int]]],
+    interior: list[int],
+) -> dict[int, str]:
+    side: dict[int, str] = {}
+    conflict = "trip {} assigns both sides to one face".format(trip.source)
 
-        self.sides = [self._trip_sides(t) for t in self.trips]
+    def put(fid: int, s: str) -> None:
+        if side.setdefault(fid, s) != s:
+            raise ReducednessError(conflict)
 
-        labels: dict[int, set[int]] = {fid: set() for fid in self.interior}
-        for trip, side in zip(self.trips, self.sides):
-            for fid, s in side.items():
-                if s == "L":
-                    labels[fid].add(trip.target)
-        sizes = {len(s) for s in labels.values()}
-        if len(sizes) > 1:
-            raise ReducednessError(f"face label sizes disagree: {sorted(sizes)}")
-        self.k = sizes.pop() if sizes else 0
-        self.labels = {fid: KSet.of(s, n) for fid, s in labels.items()}
-
-        self.boundary_face: dict[int, int] = {}
-        if n >= 2:
-            for i in range(1, n + 1):
-                arc = disk.arc_of[n if i == 1 else i - 1]
-                self.boundary_face[i] = self.dart_face[disk.dart(arc, i)]
+    traversals = Counter(d >> 1 for d in trip.darts)
+    for d in trip.darts:
+        # a cap edge ends in an internal leaf, whose color picks the side
+        u, v = disk.ends[d >> 1]
+        leaf = u if u > disk.n and disk.deg[u] == 1 else v
+        if leaf > disk.n and disk.deg[leaf] == 1:
+            put(dart_face[d], "L" if disk.colors[leaf] == WHITE else "R")
         else:
-            self.boundary_face[1] = self.dart_face[disk.dart(g.rotation_map[1][0], 1)]
+            put(dart_face[d], "L")
+            put(dart_face[d ^ 1], "R")
 
-        image = [t.target for t in self.trips]
-        colors = []
-        for i, (t, side) in enumerate(zip(self.trips, self.sides), start=1):
-            if t.target != i:
-                continue
-            svals = set(side.values())
-            if svals <= {"L"}:
-                colors.append((i, -1))
-            elif svals <= {"R"}:
-                colors.append((i, 1))
-            else:
-                raise ReducednessError(f"fixed point {i} has faces on both sides")
-        self.permutation = DecoratedPermutation.of(image, dict(colors))
-
-    def _trip_sides(self, trip: Trip) -> dict[int, str]:
-        disk = self.disk
-        side: dict[int, str] = {}
-        conflict = "trip {} assigns both sides to one face".format(trip.source)
-
-        def put(fid: int, s: str) -> None:
-            if side.setdefault(fid, s) != s:
+    queue = deque(side)
+    while queue:
+        fid = queue.popleft()
+        for eid, other in adjacent[fid]:
+            flip = traversals[eid] == 1
+            want = ("R" if side[fid] == "L" else "L") if flip else side[fid]
+            if other not in side:
+                side[other] = want
+                queue.append(other)
+            elif side[other] != want:
                 raise ReducednessError(conflict)
-
-        traversals: dict[int, int] = {}
-        for d in trip.darts:
-            traversals[d >> 1] = traversals.get(d >> 1, 0) + 1
-        for d in trip.darts:
-            eid = d >> 1
-            if eid in self.cap_edges:
-                u, v = disk.ends[eid]
-                leaf = u if (u > disk.n and disk.deg[u] == 1) else v
-                put(self.dart_face[d], "L" if disk.colors[leaf] == WHITE else "R")
-            else:
-                put(self.dart_face[d], "L")
-                put(self.dart_face[d ^ 1], "R")
-
-        queue = deque(side)
-        while queue:
-            fid = queue.popleft()
-            for eid, other in self.adjacent[fid]:
-                flip = traversals.get(eid, 0) == 1
-                want = ("R" if side[fid] == "L" else "L") if flip else side[fid]
-                if other not in side:
-                    side[other] = want
-                    queue.append(other)
-                elif side[other] != want:
-                    raise ReducednessError(conflict)
-        missing = [fid for fid in self.interior if fid not in side]
-        if missing:
-            raise ValidationError("face side propagation did not reach every face")
-        return {fid: side[fid] for fid in self.interior}
+    if any(fid not in side for fid in interior):
+        raise ValidationError("face side propagation did not reach every face")
+    return side
 
 
 def face_labels(g: PlabicGraph) -> FaceLabeling:
-    an = _Analysis(g)
-    marks: dict[int, list[int]] = {fid: [] for fid in an.interior}
-    for i, fid in an.boundary_face.items():
-        marks[fid].append(i)
-    faces = tuple(
-        Face(fid, an.labels[fid], tuple(sorted(marks[fid])), an.faces[fid])
-        for fid in an.interior
-    )
-    return FaceLabeling(g, faces, an.permutation)
+    disk = _Disk(g)
+    return _label_faces(g, disk, _trips(disk))
 
 
 def trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
-    return _Analysis(g).permutation
+    return face_labels(g).permutation
 
 
 def validate_reduced(g: PlabicGraph) -> bool:
@@ -465,14 +443,14 @@ def validate_reduced(g: PlabicGraph) -> bool:
                     if firsts[a][e1] < firsts[a][e2] and firsts[b][e1] < firsts[b][e2]:
                         return False
     try:
-        an = _Analysis(g)
+        labeling = _label_faces(g, disk, strands)
     except ReducednessError:
         return False
-    if len(set(an.labels.values())) != len(an.interior):
+    if len(labeling.collection()) != len(labeling.faces):
         return False
-    sigma = an.permutation
+    sigma = labeling.permutation
     expected = sigma.k * (sigma.n - sigma.k) - alignments(sigma) + 1
-    return len(an.interior) == expected
+    return len(labeling.faces) == expected
 
 
 def bridge_graph_from_permutation(sigma: DecoratedPermutation) -> PlabicGraph:
@@ -686,20 +664,19 @@ def _corner_runs(disk: _Disk, face: Face) -> int | None:
     return changes if changes else 1
 
 
-def square_move(g: PlabicGraph, pivot: KSet, labeling: FaceLabeling | None = None) -> PlabicGraph:
-    """Mutate the graph at the interior face labeled ``pivot``.
+def square_move(labeling: FaceLabeling, pivot: KSet) -> PlabicGraph:
+    """Mutate ``labeling.graph`` at the interior face labeled ``pivot``.
 
     The face is first normalized: face edges joining two same-colored corners
     are contracted, and any remaining corner of degree above three is split so
     that its on-face part is trivalent.  The result must be a quadrilateral
     with alternating corner colors, whose four corners are then flipped.
 
-    The graph is labeled once at most (never when ``labeling`` is given): the
-    face is followed through each contraction by one of its surviving darts,
-    and a split keeps the face's darts and corners.
+    No face analysis runs: the face is followed through each contraction by
+    one of its surviving darts, and a split keeps the face's darts and corners.
     """
-    lab = labeling if labeling is not None else face_labels(g)
-    face = lab.face_with_label(pivot)
+    g = labeling.graph
+    face = labeling.face_with_label(pivot)
     if face.frozen:
         raise ValidationError(f"face {pivot} touches the boundary")
     disk = _Disk(g)
@@ -732,7 +709,7 @@ def movable_faces(labeling: FaceLabeling) -> tuple[Face, ...]:
     return tuple(f for f in labeling.faces if not f.frozen and _corner_runs(disk, f) == 4)
 
 
-def quiver_from_graph(g: PlabicGraph, labeling: FaceLabeling | None = None) -> IceQuiver:
+def quiver_from_graph(g: PlabicGraph) -> IceQuiver:
     """Ice quiver on the faces of a reduced graph.
 
     One vertex per face, frozen iff the face touches the boundary circle.
@@ -743,14 +720,9 @@ def quiver_from_graph(g: PlabicGraph, labeling: FaceLabeling | None = None) -> I
     but ignored by quiver comparisons; a loop or a two-cycle at a mutable face
     means the graph was not reduced and raises.
     """
-    an = _Analysis(g)
-    if labeling is None:
-        marks: dict[int, list[int]] = {fid: [] for fid in an.interior}
-        for i, fid in an.boundary_face.items():
-            marks[fid].append(i)
-    else:
-        marks = {f.id: list(f.boundary_marks) for f in labeling.faces}
-    disk = an.disk
+    disk = _Disk(g)
+    faces = _label_faces(g, disk, _trips(disk)).faces
+    dart_face = {d: f.id for f in faces for d in f.darts}
     colors = g.color_map
     raw: dict[tuple[int, int], int] = {}
     for eid, (u, v) in enumerate(g.edges):
@@ -762,13 +734,13 @@ def quiver_from_graph(g: PlabicGraph, labeling: FaceLabeling | None = None) -> I
             continue
         w = u if colors[u] == WHITE else v
         d_wb = disk.dart(eid, w)
-        src = an.dart_face[d_wb ^ 1]
-        dst = an.dart_face[d_wb]
+        src = dart_face[d_wb ^ 1]
+        dst = dart_face[d_wb]
         if src == dst:
             raise ReducednessError("quiver loop: one face on both sides of an edge")
         raw[(src, dst)] = raw.get((src, dst), 0) + 1
 
-    frozen = {fid for fid in an.interior if marks[fid]}
+    frozen = {f.id for f in faces if f.frozen}
     arrows = []
     for (s, t), m in sorted(raw.items()):
         back = raw.get((t, s), 0)
@@ -780,9 +752,7 @@ def quiver_from_graph(g: PlabicGraph, labeling: FaceLabeling | None = None) -> I
             continue
         arrows.append((s, t, m))
 
-    vertices = tuple(
-        QuiverVertex(fid, fid in frozen, an.labels[fid]) for fid in sorted(an.interior)
-    )
+    vertices = tuple(QuiverVertex(f.id, f.frozen, f.label) for f in faces)
     return IceQuiver(vertices, tuple(arrows))
 
 
@@ -792,10 +762,9 @@ def graph_mutation_class(
     """:func:`~positroids.cluster.closure` of a reduced graph under square moves,
     deduplicated by the face label collection.  Returns (members, complete)."""
 
-    def moves(member: tuple[PlabicGraph, FaceLabeling]):
-        cur, lab = member
+    def moves(lab: FaceLabeling):
         for face in movable_faces(lab):
-            moved = square_move(cur, face.label, lab)
-            yield moved, face_labels(moved)
+            yield face_labels(square_move(lab, face.label))
 
-    return closure((g, face_labels(g)), moves, lambda m: m[1].collection(), limit)
+    labelings, complete = closure(face_labels(g), moves, FaceLabeling.collection, limit)
+    return [(lab.graph, lab) for lab in labelings], complete

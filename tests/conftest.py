@@ -118,7 +118,7 @@ def assert_frozen_glued(sigma: DecoratedPermutation) -> None:
     comps = connected_components(neck)
     assert len(comps) > 1
     graph = bridge_graph_from_permutation(sigma)
-    quiver = quiver_from_graph(graph, face_labels(graph))
+    quiver = quiver_from_graph(graph)
     labels = {v.id: v.label for v in quiver.vertices}
     mutable = {v.id for v in quiver.vertices if not v.frozen}
     prod_core = {
@@ -129,7 +129,7 @@ def assert_frozen_glued(sigma: DecoratedPermutation) -> None:
     owned_by_comp: list[set[int]] = []
     for comp in comps:
         cg = bridge_graph_from_permutation(comp.permutation)
-        cq = quiver_from_graph(cg, face_labels(cg))
+        cq = quiver_from_graph(cg)
         clabels = {v.id: v.label for v in cq.vertices}
         cmut = {v.id for v in cq.vertices if not v.frozen}
         if not cmut:
@@ -172,7 +172,7 @@ def ex_135264():
     sigma = DecoratedPermutation.from_cycle_string("(135)(264)")
     graph = bridge_graph_from_permutation(sigma)
     labeling = face_labels(graph)
-    quiver = quiver_from_graph(graph, labeling)
+    quiver = quiver_from_graph(graph)
     return {
         "sigma": sigma,
         "necklace": necklace_from_permutation(sigma),

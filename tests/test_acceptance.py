@@ -205,8 +205,8 @@ def test_criterion_6_mutation_stays_laurent(family):
 def test_criterion_7_quivers_are_clean_and_split_over_components(family):
     graphs = 0
     for record in family:
-        for graph, labeling in record["members"]:
-            quiver = quiver_from_graph(graph, labeling)
+        for graph, _ in record["members"]:
+            quiver = quiver_from_graph(graph)
             assert not has_core_two_cycle_or_loop(quiver), record["name"]
             graphs += 1
     split = 0

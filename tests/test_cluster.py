@@ -695,7 +695,7 @@ def seeds_match_square_moves(seed, graph):
         new_label = seed_square_move(seed, vid)
         if new_label is None:
             continue
-        moved_graph = plabic.square_move(graph, labels[vid], labeling)
+        moved_graph = plabic.square_move(labeling, labels[vid])
         expected = plabic.quiver_from_graph(moved_graph)
         mutated = fz_mutate_quiver(seed.quiver, vid)
         names = {v.id: (v.label.label() if v.id != vid else new_label.label())

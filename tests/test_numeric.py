@@ -30,6 +30,7 @@ from positroids import (
     verify_identities,
 )
 from positroids import cluster, numeric
+from positroids.cm import k2_generator_decomposition
 from positroids.combinatorics import DimensionError, ValidationError, three_term
 from positroids.numeric import (
     ConstructionError,
@@ -40,7 +41,7 @@ from positroids.numeric import (
     sample_generic_matrix,
 )
 
-from conftest import ks, matrix_rank, random_decorated, uniform_perm
+from conftest import k2_permutations, ks, matrix_rank, random_decorated, uniform_perm
 
 
 def det_cofactor(rows):
@@ -362,18 +363,39 @@ def test_identity_sweep_passes_on_the_hexagon_cell(ex_135264):
 
 
 def test_identity_sweep_covers_k2_decompositions():
+    # k2_generator_decomposition(24) = (13, 14, 23) is checked as a restricted entry
     sigma = DecoratedPermutation.of((2, 1, 4, 3))
     neck = necklace_from_permutation(sigma)
     g = bridge_graph_from_permutation(sigma)
-    from positroids import face_labels, initial_seed, quiver_from_graph
-
-    seed = initial_seed(quiver_from_graph(g, face_labels(g)))
+    seed = initial_seed(quiver_from_graph(g))
     points = tuple(sample_cell_point(g, rng_seed=i) for i in range(3))
     generic = (sample_generic_matrix(2, 4, random.Random(0)),)
     report = verify_identities(neck, seed, points, generic)
     assert report["passed"]
     names = {e["name"] for e in report["identities"]}
-    assert "k2:24*13=14*23" in names
+    assert "restricted:13*24=14*23" in names
+
+
+def test_restricted_identities_contain_every_k2_decomposition():
+    # label and J are members and exactly one rerouting lies in the positroid,
+    # so the relation through label * J keeps those two products and drops one
+    decompositions = 0
+    for n in range(3, 7):
+        for sigma in k2_permutations(n):
+            neck = necklace_from_permutation(sigma)
+            members = positroid_members(neck).members
+            restricted = {
+                frozenset({frozenset(lhs), frozenset(rhs[0])})
+                for _, lhs, rhs in numeric._minor_identities(neck, members)
+                if len(rhs) == 1
+            }
+            for label in members:
+                decomposition = k2_generator_decomposition(label, neck)
+                if decomposition is not None:
+                    j_set, l1, l2 = decomposition
+                    assert frozenset({frozenset({label, j_set}), frozenset({l1, l2})}) in restricted
+                    decompositions += 1
+    assert decompositions == 648
 
 
 def test_identity_sweep_handles_rank_one_cells():
@@ -381,9 +403,7 @@ def test_identity_sweep_handles_rank_one_cells():
     sigma = DecoratedPermutation.of((2, 3, 1))
     neck = necklace_from_permutation(sigma)
     g = bridge_graph_from_permutation(sigma)
-    from positroids import face_labels, initial_seed, quiver_from_graph
-
-    seed = initial_seed(quiver_from_graph(g, face_labels(g)))
+    seed = initial_seed(quiver_from_graph(g))
     points = (sample_cell_point(g),)
     generic = (sample_generic_matrix(1, 3, random.Random(0)),)
     report = verify_identities(neck, seed, points, generic)
@@ -420,9 +440,6 @@ def test_identity_sweep_names_and_order_on_a_rank_two_cell():
         "restricted:14*25=15*24",
         "restricted:14*35=15*34",
         "restricted:24*35=25*34",
-        "k2:24*13=14*23",
-        "k2:25*13=15*23",
-        "k2:35*14=15*34",
         "vanishing-profile",
     ]
 

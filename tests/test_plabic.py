@@ -122,7 +122,7 @@ def test_closed_strand_graph_is_not_reduced(color, monkeypatch):
     assert sum(len(t.darts) for t in trips(g)) < 2 * len(g.edges)
     assert not validate_reduced(g)
     # the strands alone reject it, before any face analysis
-    monkeypatch.setattr(plabic, "_Analysis", None)
+    monkeypatch.setattr(plabic, "_label_faces", None)
     assert not validate_reduced(g)
 
 
@@ -137,6 +137,21 @@ def test_bubble_graph_is_not_reduced():
     assert not validate_reduced(g)
 
 
+def test_validate_reduced_builds_one_disk(monkeypatch):
+    # the strand checks and the face analysis share one _Disk and its trips
+    g = bridge_graph_from_permutation(uniform_perm(3, 6))
+    built = []
+
+    class CountingDisk(_Disk):
+        def __init__(self, graph):
+            built.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(plabic, "_Disk", CountingDisk)
+    assert validate_reduced(g)
+    assert built == [g]
+
+
 # --- square moves -------------------------------------------------------
 
 
@@ -144,7 +159,7 @@ def test_square_move_swaps_the_interior_label():
     g = bridge_graph_from_permutation(uniform_perm(2, 4))
     lab = face_labels(g)
     assert {f.label.label() for f in lab.faces if not f.frozen} == {"24"}
-    moved = square_move(g, ks("24", 4), lab)
+    moved = square_move(lab, ks("24", 4))
     mlab = face_labels(moved)
     assert {f.label.label() for f in mlab.faces if not f.frozen} == {"13"}
     assert trip_permutation(moved).k == 2
@@ -156,7 +171,7 @@ def test_square_move_swaps_the_interior_label():
 def test_square_move_is_an_involution_on_collections():
     g = bridge_graph_from_permutation(uniform_perm(2, 4))
     lab = face_labels(g)
-    back = square_move(square_move(g, ks("24", 4), lab), ks("13", 4))
+    back = square_move(face_labels(square_move(lab, ks("24", 4))), ks("13", 4))
     assert face_labels(back).collection() == lab.collection()
 
 
@@ -168,7 +183,7 @@ def test_square_move_preserves_the_trip_permutation():
         g = bridge_graph_from_permutation(sigma)
         lab = face_labels(g)
         for face in movable_faces(lab):
-            moved = square_move(g, face.label, lab)
+            moved = square_move(lab, face.label)
             assert trip_permutation(moved) == sigma
             assert validate_reduced(moved)
             done += 1
@@ -211,37 +226,35 @@ def test_square_move_matches_the_relabelling_reference():
     for g in graphs:
         lab = face_labels(g)
         for face in movable_faces(lab):
-            fast = json.dumps(square_move(g, face.label, lab).to_json())
+            fast = json.dumps(square_move(lab, face.label).to_json())
             assert fast == json.dumps(reference_square_move(g, face.label, lab).to_json())
-            assert fast == json.dumps(square_move(g, face.label).to_json())
             moves += 1
     assert moves > 100
 
 
 def test_square_move_with_a_labeling_analyses_nothing(monkeypatch):
-    g = bridge_graph_from_permutation(uniform_perm(3, 6))
-    lab = face_labels(g)
-    built = []
+    lab = face_labels(bridge_graph_from_permutation(uniform_perm(3, 6)))
+    analysed = []
+    label_faces = plabic._label_faces
 
-    class CountingAnalysis(plabic._Analysis):
-        def __init__(self, graph):
-            built.append(graph)
-            super().__init__(graph)
+    def counting(g, disk, strands):
+        analysed.append(g)
+        return label_faces(g, disk, strands)
 
-    monkeypatch.setattr(plabic, "_Analysis", CountingAnalysis)
+    monkeypatch.setattr(plabic, "_label_faces", counting)
     for face in movable_faces(lab):
-        square_move(g, face.label, lab)
-    assert movable_faces(lab) and built == []
-    square_move(g, movable_faces(lab)[0].label)
-    assert len(built) == 1
+        square_move(lab, face.label)
+    assert movable_faces(lab) and analysed == []
+    face_labels(lab.graph)
+    assert analysed == [lab.graph]
 
 
 def test_square_move_rejects_non_movable_faces(ex_135264):
     with pytest.raises(ValidationError):
-        square_move(ex_135264["graph"], ks("246", 6), ex_135264["labeling"])
+        square_move(ex_135264["labeling"], ks("246", 6))
     with pytest.raises(ValidationError):
         # frozen faces are never movable
-        square_move(ex_135264["graph"], ks("124", 6), ex_135264["labeling"])
+        square_move(ex_135264["labeling"], ks("124", 6))
 
 
 # --- quivers ------------------------------------------------------------
