@@ -16,11 +16,11 @@ from .combinatorics import (
     DimensionError,
     GrassmannNecklace,
     KSet,
-    SizeCapError,
     ValidationError,
     cyclically_ordered,
     in_positroid,
     noncrossing,
+    positroid_members,
     three_term,
 )
 
@@ -108,7 +108,8 @@ def in_gp_b(label: KSet, necklace: GrassmannNecklace) -> bool:
 
 
 def gp_b_rank_one_list(necklace: GrassmannNecklace, n_cap: int = 12) -> frozenset[KSet]:
-    """All rank-one Gorenstein-projective labels, by exhaustive scan.
+    """All rank-one Gorenstein-projective labels: the positroid members that
+    cross no necklace set.  Guarded by ``n_cap`` like :func:`positroid_members`.
 
     Rank-two and higher indecomposables are not produced; when they exist they
     appear downstream as non-Pluecker cluster variables.
@@ -118,14 +119,8 @@ def gp_b_rank_one_list(necklace: GrassmannNecklace, n_cap: int = 12) -> frozense
     >>> sorted(x.label() for x in gp_b_rank_one_list(necklace_from_permutation(s)))
     ['124', '126', '234', '246', '256', '346', '456']
     """
-    n, k = necklace.n, necklace.k
-    if n > n_cap:
-        raise SizeCapError(f"n={n} exceeds the enumeration cap {n_cap}")
-    return frozenset(
-        KSet(combo, n)
-        for combo in itertools.combinations(range(1, n + 1), k)
-        if in_gp_b(KSet(combo, n), necklace)
-    )
+    members = positroid_members(necklace, n_cap).members
+    return frozenset(lab for lab in members if all(noncrossing(lab, j_set) for j_set in necklace))
 
 
 def is_cluster_tilting_collection(labels, necklace: GrassmannNecklace, n_cap: int = 12) -> bool:

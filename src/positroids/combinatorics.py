@@ -10,8 +10,11 @@ Conventions used throughout the package:
   all fixed points colored -1.  Its sets all have the same size k, the number of
   weak anti-exceedances of sigma.
 * k-subsets are compared in the Gale order <=_i: sort both sides by <_i and
-  compare componentwise.  The positroid of a necklace N is
-  {J : I_i <=_i J for every i}.
+  compare componentwise; equivalently, each cyclic interval [i, i+t) holds at
+  least as many elements of the left side as of the right.  The positroid of
+  a necklace N is {J : I_i <=_i J for every i}: the intersection of n shifted
+  Schubert matroids (Oh, arXiv:0803.1018), cut out by the interval counts
+  |J n [i, i+t)| <= |I_i n [i, i+t)|, which are tested on bit masks.
 
 Everything here is exact integer combinatorics; no floating point appears
 anywhere in the package.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 
@@ -353,6 +357,24 @@ class GrassmannNecklace:
     def __iter__(self) -> Iterator[KSet]:
         return iter(self.sets)
 
+    @cached_property
+    def gale_bounds(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (m, c): m has bit j for each j in a cyclic interval [i, i+t),
+        c = |I_i n [i, i+t)|, and J is a member when |J n [i, i+t)| <= c for all.
+        Only the last interval of each run outside I_i is kept, at most k per i;
+        the others follow from a neighbour or reach min(t, k), bounding nothing."""
+        n, k, bounds = self.n, self.k, []
+        for i, base in enumerate(self.sets, 1):
+            order = [(i + t - 1) % n + 1 for t in range(n)]  # [n] under <_i
+            mask = count = 0
+            for t, j in enumerate(order[:-1], 1):
+                mask |= 1 << j
+                if j in base:
+                    count += 1
+                elif order[t] in base and count < min(t, k):
+                    bounds.append((mask, count))
+        return tuple(bounds)
+
     def to_json(self) -> list[list[int]]:
         return [s.to_json() for s in self.sets]
 
@@ -435,10 +457,15 @@ def reverse_necklace(sigma: DecoratedPermutation) -> GrassmannNecklace:
 
 
 def in_positroid(necklace: GrassmannNecklace, candidate: KSet) -> bool:
-    """Membership test J in P(N) without materializing the positroid."""
+    """Membership test J in P(N) without materializing the positroid: I_i <=_i J
+    for every i, read as |J n [i, i+t)| <= |I_i n [i, i+t)| (Oh, arXiv:0803.1018)."""
     if candidate.n != necklace.n or candidate.k != necklace.k:
         raise DimensionError(f"{candidate} does not match a ({necklace.k},{necklace.n}) necklace")
-    return all(shifted_leq(i, necklace[i], candidate) for i in range(1, necklace.n + 1))
+    mask = sum(1 << j for j in candidate.elements)
+    for m, c in necklace.gale_bounds:
+        if (mask & m).bit_count() > c:
+            return False
+    return True
 
 
 def positroid_members(necklace: GrassmannNecklace, n_cap: int = 12) -> Positroid:
@@ -447,11 +474,12 @@ def positroid_members(necklace: GrassmannNecklace, n_cap: int = 12) -> Positroid
     n, k = necklace.n, necklace.k
     if n > n_cap:
         raise SizeCapError(f"n={n} exceeds the eager-materialization cap {n_cap}")
-    members = frozenset(
-        KSet(combo, n)
-        for combo in itertools.combinations(range(1, n + 1), k)
-        if in_positroid(necklace, KSet(combo, n))
-    )
+    ground = range(1, n + 1)
+    masks = map(sum, itertools.combinations([1 << j for j in ground], k))  # in step with the k-subsets
+    alive = list(zip(masks, itertools.combinations(ground, k)))
+    for m, c in necklace.gale_bounds:
+        alive = [x for x in alive if (x[0] & m).bit_count() <= c]
+    members = frozenset(KSet(combo, n) for _, combo in alive)
     return Positroid(necklace, members)
 
 

@@ -32,7 +32,7 @@ from .combinatorics import (
     positroid_members,
     three_term,
 )
-from .plabic import BLACK, WHITE, PlabicGraph, trip_permutation
+from .plabic import BLACK, PlabicGraph, trip_permutation
 
 __all__ = [
     "ConstructionError",
@@ -320,13 +320,6 @@ def _topological_order(
     return order if len(order) == len(indeg) else None
 
 
-def _orientation_sources(graph: PlabicGraph, directed: Mapping[int, tuple[int, int]]) -> KSet:
-    n = graph.boundary
-    rot = graph.rotation_map
-    sources = [b for b in range(1, n + 1) if directed[rot[b][0]][0] == b]
-    return KSet.of(sources, n)
-
-
 # ---------------------------------------------------------------------------
 # boundary measurement
 
@@ -370,30 +363,34 @@ def _measurement_matrix(
     order = _topological_order(rot, directed.values())
     if order is None:
         raise ConstructionError("orientation has a directed cycle")
-    outs: dict[int, list[tuple[int, int]]] = {v: [] for v in rot}
+    outs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in rot}  # (head, weight as p, q)
     for eid, (tail, head) in directed.items():
-        outs[tail].append((head, eid))
-    sources = _orientation_sources(graph, directed)
+        outs[tail].append((head, weights[eid].numerator, weights[eid].denominator))
+    sources = KSet.of([b for b in range(1, n + 1) if directed[rot[b][0]][0] == b], n)
     # before[j - 1] is the number of sources smaller than j
     before = list(itertools.accumulate((j in sources for j in range(1, n + 1)), initial=0))
 
     rows = []
     for i, s in enumerate(sources.elements):
-        reach = {v: Fraction(0) for v in rot}
-        reach[s] = Fraction(1)
+        # reach[v] is the weighted path sum from s to v as an unreduced
+        # (numerator, denominator) pair of ints, kept for reached vertices
+        # only; each matrix entry becomes one Fraction at the end
+        reach = {s: (1, 1)}
         for v in order:
-            if reach[v] == 0:
-                continue
-            for w, eid in outs[v]:
-                reach[w] += reach[v] * weights[eid]
+            if v in reach:
+                a, b = reach[v]
+                for w, p, q in outs[v]:
+                    c, d = reach.get(w, (0, b * q))
+                    reach[w] = (c + a * p, d) if d == b * q else (c * b * q + a * p * d, d * b * q)
         row = []
         for j in range(1, n + 1):
             if j in sources:
                 row.append(Fraction(1) if j == s else Fraction(0))
                 continue
+            num, den = reach.get(j, (0, 1))
             # the sign is (-1) ** (number of sources strictly between s and j)
             between = before[j - 1] - i - 1 if s < j else i - before[j - 1]
-            row.append(-reach[j] if between & 1 else reach[j])
+            row.append(Fraction(-num if between & 1 else num, den))
         rows.append(tuple(row))
     return RationalMatrix(tuple(rows), n), sources
 
@@ -558,7 +555,8 @@ def _exchange_checks(
         for arrows in sides:
             product = Fraction(1)
             for w, mult in arrows:
-                product *= _value(member, w, matrix, assignment) ** mult
+                value = _value(member, w, matrix, assignment)
+                product *= value if mult == 1 else value**mult
             rhs += product
         yield f"generic:{pidx}", lhs, rhs
 

@@ -26,10 +26,9 @@ exactly when the trip traverses the crossed edge once.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from positroids.cluster import IceQuiver, QuiverVertex, closure
 from positroids.combinatorics import (
@@ -38,7 +37,6 @@ from positroids.combinatorics import (
     KSet,
     ValidationError,
     alignments,
-    necklace_from_permutation,
 )
 
 WHITE = "white"

@@ -39,6 +39,14 @@ def random_decorated(rng: random.Random, n: int) -> DecoratedPermutation:
     return DecoratedPermutation.of(tuple(image), colors)
 
 
+def decorated_permutations(n: int):
+    """Every decorated permutation of [n]: each fixed point takes both colors."""
+    for image in itertools.permutations(range(1, n + 1)):
+        fixed = [i for i, v in enumerate(image, 1) if v == i]
+        for signs in itertools.product((1, -1), repeat=len(fixed)):
+            yield DecoratedPermutation.of(image, dict(zip(fixed, signs)))
+
+
 def k2_permutations(n: int):
     """Every decorated permutation of [n] of rank two.
 

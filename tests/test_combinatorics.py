@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+import functools
 import itertools
 import random
 
@@ -37,7 +38,7 @@ from positroids.combinatorics import (
     restricted_necklace,
 )
 
-from conftest import ks, random_decorated, uniform_perm
+from conftest import decorated_permutations, ks, random_decorated, uniform_perm
 
 
 @pytest.mark.parametrize("module", [combinatorics, plabic, cluster, cm, numeric])
@@ -249,6 +250,54 @@ def test_positroid_membership_golden():
     for entry in neck:
         assert in_positroid(neck, entry)
         assert entry in p.members
+
+
+@functools.cache
+def k_subsets(n: int, k: int) -> tuple[KSet, ...]:
+    return tuple(KSet(c, n) for c in itertools.combinations(range(1, n + 1), k))
+
+
+@functools.cache
+def gale_up_set(i: int, base: KSet) -> frozenset[tuple[int, ...]]:
+    """Every J with base <=_i J, through shifted_leq, as element tuples;
+    cells share most of their necklace sets, so each is built once."""
+    return frozenset(j.elements for j in k_subsets(base.n, base.k) if shifted_leq(i, base, j))
+
+
+def assert_interval_counts_match_gale(necklace: GrassmannNecklace) -> None:
+    # the positroid straight from its definition: I_i <=_i J for every i
+    expected = frozenset.intersection(*(gale_up_set(i, base) for i, base in enumerate(necklace.sets, 1)))
+    every = k_subsets(necklace.n, necklace.k)
+    assert {j.elements for j in every if in_positroid(necklace, j)} == expected
+    assert {j.elements for j in positroid_members(necklace).members} == expected
+
+
+def test_interval_counts_match_gale_order_for_n_up_to_7():
+    # 16,071 decorated permutations: every k-subset of every cell
+    cells = 0
+    for n in range(1, 8):
+        for sigma in decorated_permutations(n):
+            assert_interval_counts_match_gale(necklace_from_permutation(sigma))
+            cells += 1
+    assert cells == 16071
+
+
+@given(st.integers(0, 10**6), st.integers(8, 12))
+@settings(max_examples=40, deadline=None)
+def test_interval_counts_match_gale_order_on_larger_cells(seed, n):
+    sigma = random_decorated(random.Random(seed), n)
+    assert_interval_counts_match_gale(necklace_from_permutation(sigma))
+    # the bounds read the sets alone, whichever recurrence they satisfy
+    assert_interval_counts_match_gale(reverse_necklace(sigma))
+
+
+def test_gale_bounds_drop_the_trivial_counts():
+    neck = necklace_from_permutation(uniform_perm(2, 5))
+    assert neck.gale_bounds == ()  # the top cell: every 2-subset is a member
+    neck = necklace_from_permutation(DecoratedPermutation.from_cycle_string("(135)(264)"))
+    assert neck.gale_bounds is neck.gale_bounds  # built once per necklace
+    for mask, count in neck.gale_bounds:
+        assert count < min(mask.bit_count(), neck.k)
 
 
 def test_uniform_cell_contains_every_subset():

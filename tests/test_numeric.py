@@ -336,6 +336,68 @@ def test_gauge_rescaling_fixes_every_minor(ex_135264):
         gauge_rescale(point, 1, Fraction(2))  # boundary vertex
 
 
+def fraction_measurement_rows(point):
+    """The boundary measurement summed over Fractions, one reach table per
+    source over every vertex: the reference for the integer-pair loop."""
+    graph = point.graph
+    n, rot = graph.boundary, graph.rotation_map
+    directed, weights = dict(point.orientation), point.weight_map()
+    order = numeric._topological_order(rot, directed.values())
+    outs = {v: [] for v in rot}
+    for eid, (tail, head) in directed.items():
+        outs[tail].append((head, eid))
+    sources = point.sources.elements
+    rows = []
+    for i, s in enumerate(sources):
+        reach = {v: Fraction(0) for v in rot}
+        reach[s] = Fraction(1)
+        for v in order:
+            if reach[v] == 0:
+                continue
+            for w, eid in outs[v]:
+                reach[w] += reach[v] * weights[eid]
+        row = []
+        for j in range(1, n + 1):
+            if j in sources:
+                row.append(Fraction(1) if j == s else Fraction(0))
+                continue
+            between = sum(1 for t in sources if min(s, j) < t < max(s, j))
+            row.append(-reach[j] if between & 1 else reach[j])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_integer_measurement_matches_the_fraction_loop():
+    graphs = 0
+    for n in range(2, 8):
+        for sigma in k2_permutations(n):
+            graph = bridge_graph_from_permutation(sigma)
+            for rng_seed in (0, 17):
+                point = sample_cell_point(graph, rng_seed=rng_seed)
+                assert point.matrix.rows == fraction_measurement_rows(point)
+            graphs += 1
+    assert graphs == 2256
+    graph = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string("(1357)(2468)"))
+    point = sample_cell_point(graph, rng_seed=3)
+    for vertex in point.graph.internal_ids()[:4]:
+        moved = gauge_rescale(point, vertex, Fraction(7, 3))
+        assert moved.weights != point.weights
+        assert moved.matrix.rows == fraction_measurement_rows(moved) == point.matrix.rows
+
+
+def test_exchange_checks_raise_each_neighbour_to_its_multiplicity():
+    # a double arrow into the pivot: x * x' = x1 ** 2 + x2 on every matrix
+    labels = [ks("12", 4), ks("13", 4), ks("14", 4)]
+    vertices = tuple(cluster.QuiverVertex(i, i > 0, lab) for i, lab in enumerate(labels))
+    seed = initial_seed(cluster.IceQuiver(vertices, ((1, 0, 2), (0, 2, 1))))
+    item = {"seed": seed, "mutated": mutate_seed(seed, 0), "vid": 0}
+    generic = [sample_generic_matrix(2, 4, random.Random(s)) for s in range(3)]
+    assignments = [minor_assignment(m, labels) for m in generic]
+    checks = list(numeric._exchange_checks(item, generic, assignments))
+    assert len(checks) == 3
+    assert all(lhs == rhs for _, lhs, rhs in checks)
+
+
 def test_generic_matrices_have_no_vanishing_minors():
     m = sample_generic_matrix(3, 6, random.Random(2))
     for combo in itertools.combinations(range(1, 7), 3):
