@@ -16,7 +16,6 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from positroids import (
     DecoratedPermutation,
@@ -30,25 +29,19 @@ from positroids import (
 )
 
 
-@dataclass
-class Config:
-    max_n: int = 7
-    randoms: int = 0
-    rng_seed: int = 0
-    seed_limit: int = 5000
+# Seeds explored per mutation class before its count is printed with a "+".
+SEED_LIMIT = 5000
 
 
 def uniform(k: int, n: int) -> DecoratedPermutation:
     return DecoratedPermutation.of(tuple((i + k - 1) % n + 1 for i in range(1, n + 1)))
 
 
-def census_row(name: str, sigma: DecoratedPermutation, cfg: Config) -> bool:
+def census_row(name: str, sigma: DecoratedPermutation) -> bool:
     start = time.time()
     graph = bridge_graph_from_permutation(sigma)
     members, complete = graph_mutation_class(graph)
-    seeds, seeds_complete = mutation_class(
-        initial_seed(quiver_from_graph(graph)), limit=cfg.seed_limit
-    )
+    seeds, seeds_complete = mutation_class(initial_seed(quiver_from_graph(graph)), limit=SEED_LIMIT)
     brute = maximal_noncrossing_collections(necklace_from_permutation(sigma))
     pure = sum(1 for s in seeds if s.is_pure_pluecker())
     ok = complete and len(members) == len(brute)
@@ -67,24 +60,23 @@ def main() -> int:
     parser.add_argument("--randoms", type=int, default=0)
     parser.add_argument("--rng-seed", type=int, default=0, dest="rng_seed")
     args = parser.parse_args()
-    cfg = Config(max_n=args.max_n, randoms=args.randoms, rng_seed=args.rng_seed)
 
     ok = True
-    for n in range(4, cfg.max_n + 1):
+    for n in range(4, args.max_n + 1):
         for k in range(2, n - 1):
             if k * (n - k) > 12:
                 continue  # keep the brute-force pool manageable
-            ok &= census_row(f"uniform({k},{n})", uniform(k, n), cfg)
+            ok &= census_row(f"uniform({k},{n})", uniform(k, n))
 
-    rng = random.Random(cfg.rng_seed)
-    for _ in range(cfg.randoms):
-        n = rng.randint(4, cfg.max_n)
+    rng = random.Random(args.rng_seed)
+    for _ in range(args.randoms):
+        n = rng.randint(4, args.max_n)
         image = rng.sample(range(1, n + 1), n)
         colors = {i: rng.choice((1, -1)) for i, v in enumerate(image, 1) if v == i}
         sigma = DecoratedPermutation.of(tuple(image), colors)
         if not 0 < sigma.k < sigma.n:
             continue
-        ok &= census_row(sigma.to_cycle_string(), sigma, cfg)
+        ok &= census_row(sigma.to_cycle_string(), sigma)
 
     return 0 if ok else 1
 

@@ -2,8 +2,9 @@
 
 Draws random decorated permutations, samples points of each cell, and runs the
 full verification (exchange relations on generic matrices, restricted two-term
-identities, rank-two resolutions, vanishing profiles).  Everything is exact
-rational arithmetic; any failure prints the offending identity and the values.
+identities, which include the rank-two resolutions, and vanishing profiles).
+Everything is exact rational arithmetic; any failure prints the offending
+identity and the values.
 
 Pass --corrupt to flip on the negative control and confirm the sweep actually
 bites: every run must then report at least one failure.
@@ -17,7 +18,6 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from positroids import (
     DecoratedPermutation,
@@ -31,22 +31,12 @@ from positroids import (
 from positroids.numeric import corrupt_seed, sample_generic_matrix
 
 
-@dataclass
-class Config:
-    cells: int = 10
-    points: int = 8
-    generic: int = 3
-    max_n: int = 7
-    rng_seed: int = 0
-    corrupt: bool = False
-
-
-def soak(cfg: Config) -> int:
-    rng = random.Random(cfg.rng_seed)
+def soak(args: argparse.Namespace) -> int:
+    rng = random.Random(args.rng_seed)
     bad = 0
     done = 0
-    while done < cfg.cells:
-        n = rng.randint(3, cfg.max_n)
+    while done < args.cells:
+        n = rng.randint(3, args.max_n)
         image = rng.sample(range(1, n + 1), n)
         colors = {i: rng.choice((1, -1)) for i, v in enumerate(image, 1) if v == i}
         sigma = DecoratedPermutation.of(tuple(image), colors)
@@ -56,22 +46,22 @@ def soak(cfg: Config) -> int:
         graph = bridge_graph_from_permutation(sigma)
         neck = necklace_from_permutation(sigma)
         seed = initial_seed(quiver_from_graph(graph))
-        if cfg.corrupt and not seed.quiver.mutable_ids():
+        if args.corrupt and not seed.quiver.mutable_ids():
             continue  # nothing to corrupt, the control would be vacuous
         done += 1
         points = tuple(
             sample_cell_point(graph, rng_seed=rng.randint(0, 10**6))
-            for _ in range(cfg.points)
+            for _ in range(args.points)
         )
         generic = tuple(
             sample_generic_matrix(sigma.k, n, random.Random(rng.randint(0, 10**6)))
-            for _ in range(cfg.generic)
+            for _ in range(args.generic)
         )
-        tamper = corrupt_seed if cfg.corrupt else None
+        tamper = corrupt_seed if args.corrupt else None
         report = verify_identities(neck, seed, points, generic, tamper=tamper)
         n_idents = len(report["identities"])
         status = "ok" if report["passed"] else "FAILED"
-        if cfg.corrupt:
+        if args.corrupt:
             # the control must fail; a pass here means the sweep went blind
             status = "control-ok" if not report["passed"] else "CONTROL-MISSED"
         if "FAIL" in status or "MISSED" in status:
@@ -94,17 +84,7 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=7, dest="max_n")
     parser.add_argument("--rng-seed", type=int, default=0, dest="rng_seed")
     parser.add_argument("--corrupt", action="store_true")
-    args = parser.parse_args()
-    cfg = Config(
-        cells=args.cells,
-        points=args.points,
-        generic=args.generic,
-        max_n=args.max_n,
-        rng_seed=args.rng_seed,
-        corrupt=args.corrupt,
-    )
-    bad = soak(cfg)
-    return 0 if not bad else 1
+    return 0 if not soak(parser.parse_args()) else 1
 
 
 if __name__ == "__main__":

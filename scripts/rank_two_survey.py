@@ -14,25 +14,17 @@ import argparse
 import itertools
 import sys
 import time
-from dataclasses import dataclass
 
 from positroids import (
     DecoratedPermutation,
     bridge_graph_from_permutation,
     gp_b_rank_one_list,
-    in_gp_b,
     k2_generator_decomposition,
     minor,
     necklace_from_permutation,
     positroid_members,
     sample_cell_point,
 )
-
-
-@dataclass
-class Config:
-    max_n: int = 6
-    points: int = 0
 
 
 def rank_two_permutations(n: int):
@@ -48,9 +40,9 @@ def rank_two_permutations(n: int):
             yield DecoratedPermutation.of(image, colors)
 
 
-def survey(cfg: Config) -> int:
+def survey(args: argparse.Namespace) -> int:
     failures = 0
-    for n in range(2, cfg.max_n + 1):
+    for n in range(2, args.max_n + 1):
         start = time.time()
         cells = resolutions = checked = 0
         gp_only = 0
@@ -71,9 +63,9 @@ def survey(cfg: Config) -> int:
                 gp_only += 1
                 continue
             resolutions += len(todo)
-            if cfg.points:
+            if args.points:
                 graph = bridge_graph_from_permutation(sigma)
-                for i in range(cfg.points):
+                for i in range(args.points):
                     point = sample_cell_point(graph, rng_seed=i)
                     for label, j_set, l1, l2 in todo:
                         lhs = minor(point.matrix, label) * minor(point.matrix, j_set)
@@ -94,8 +86,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=6, dest="max_n")
     parser.add_argument("--points", type=int, default=0)
-    args = parser.parse_args()
-    failures = survey(Config(max_n=args.max_n, points=args.points))
+    failures = survey(parser.parse_args())
     print("all resolved" if not failures else f"{failures} FAILURES")
     return 0 if not failures else 1
 

@@ -491,14 +491,17 @@ def noncrossing(a: KSet, b: KSet) -> bool:
     """
     if a.n != b.n:
         raise DimensionError("noncrossing requires a common ground set")
-    n = a.n
-    only_a = a.difference(b)
-    only_b = b.difference(a)
-    for x, z in itertools.permutations(only_a, 2):
-        for y, w in itertools.permutations(only_b, 2):
-            if cyclically_ordered(x, y, z, w, n):
-                return False
-    return True
+    return not _chords_cross(a.difference(b), b.difference(a), a.n)
+
+
+def _chords_cross(s: Iterable[int], t: Iterable[int], n: int) -> bool:
+    """Whether a chord between two points of s crosses one between two points
+    of t; the points of s and t are distinct."""
+    return any(
+        cyclically_ordered(x, y, z, w, n)
+        for x, z in itertools.combinations(s, 2)
+        for y, w in itertools.permutations(t, 2)
+    )
 
 
 def alignments(sigma: DecoratedPermutation) -> int:
@@ -533,17 +536,6 @@ class Component:
     necklace: GrassmannNecklace
 
 
-def _blocks_cross(s: tuple[int, ...], t: tuple[int, ...], n: int) -> bool:
-    """Whether two disjoint subsets interleave around the cycle."""
-    if len(s) < 2 or len(t) < 2:
-        return False
-    for x, z in itertools.combinations(s, 2):
-        for y, w in itertools.combinations(t, 2):
-            if cyclically_ordered(x, y, z, w, n) or cyclically_ordered(x, w, z, y, n):
-                return True
-    return False
-
-
 def connected_components(necklace: GrassmannNecklace) -> list[Component]:
     """Finest splitting of the necklace into noncrossing sigma-invariant blocks.
 
@@ -560,7 +552,7 @@ def connected_components(necklace: GrassmannNecklace) -> list[Component]:
     while merged:
         merged = False
         for i, j in itertools.combinations(range(len(blocks)), 2):
-            if _blocks_cross(tuple(blocks[i]), tuple(blocks[j]), n):
+            if _chords_cross(blocks[i], blocks[j], n):
                 blocks[i] |= blocks[j]
                 del blocks[j]
                 merged = True

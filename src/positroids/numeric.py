@@ -20,7 +20,7 @@ from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .cluster import LaurentPoly, Seed, closure, mutate_seed
 from .combinatorics import (
@@ -28,6 +28,7 @@ from .combinatorics import (
     GrassmannNecklace,
     KSet,
     ValidationError,
+    cyclically_ordered,
     necklace_from_permutation,
     positroid_members,
     three_term,
@@ -155,11 +156,14 @@ def pluecker_relation_check(
     """Exact three-term relation among minors through a common (k-2)-set.
 
     minor(Lac) * minor(Lbd) == minor(Lab) * minor(Lcd) + minor(Lad) * minor(Lbc)
-    for any cyclically ordered quadruple disjoint from the core L.
+    for four entries outside the core L in cyclic order, either way round, so
+    that the chords {a,c} and {b,d} cross; other quadruples raise DimensionError.
     """
     quad = (a, b, c, d)
     if len(set(quad)) != 4 or set(quad) & set(core.elements):
         raise DimensionError("quadruple must be four distinct entries outside the core")
+    if not (cyclically_ordered(a, b, c, d, core.n) or cyclically_ordered(d, c, b, a, core.n)):
+        raise DimensionError(f"chords {{{a},{c}}} and {{{b},{d}}} do not cross")
     pairs = three_term(core, a, b, c, d, core.n)
     lhs, *rhs = (minor(matrix, p) * minor(matrix, q) for p, q in pairs)
     return lhs == sum(rhs)
@@ -185,14 +189,27 @@ def perfect_orientation(graph: PlabicGraph) -> dict[int, tuple[int, int]]:
     neither.  Cyclic candidates are rejected, so the first surviving
     assignment is returned.
     """
-    cached = _orientation_cache(graph)
-    if cached is None:
+    return dict(_oriented(graph).orientation)
+
+
+class _Network(NamedTuple):
+    """A graph's perfect orientation as sorted (edge id, (tail, head)) pairs,
+    the topological order that accepted it and its boundary sources."""
+
+    orientation: tuple[tuple[int, tuple[int, int]], ...]
+    order: tuple[int, ...]
+    sources: KSet
+
+
+def _oriented(graph: PlabicGraph) -> _Network:
+    network = _network(graph)
+    if network is None:
         raise ConstructionError("graph admits no acyclic perfect orientation")
-    return dict(cached)
+    return network
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _orientation_cache(graph: PlabicGraph) -> tuple[tuple[int, tuple[int, int]], ...] | None:
+def _network(graph: PlabicGraph) -> _Network | None:
     n = graph.boundary
     rot = graph.rotation_map
     internal = sorted(v for v in rot if v > n)
@@ -202,11 +219,8 @@ def _orientation_cache(graph: PlabicGraph) -> tuple[tuple[int, tuple[int, int]],
     domains: dict[int, set[int]] = {v: set(edges) for v, edges in incident.items()}
     chosen: dict[int, int] = {}
 
-    def endpoints(eid: int) -> tuple[int, int]:
-        return graph.edges[eid]
-
     def other(eid: int, v: int) -> int:
-        u, w = endpoints(eid)
+        u, w = graph.edges[eid]
         return w if u == v else u
 
     def force(v: int, eid: int, trail: list[tuple[str, int, int]]) -> bool:
@@ -270,32 +284,29 @@ def _orientation_cache(graph: PlabicGraph) -> tuple[tuple[int, tuple[int, int]],
                 directed[eid] = (v, u) if out_of_v else (u, v)
         return directed
 
-    result: tuple[tuple[int, tuple[int, int]], ...] | None = None
-
-    def search() -> bool:
-        nonlocal result
+    def search() -> _Network | None:
         free = [v for v in internal if v not in chosen]
         if not free:
             directed = orientation_of(chosen)
-            if _topological_order(rot, directed.values()) is not None:
-                result = tuple(sorted(directed.items()))
-                return True
-            return False
+            order = _topological_order(rot, directed.values())
+            if order is None:
+                return None
+            sources = KSet.of([b for b in range(1, n + 1) if directed[rot[b][0]][0] == b], n)
+            return _Network(tuple(sorted(directed.items())), tuple(order), sources)
         v = min(free, key=lambda x: len(domains[x]))
         for eid in sorted(domains[v]):
             trail: list[tuple[str, int, int]] = []
-            if assign(v, eid, trail) and search():
-                return True
+            if assign(v, eid, trail) and (network := search()) is not None:
+                return network
             undo(trail, 0)
-        return False
+        return None
 
     # degree-1 internal vertices are forced immediately
     trail0: list[tuple[str, int, int]] = []
     for v in internal:
-        if len(incident[v]) == 1 and v not in chosen:
-            if not force(v, incident[v][0], trail0):
-                return None
-    return result if search() else None
+        if len(incident[v]) == 1 and not force(v, incident[v][0], trail0):
+            return None
+    return search()
 
 
 def _topological_order(
@@ -326,14 +337,21 @@ def _topological_order(
 
 @dataclass(frozen=True)
 class CellPoint:
-    """A sampled point of the open cell: the measurement matrix together with
-    the network data that produced it."""
+    """A sampled point of the open cell: the measurement matrix, the edge
+    weights that produced it and their graph, whose one cached network gives
+    the orientation and the sources."""
 
     matrix: RationalMatrix
     weights: tuple[tuple[int, Fraction], ...]
     graph: PlabicGraph
-    orientation: tuple[tuple[int, tuple[int, int]], ...]
-    sources: KSet
+
+    @property
+    def orientation(self) -> tuple[tuple[int, tuple[int, int]], ...]:
+        return _oriented(self.graph).orientation
+
+    @property
+    def sources(self) -> KSet:
+        return _oriented(self.graph).sources
 
     def weight_map(self) -> dict[int, Fraction]:
         return dict(self.weights)
@@ -353,20 +371,12 @@ def _graph_positroid(graph: PlabicGraph, n_cap: int) -> frozenset[tuple[int, ...
     return frozenset(lab.elements for lab in positroid_members(necklace, n_cap).members)
 
 
-def _measurement_matrix(
-    graph: PlabicGraph,
-    directed: Mapping[int, tuple[int, int]],
-    weights: Mapping[int, Fraction],
-) -> tuple[RationalMatrix, KSet]:
+def _measurement_matrix(graph: PlabicGraph, weights: Mapping[int, Fraction]) -> RationalMatrix:
     n = graph.boundary
-    rot = graph.rotation_map
-    order = _topological_order(rot, directed.values())
-    if order is None:
-        raise ConstructionError("orientation has a directed cycle")
-    outs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in rot}  # (head, weight as p, q)
-    for eid, (tail, head) in directed.items():
+    orientation, order, sources = _oriented(graph)
+    outs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in order}  # (head, weight as p, q)
+    for eid, (tail, head) in orientation:
         outs[tail].append((head, weights[eid].numerator, weights[eid].denominator))
-    sources = KSet.of([b for b in range(1, n + 1) if directed[rot[b][0]][0] == b], n)
     # before[j - 1] is the number of sources smaller than j
     before = list(itertools.accumulate((j in sources for j in range(1, n + 1)), initial=0))
 
@@ -392,7 +402,7 @@ def _measurement_matrix(
             between = before[j - 1] - i - 1 if s < j else i - before[j - 1]
             row.append(Fraction(-num if between & 1 else num, den))
         rows.append(tuple(row))
-    return RationalMatrix(tuple(rows), n), sources
+    return RationalMatrix(tuple(rows), n)
 
 
 def sample_cell_point(
@@ -408,7 +418,6 @@ def sample_cell_point(
     vanish exactly on the positroid complement and are strictly positive on
     the members (the point lies in the totally nonnegative part of the cell).
     """
-    directed = perfect_orientation(graph)
     if weights is None:
         rng = random.Random(rng_seed)
         weights = {
@@ -421,7 +430,7 @@ def sample_cell_point(
             raise ValidationError("need one weight per edge id")
         if any(w <= 0 for w in weights.values()):
             raise ValidationError("weights must be positive")
-    matrix, sources = _measurement_matrix(graph, directed, weights)
+    matrix = _measurement_matrix(graph, weights)
 
     members = _graph_positroid(graph, n_cap)
     for cols, value in matrix.minors.items():
@@ -429,13 +438,7 @@ def sample_cell_point(
             raise ConstructionError(f"minor {KSet(cols, matrix.n)} should be positive, got {value}")
         if cols not in members and value != 0:
             raise ConstructionError(f"minor {KSet(cols, matrix.n)} should vanish, got {value}")
-    return CellPoint(
-        matrix,
-        tuple(sorted(weights.items())),
-        graph,
-        tuple(sorted(directed.items())),
-        sources,
-    )
+    return CellPoint(matrix, tuple(sorted(weights.items())), graph)
 
 
 def gauge_rescale(point: CellPoint, vertex: int, factor: Fraction) -> CellPoint:
@@ -453,14 +456,9 @@ def gauge_rescale(point: CellPoint, vertex: int, factor: Fraction) -> CellPoint:
     directed = dict(point.orientation)
     weights = point.weight_map()
     for eid in point.graph.rotation_map[vertex]:
-        tail, head = directed[eid]
-        if head == vertex:
-            weights[eid] *= factor
-        else:
-            weights[eid] /= factor
-    matrix, sources = _measurement_matrix(point.graph, directed, weights)
-    return CellPoint(matrix, tuple(sorted(weights.items())), point.graph,
-                     point.orientation, sources)
+        weights[eid] *= factor if directed[eid][1] == vertex else 1 / factor
+    matrix = _measurement_matrix(point.graph, weights)
+    return CellPoint(matrix, tuple(sorted(weights.items())), point.graph)
 
 
 def sample_generic_matrix(k: int, n: int, rng: random.Random) -> RationalMatrix:

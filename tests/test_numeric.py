@@ -202,6 +202,17 @@ def test_three_term_relation_rejects_overlapping_quadruples():
         pluecker_relation_check(m, KSet.of((), 4), 1, 1, 2, 3)
 
 
+def test_three_term_relation_needs_crossing_chords():
+    m = sample_generic_matrix(3, 6, random.Random(5))
+    core = KSet.of([5], 6)
+    # either cyclic direction makes {a,c} and {b,d} cross, and the relation holds
+    assert pluecker_relation_check(m, core, 1, 2, 3, 4)
+    assert pluecker_relation_check(m, core, 4, 3, 2, 1)
+    for quad in ((1, 3, 2, 4), (1, 2, 4, 3), (6, 2, 1, 3)):
+        with pytest.raises(DimensionError):
+            pluecker_relation_check(m, core, *quad)
+
+
 def test_minor_assignment_feeds_laurent_evaluation():
     m = RationalMatrix.of([[1, 0, 1], [0, 1, 1]])
     table = minor_assignment(m, [ks("12", 3), ks("13", 3)])
@@ -292,7 +303,7 @@ def test_graph_caches_stay_bounded():
     graphs = set()
     while len(graphs) < 2 * numeric.GRAPH_CACHE_SIZE + 3:
         graphs.add(bridge_graph_from_permutation(random_decorated(rng, rng.randint(4, 6))))
-    caches = (numeric._orientation_cache, numeric._graph_positroid)
+    caches = (numeric._network, numeric._graph_positroid)
     for cache in caches:
         cache.cache_clear()
     for g in graphs:
@@ -303,6 +314,34 @@ def test_graph_caches_stay_bounded():
         assert [cache.cache_info().hits for cache in caches] == [h + 1 for h in hits]
         assert all(cache.cache_info().currsize <= numeric.GRAPH_CACHE_SIZE for cache in caches)
     assert all(cache.cache_info().currsize == numeric.GRAPH_CACHE_SIZE for cache in caches)
+
+
+def test_resampling_a_graph_reuses_its_network(ex_135264, monkeypatch):
+    graph = ex_135264["graph"]
+    sample_cell_point(graph, rng_seed=1)
+    original, calls = numeric._topological_order, []
+
+    def counted(vertices, arcs):
+        calls.append(1)
+        return original(vertices, arcs)
+
+    monkeypatch.setattr(numeric, "_topological_order", counted)
+    point = sample_cell_point(graph, rng_seed=2)
+    gauge_rescale(point, graph.internal_ids()[0], Fraction(3))
+    assert calls == []
+
+
+def test_points_read_orientation_and_sources_from_their_graph():
+    rng = random.Random(67)
+    for _ in range(20):
+        graph = bridge_graph_from_permutation(random_decorated(rng, rng.randint(2, 7)))
+        point = sample_cell_point(graph, rng_seed=rng.randint(0, 99))
+        moved = [gauge_rescale(point, v, Fraction(5, 2)) for v in graph.internal_ids()[:1]]
+        for p in [point, *moved]:
+            assert dict(p.orientation) == perfect_orientation(graph)
+            cols = p.sources.elements
+            unit = [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
+            assert [[row[c - 1] for c in cols] for row in p.matrix.rows] == unit
 
 
 def test_explicit_weights_are_validated(ex_135264):
