@@ -19,6 +19,7 @@ from .combinatorics import (
     ValidationError,
     cyclically_ordered,
     in_positroid,
+    masks_cross,
     noncrossing,
     positroid_members,
     three_term,
@@ -102,9 +103,13 @@ def in_gp_b(label: KSet, necklace: GrassmannNecklace) -> bool:
     Requires positroid membership plus vanishing extensions against every
     summand of the boundary order, i.e. noncrossing with each necklace set.
     """
-    if not in_cm_b(label, necklace):
-        return False
-    return all(noncrossing(label, j_set) for j_set in necklace)
+    return in_cm_b(label, necklace) and _first_crossing(label, necklace) is None
+
+
+def _first_crossing(label: KSet, necklace: GrassmannNecklace) -> KSet | None:
+    """The first necklace set that crosses ``label``, tested on bit masks."""
+    mask = label.mask
+    return next((s for s, m in zip(necklace, necklace.masks) if masks_cross(mask, m)), None)
 
 
 def gp_b_rank_one_list(necklace: GrassmannNecklace, n_cap: int = 12) -> frozenset[KSet]:
@@ -120,7 +125,7 @@ def gp_b_rank_one_list(necklace: GrassmannNecklace, n_cap: int = 12) -> frozense
     ['124', '126', '234', '246', '256', '346', '456']
     """
     members = positroid_members(necklace, n_cap).members
-    return frozenset(lab for lab in members if all(noncrossing(lab, j_set) for j_set in necklace))
+    return frozenset(lab for lab in members if _first_crossing(lab, necklace) is None)
 
 
 def is_cluster_tilting_collection(labels, necklace: GrassmannNecklace, n_cap: int = 12) -> bool:
@@ -136,12 +141,11 @@ def is_cluster_tilting_collection(labels, necklace: GrassmannNecklace, n_cap: in
     for lab in labels:
         if not in_cm_b(lab, necklace):
             return False
-    items = sorted(labels, key=lambda s: s.elements)
-    for a, b in itertools.combinations(items, 2):
-        if not noncrossing(a, b):
-            return False
+    masks = [lab.mask for lab in labels]
+    if any(masks_cross(a, b) for a, b in itertools.combinations(masks, 2)):
+        return False
     for cand in _compatible_pool(necklace, n_cap):
-        if cand not in labels and all(noncrossing(cand, lab) for lab in items):
+        if cand not in labels and not any(masks_cross(cand.mask, m) for m in masks):
             return False
     return True
 
@@ -165,8 +169,8 @@ def maximal_noncrossing_collections(
     pool = _compatible_pool(necklace, n_cap)
     index = {lab: i for i, lab in enumerate(pool)}
     adj: list[set[int]] = [set() for _ in pool]
-    for (i, a), (j, b) in itertools.combinations(enumerate(pool), 2):
-        if noncrossing(a, b):
+    for (i, a), (j, b) in itertools.combinations(enumerate(lab.mask for lab in pool), 2):
+        if not masks_cross(a, b):
             adj[i].add(j)
             adj[j].add(i)
     base = {index[s] for s in necklace.sets}
@@ -210,10 +214,10 @@ def k2_generator_decomposition(
         raise DimensionError("decomposition applies to k=2 only")
     if not in_cm_b(label, necklace):
         raise ValidationError(f"{label} is outside the positroid")
-    if in_gp_b(label, necklace):
-        return None
+    crossing = _first_crossing(label, necklace)
+    if crossing is None:
+        return None  # label is Gorenstein-projective
     n = label.n
-    crossing = next(j_set for j_set in necklace if not noncrossing(label, j_set))
     # crossing 2-sets are disjoint; pick the cyclic interleaving a, b, c, d
     a, c = label.elements
     x, y = crossing.elements

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class DimensionError(ValueError):
@@ -90,6 +90,11 @@ class KSet:
     def sorted_by(self, i: int) -> tuple[int, ...]:
         """Elements listed in the shifted order <_i."""
         return tuple(sorted(self.elements, key=lambda j: cyclic_pos(i, j, self.n)))
+
+    @property
+    def mask(self) -> int:
+        """Bit j set for each element j."""
+        return sum(1 << j for j in self.elements)
 
     def difference(self, other: KSet) -> tuple[int, ...]:
         return tuple(e for e in self.elements if e not in other.elements)
@@ -358,6 +363,10 @@ class GrassmannNecklace:
         return iter(self.sets)
 
     @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(s.mask for s in self.sets)
+
+    @cached_property
     def gale_bounds(self) -> tuple[tuple[int, int], ...]:
         """Pairs (m, c): m has bit j for each j in a cyclic interval [i, i+t),
         c = |I_i n [i, i+t)|, and J is a member when |J n [i, i+t)| <= c for all.
@@ -413,12 +422,14 @@ def necklace_from_permutation(sigma: DecoratedPermutation) -> GrassmannNecklace:
     ['124', '234', '346', '456', '256', '126']
     """
     n = sigma.n
-    inv = sigma.inverse()
-    loops = {i for i, c in sigma.colors if c == -1}
+    # I_1 = {j : sigma^-1(j) > j} plus the loops; I_i loses i to sigma(i)
+    current = {j for i, j in enumerate(sigma.image, 1) if i > j}
+    current |= {i for i, c in sigma.colors if c == -1}
     sets = []
     for i in range(1, n + 1):
-        members = {j for j in range(1, n + 1) if cyclic_pos(i, inv(j), n) > cyclic_pos(i, j, n)}
-        sets.append(KSet.of(members | loops, n))
+        sets.append(KSet.of(current, n))
+        if i in current:
+            current = current - {i} | {sigma(i)}
     return GrassmannNecklace(tuple(sets))
 
 
@@ -461,7 +472,7 @@ def in_positroid(necklace: GrassmannNecklace, candidate: KSet) -> bool:
     for every i, read as |J n [i, i+t)| <= |I_i n [i, i+t)| (Oh, arXiv:0803.1018)."""
     if candidate.n != necklace.n or candidate.k != necklace.k:
         raise DimensionError(f"{candidate} does not match a ({necklace.k},{necklace.n}) necklace")
-    mask = sum(1 << j for j in candidate.elements)
+    mask = candidate.mask
     for m, c in necklace.gale_bounds:
         if (mask & m).bit_count() > c:
             return False
@@ -491,17 +502,21 @@ def noncrossing(a: KSet, b: KSet) -> bool:
     """
     if a.n != b.n:
         raise DimensionError("noncrossing requires a common ground set")
-    return not _chords_cross(a.difference(b), b.difference(a), a.n)
+    return not masks_cross(a.mask, b.mask)
 
 
-def _chords_cross(s: Iterable[int], t: Iterable[int], n: int) -> bool:
-    """Whether a chord between two points of s crosses one between two points
-    of t; the points of s and t are distinct."""
-    return any(
-        cyclically_ordered(x, y, z, w, n)
-        for x, z in itertools.combinations(s, 2)
-        for y, w in itertools.permutations(t, 2)
-    )
+def masks_cross(a: int, b: int) -> bool:
+    """:func:`noncrossing` negated, on bit masks: whether t = b - a meets two
+    cyclic gaps of s = a - b, so that a chord of s crosses one of t."""
+    s, t = a & ~b, b & ~a
+    y = t & -t  # the least element of t
+    above = s & -y
+    if not above:
+        return False  # t is empty or lies past the last element of s
+    z = above & -above  # the element of s after y
+    if s & (y - 1):
+        return t > z  # y lies in the gap just below z
+    return bool(t & ((1 << s.bit_length()) - z))  # y wraps round: t must avoid [z, max s]
 
 
 def alignments(sigma: DecoratedPermutation) -> int:
@@ -510,18 +525,15 @@ def alignments(sigma: DecoratedPermutation) -> int:
     This equals the codimension of the positroid cell, so every reduced graph
     of type sigma has k(n-k) - alignments(sigma) + 1 faces.
     """
-    n = sigma.n
-    f = sigma.affine_lift()
+    return affine_inversions(sigma.affine_lift())
 
-    def lifted(j: int) -> int:
-        return f[(j - 1) % n] + n * ((j - 1) // n)
 
-    return sum(
-        1
-        for i in range(1, n + 1)
-        for j in range(i + 1, i + n)
-        if f[i - 1] > lifted(j)
-    )
+def affine_inversions(f: Sequence[int]) -> int:
+    """Pairs i < j < i + n with f(i) > f(j) for the affine map with window
+    f(1), ..., f(n) and f(j + n) = f(j) + n."""
+    n = len(f)
+    lift = [*f, *(v + n for v in f)]
+    return sum(v > w for i, v in enumerate(f) for w in lift[i + 1:i + n])
 
 
 @dataclass(frozen=True)
@@ -545,14 +557,13 @@ def connected_components(necklace: GrassmannNecklace) -> list[Component]:
     cyclic order, ordered by least original element.
     """
     sigma = permutation_from_necklace(necklace)
-    n = sigma.n
     blocks: list[set[int]] = [set(cyc) for cyc in sigma.cycles()]
     blocks += [{i} for i in sigma.fixed_points()]
     merged = True
     while merged:
         merged = False
         for i, j in itertools.combinations(range(len(blocks)), 2):
-            if _chords_cross(blocks[i], blocks[j], n):
+            if masks_cross(sum(1 << x for x in blocks[i]), sum(1 << x for x in blocks[j])):
                 blocks[i] |= blocks[j]
                 del blocks[j]
                 merged = True

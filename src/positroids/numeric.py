@@ -59,6 +59,9 @@ GRAPH_CACHE_SIZE = 16
 # Seeds explored before ``verify_identities`` gives up on a mutation class.
 MUTATION_CLASS_LIMIT = 500
 
+# The default edge weights a / b with 1 <= a, b <= 9, drawn by index.
+_WEIGHTS = {(a, b): Fraction(a, b) for a in range(1, 10) for b in range(1, 10)}
+
 
 class ConstructionError(RuntimeError):
     """No valid network construction exists for the request."""
@@ -86,8 +89,13 @@ class RationalMatrix:
         return len(self.rows)
 
     @cached_property
+    def scaled_minors(self) -> tuple[dict[tuple[int, ...], int], int]:
+        """:func:`_scaled_table`, built on first use, once per matrix; read only."""
+        return _scaled_table(self)
+
+    @cached_property
     def minors(self) -> Mapping[tuple[int, ...], Fraction]:
-        """:func:`pluecker_table`, built on first use, once per matrix; read only."""
+        """:func:`pluecker_table`, built on first read, once per matrix; read only."""
         return pluecker_table(self)
 
     def to_json(self) -> list[list[str]]:
@@ -101,14 +109,26 @@ class RationalMatrix:
 def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
     """Every maximal minor of ``matrix``, keyed by sorted 1-based column tuple.
 
-    Rows are scaled to integers by the lcm of their denominators; the nonzero
-    minors of the first r rows come from those of the first r - 1 rows by
-    Laplace expansion along row r, and each integer determinant is divided
-    once by the product of the row scales.  That is about sum_r r * C(n, r)
-    integer products, and the values are the canonical Fractions that exact
-    elimination gives; Gr(0, n) has the single minor ``{(): 1}``.  Each call
-    builds a new table: ``matrix.minors`` is the one kept per matrix.
+    Each integer determinant of ``matrix.scaled_minors``, the one integer
+    table kept per matrix, is divided once by its scale: the values are the
+    canonical Fractions that exact elimination gives, and Gr(0, n) has the
+    single minor ``{(): 1}``.  Each call builds new Fractions:
+    ``matrix.minors`` is the table kept per matrix.
     """
+    dets, scale = matrix.scaled_minors
+    return {
+        cols: Fraction(dets.get(cols, 0), scale)
+        for cols in itertools.combinations(range(1, matrix.n + 1), matrix.k)
+    }
+
+
+def _scaled_table(matrix: RationalMatrix) -> tuple[dict[tuple[int, ...], int], int]:
+    """(dets, scale): the nonzero maximal minors times ``scale`` as ints, keyed
+    by sorted column tuple.  Rows are scaled to integers by the lcm of their
+    denominators, and ``scale`` > 0 is the product of those lcms, so signs and
+    zeros are kept.  The nonzero minors of the first r rows come from those of
+    the first r - 1 by Laplace expansion along row r: about sum_r r * C(n, r)
+    integer products."""
     scale = 1
     level: dict[tuple[int, ...], int] = {(): 1}
     for row in matrix.rows:
@@ -127,17 +147,14 @@ def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
                 term = -a * det if (size - p) & 1 else a * det
                 grown[key] = grown.get(key, 0) + term
         level = {cols: det for cols, det in grown.items() if det}
-    return {
-        cols: Fraction(level.get(cols, 0), scale)
-        for cols in itertools.combinations(range(1, matrix.n + 1), matrix.k)
-    }
+    return level, scale
 
 
 def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
     """Exact determinant of the selected columns.
 
-    A lookup in ``matrix.minors``: one integer table per matrix, built by
-    :func:`pluecker_table`, which yields the Fractions elimination gives.
+    A lookup in ``matrix.minors``, whose Fractions are divided out of the one
+    integer table per matrix, ``matrix.scaled_minors``, on first read.
 
     >>> m = RationalMatrix.of([[1, 0, 2], [0, 1, 3]])
     >>> minor(m, KSet.of([1, 2], 3))
@@ -269,19 +286,13 @@ def _network(graph: PlabicGraph) -> _Network | None:
     def orientation_of(assignment: dict[int, int]) -> dict[int, tuple[int, int]]:
         directed: dict[int, tuple[int, int]] = {}
         for eid, (u, v) in enumerate(graph.edges):
-            iu, iv = u > n, v > n
-            if not iu and not iv:
-                directed[eid] = (u, v) if u < v else (v, u)
+            if u <= n and v <= n:
+                directed[eid] = (min(u, v), max(u, v))
                 continue
-            if iu:
-                special = assignment.get(u) == eid
-                # black: distinguished = outgoing; white: distinguished = incoming
-                out_of_u = special if colors[u] == BLACK else not special
-                directed[eid] = (u, v) if out_of_u else (v, u)
-            else:
-                special = assignment.get(v) == eid
-                out_of_v = special if colors[v] == BLACK else not special
-                directed[eid] = (v, u) if out_of_v else (u, v)
+            w, x = (u, v) if u > n else (v, u)  # w is internal
+            # black: distinguished = outgoing; white: distinguished = incoming
+            out_of_w = (assignment.get(w) == eid) == (colors[w] == BLACK)
+            directed[eid] = (w, x) if out_of_w else (x, w)
         return directed
 
     def search() -> _Network | None:
@@ -417,13 +428,12 @@ def sample_cell_point(
     generator.  Every call checks the vanishing profile of the result: minors
     vanish exactly on the positroid complement and are strictly positive on
     the members (the point lies in the totally nonnegative part of the cell).
+    The check reads the integer minors; Fractions are built only to name the
+    first offending minor, or when the point's minors are read.
     """
     if weights is None:
         rng = random.Random(rng_seed)
-        weights = {
-            eid: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            for eid in range(len(graph.edges))
-        }
+        weights = {eid: _WEIGHTS[rng.randint(1, 9), rng.randint(1, 9)] for eid in range(len(graph.edges))}
     else:
         weights = dict(weights)
         if set(weights) != set(range(len(graph.edges))):
@@ -433,11 +443,13 @@ def sample_cell_point(
     matrix = _measurement_matrix(graph, weights)
 
     members = _graph_positroid(graph, n_cap)
-    for cols, value in matrix.minors.items():
-        if cols in members and value <= 0:
-            raise ConstructionError(f"minor {KSet(cols, matrix.n)} should be positive, got {value}")
-        if cols not in members and value != 0:
-            raise ConstructionError(f"minor {KSet(cols, matrix.n)} should vanish, got {value}")
+    dets, _ = matrix.scaled_minors
+    if dets.keys() != members or any(det < 0 for det in dets.values()):
+        for cols, value in matrix.minors.items():
+            if cols in members and value <= 0:
+                raise ConstructionError(f"minor {KSet(cols, matrix.n)} should be positive, got {value}")
+            if cols not in members and value != 0:
+                raise ConstructionError(f"minor {KSet(cols, matrix.n)} should vanish, got {value}")
     return CellPoint(matrix, tuple(sorted(weights.items())), graph)
 
 
@@ -535,8 +547,8 @@ def _minor_identities(
     return out
 
 
-def _product(table: Mapping[tuple[int, ...], Fraction], pair: tuple[KSet, KSet]) -> Fraction:
-    return table[pair[0].elements] * table[pair[1].elements]
+def _product(dets: Mapping[tuple[int, ...], int], pair: tuple[KSet, KSet]) -> int:
+    return dets.get(pair[0].elements, 0) * dets.get(pair[1].elements, 0)
 
 
 def _exchange_checks(
@@ -620,19 +632,21 @@ def verify_identities(
     n, k = necklace.n, necklace.k
     if any((point.matrix.k, point.matrix.n) != (k, n) for point in points):
         raise DimensionError(f"cell points must be {k} x {n} matrices")
-    tables = [point.matrix.minors for point in points]
+    tables = [point.matrix.scaled_minors for point in points]
     positroid = positroid_members(necklace, n_cap)
     for name, lhs, rhs in _minor_identities(necklace, positroid.members):
+        # both sides carry scale ** 2: compare integers, show a failure as Fractions
         checks = (
-            (f"cell:{pidx}", _product(table, lhs), sum(_product(table, pair) for pair in rhs))
-            for pidx, table in enumerate(tables)
+            (f"cell:{pidx}", (_product(dets, lhs), scale**2), (sum(_product(dets, p) for p in rhs), scale**2))
+            for pidx, (dets, scale) in enumerate(tables)
         )
-        identities.append(_entry(name, checks))
+        identities.append(_entry(name, checks, show=lambda side: str(Fraction(*side))))
 
     expected = positroid.complement()
+    every = [KSet(c, n) for c in itertools.combinations(range(1, n + 1), k)]
     profiles = (
-        (f"cell:{pidx}", {KSet(c, n) for c, value in table.items() if value == 0}, expected)
-        for pidx, table in enumerate(tables)
+        (f"cell:{pidx}", {s for s in every if s.elements not in dets}, expected)
+        for pidx, (dets, _) in enumerate(tables)
     )
     identities.append(
         _entry("vanishing-profile", profiles, show=lambda sets: sorted(s.label() for s in sets))

@@ -26,6 +26,7 @@ exactly when the trip traverses the crossed edge once.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -36,6 +37,7 @@ from positroids.combinatorics import (
     GrassmannNecklace,
     KSet,
     ValidationError,
+    affine_inversions,
     alignments,
 )
 
@@ -338,22 +340,23 @@ def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeli
     for i in range(1, n + 1):
         marks[dart_face[strands[i - 2].darts[0]]].append(i)
 
-    image = [t.target for t in strands]
-    colors = {}
-    for t, side in zip(strands, sides):
-        if t.target != t.source:
-            continue
-        svals = set(side.values())
-        if svals <= {"L"}:
-            colors[t.source] = -1
-        elif svals <= {"R"}:
-            colors[t.source] = 1
-        else:
-            raise ReducednessError(f"fixed point {t.source} has faces on both sides")
     faces = tuple(
         Face(fid, KSet.of(labels[fid], n), tuple(marks[fid]), orbits[fid]) for fid in interior
     )
-    return FaceLabeling(g, faces, DecoratedPermutation.of(image, colors))
+    return FaceLabeling(g, faces, _strand_permutation(disk, strands))
+
+
+def _strand_permutation(disk: _Disk, strands: list[Trip]) -> DecoratedPermutation:
+    """The decorated permutation of ``_trips(disk)``; a fixed point's strand
+    must be its leg and the bounce off a leaf, white for -1 and black for +1."""
+    colors = {}
+    for t in strands:
+        if t.target == t.source:
+            leaf = disk.head(t.darts[0])
+            if leaf <= disk.n or disk.deg[leaf] != 1:
+                raise ReducednessError(f"fixed point {t.source} is not a leaf bounce")
+            colors[t.source] = -1 if disk.colors[leaf] == WHITE else 1
+    return DecoratedPermutation.of([t.target for t in strands], colors)
 
 
 def _trip_sides(
@@ -403,7 +406,10 @@ def face_labels(g: PlabicGraph) -> FaceLabeling:
 
 
 def trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
-    return face_labels(g).permutation
+    """The decorated permutation of g's trips, read from the strands alone:
+    no face analysis runs."""
+    disk = _Disk(g)
+    return _strand_permutation(disk, _trips(disk))
 
 
 def validate_reduced(g: PlabicGraph) -> bool:
@@ -421,25 +427,16 @@ def validate_reduced(g: PlabicGraph) -> bool:
         return False
     for t in strands:
         eids = t.edge_ids()
-        for k in range(len(eids)):
-            for l in range(k + 1, len(eids)):
-                if eids[k] != eids[l]:
-                    continue
-                bounce = l == k + 1 and disk.deg.get(disk.head(t.darts[k]), 0) == 1
-                if not bounce:
-                    return False
+        for k, l in itertools.combinations(range(len(eids)), 2):  # repeats only as a leaf bounce
+            if eids[k] == eids[l] and (l > k + 1 or disk.deg.get(disk.head(t.darts[k]), 0) != 1):
+                return False
     firsts = [
         {e: pos for pos, e in reversed(list(enumerate(t.edge_ids())))} for t in strands
     ]
-    for a in range(len(strands)):
-        for b in range(a + 1, len(strands)):
-            shared = set(firsts[a]) & set(firsts[b])
-            for e1 in shared:
-                for e2 in shared:
-                    if e1 == e2:
-                        continue
-                    if firsts[a][e1] < firsts[a][e2] and firsts[b][e1] < firsts[b][e2]:
-                        return False
+    for fa, fb in itertools.combinations(firsts, 2):
+        shared = fa.keys() & fb.keys()
+        if any(fa[e1] < fa[e2] and fb[e1] < fb[e2] for e1, e2 in itertools.permutations(shared, 2)):
+            return False
     try:
         labeling = _label_faces(g, disk, strands)
     except ReducednessError:
@@ -463,23 +460,12 @@ def bridge_graph_from_permutation(sigma: DecoratedPermutation) -> PlabicGraph:
     n = sigma.n
     f = [0] + list(sigma.affine_lift())
 
-    def lifted(fv: list[int], j: int) -> int:
-        return fv[j] if j <= n else fv[j - n] + n
-
-    def inversions(fv: list[int]) -> int:
-        return sum(
-            1
-            for i in range(1, n + 1)
-            for j in range(i + 1, i + n)
-            if fv[i] > lifted(fv, j)
-        )
-
     def trivial(x: int) -> bool:
         return f[x] in (x, x + n)
 
     bridges: list[tuple[int, int]] = []
     while not all(trivial(x) for x in range(1, n + 1)):
-        before = inversions(f)
+        before = affine_inversions(f[1:])
         progressed = False
         for a in range(1, n + 1):
             if trivial(a):
@@ -492,7 +478,7 @@ def bridge_graph_from_permutation(sigma: DecoratedPermutation) -> PlabicGraph:
             if not (pb <= va < vb <= a + n):
                 continue
             f[a], f[b] = vb, va - (n if b < a else 0)
-            if inversions(f) == before + 1:
+            if affine_inversions(f[1:]) == before + 1:
                 bridges.append((a, b))
                 progressed = True
                 break

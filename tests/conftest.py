@@ -24,6 +24,7 @@ from positroids import (
     necklace_from_permutation,
     quiver_from_graph,
 )
+from positroids.combinatorics import cyclically_ordered
 
 SNAPSHOTS = json.loads((Path(__file__).parent / "snapshots.json").read_text())
 
@@ -68,6 +69,17 @@ def k2_permutations(n: int):
 
 def ks(text: str, n: int) -> KSet:
     return KSet.from_label(text, n)
+
+
+def chords_cross(s, t, n: int) -> bool:
+    """Reference crossing test: a chord between two points of s crosses one
+    between two points of t, i.e. x, y, z, w lie in cyclic order; the points
+    of s and t are distinct."""
+    return any(
+        cyclically_ordered(x, y, z, w, n)
+        for x, z in itertools.combinations(s, 2)
+        for y, w in itertools.permutations(t, 2)
+    )
 
 
 def has_core_two_cycle_or_loop(quiver) -> bool:

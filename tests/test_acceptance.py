@@ -36,7 +36,9 @@ from positroids import (
     quiver_from_graph,
     reverse_necklace,
     sample_cell_point,
+    trip_permutation,
 )
+from positroids import plabic
 from positroids.cluster import LaurentDivisionError
 from positroids.numeric import minor_assignment
 
@@ -216,6 +218,13 @@ def test_criterion_7_quivers_are_clean_and_split_over_components(family):
             split += 1
     assert split >= 2
     print(f"ACCEPTANCE 7: PASS ({graphs} quivers clean, {split} disconnected cells split)")
+
+
+def test_closure_graphs_read_their_trip_permutation_from_trips_alone(family, monkeypatch):
+    graphs = [(record["sigma"], graph, lab) for record in family for graph, lab in record["members"]]
+    assert all(lab.permutation == sigma for sigma, _, lab in graphs)
+    monkeypatch.setattr(plabic, "_label_faces", None)
+    assert all(trip_permutation(graph) == sigma for sigma, graph, _ in graphs)
 
 
 def test_criterion_8_every_small_rank_two_cell_resolves():

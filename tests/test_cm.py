@@ -25,7 +25,15 @@ from positroids import (
 from positroids.cm import ModuleCollection, RankOneModule
 from positroids.combinatorics import DimensionError, SizeCapError, ValidationError, in_positroid
 
-from conftest import SNAPSHOTS, k2_permutations, ks, random_decorated, uniform_perm
+from conftest import (
+    SNAPSHOTS,
+    chords_cross,
+    decorated_permutations,
+    k2_permutations,
+    ks,
+    random_decorated,
+    uniform_perm,
+)
 
 
 def test_profile_walks_down_at_label_elements():
@@ -184,3 +192,20 @@ def test_k2_decompositions_exist_across_small_cells():
                 assert in_positroid(neck, l1) and in_positroid(neck, l2)
                 # the rerouted pair reassembles the four original endpoints
                 assert sorted(lab.elements + j_set.elements) == sorted(l1.elements + l2.elements)
+
+
+def test_mask_scans_match_the_chord_reference():
+    # projectivity and the crossing set a resolution uses, both found by one
+    # scan of the necklace masks, against the chord test
+    for n in range(1, 7):
+        for sigma in decorated_permutations(n):
+            neck = necklace_from_permutation(sigma)
+            first = {}
+            for lab in positroid_members(neck).members:
+                crossed = (j for j in neck if chords_cross(lab.difference(j), j.difference(lab), n))
+                first[lab] = next(crossed, None)
+                assert in_gp_b(lab, neck) == (first[lab] is None)
+                if sigma.k == 2:
+                    out = k2_generator_decomposition(lab, neck)
+                    assert (out is None) if first[lab] is None else (out[0] == first[lab])
+            assert gp_b_rank_one_list(neck) == {lab for lab, j in first.items() if j is None}

@@ -38,7 +38,7 @@ from positroids.combinatorics import (
     restricted_necklace,
 )
 
-from conftest import decorated_permutations, ks, random_decorated, uniform_perm
+from conftest import chords_cross, decorated_permutations, ks, random_decorated, uniform_perm
 
 
 @pytest.mark.parametrize("module", [combinatorics, plabic, cluster, cm, numeric])
@@ -216,6 +216,24 @@ def test_necklace_entries_step_by_at_most_one_exchange():
             assert len(nxt - (cur - {i})) <= 1
 
 
+def necklace_by_definition(sigma):
+    # I_i = {j : sigma^-1(j) >_i j} plus the fixed points colored -1
+    n = sigma.n
+    inv = sigma.inverse()
+    loops = {i for i, c in sigma.colors if c == -1}
+    sets = []
+    for i in range(1, n + 1):
+        members = {j for j in range(1, n + 1) if cyclic_pos(i, inv(j), n) > cyclic_pos(i, j, n)}
+        sets.append(KSet.of(members | loops, n))
+    return GrassmannNecklace(tuple(sets))
+
+
+def test_necklace_recurrence_matches_the_definition_for_n_up_to_7():
+    for n in range(1, 8):
+        for sigma in decorated_permutations(n):
+            assert necklace_from_permutation(sigma) == necklace_by_definition(sigma), sigma
+
+
 @given(st.integers(0, 10**6), st.integers(1, 8))
 @settings(max_examples=80, deadline=None)
 def test_necklace_permutation_bijection(seed, n):
@@ -328,6 +346,24 @@ def test_noncrossing_examples_and_symmetry():
         a = KSet.of(rng.sample(range(1, n + 1), kk), n)
         b = KSet.of(rng.sample(range(1, n + 1), kk), n)
         assert noncrossing(a, b) == noncrossing(b, a)
+
+
+def test_mask_crossing_matches_the_chord_reference_for_n_up_to_8():
+    # noncrossing tests bit masks; the reference tries every pair of chords
+    reference = functools.lru_cache(maxsize=None)(chords_cross)
+    for n in range(1, 9):
+        subsets = [KSet(c, n) for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+        for a, b in itertools.product(subsets, repeat=2):
+            assert noncrossing(a, b) == (not reference(a.difference(b), b.difference(a), n)), (a, b)
+
+
+def test_connected_components_cross_no_chords_between_blocks():
+    for n in range(1, 7):
+        for sigma in decorated_permutations(n):
+            comps = connected_components(necklace_from_permutation(sigma))
+            assert sorted(e for c in comps for e in c.elements) == list(range(1, n + 1))
+            for a, b in itertools.combinations(comps, 2):
+                assert not chords_cross(a.elements, b.elements, n), sigma
 
 
 def test_noncrossing_is_rotation_invariant():

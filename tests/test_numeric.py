@@ -29,7 +29,7 @@ from positroids import (
     sample_cell_point,
     verify_identities,
 )
-from positroids import cluster, numeric
+from positroids import cluster, numeric, plabic
 from positroids.cm import k2_generator_decomposition
 from positroids.combinatorics import DimensionError, ValidationError, three_term
 from positroids.numeric import (
@@ -132,12 +132,13 @@ def test_pluecker_table_agrees_with_cofactor_expansion(m):
 
 def test_sampling_builds_each_table_once(monkeypatch, ex_135264):
     built = []
+    scaled_table = numeric._scaled_table
 
     def counting(matrix):
         built.append(matrix)
-        return pluecker_table(matrix)
+        return scaled_table(matrix)
 
-    monkeypatch.setattr(numeric, "pluecker_table", counting)
+    monkeypatch.setattr(numeric, "_scaled_table", counting)
     g = ex_135264["graph"]
     points = tuple(sample_cell_point(g, rng_seed=i) for i in range(3))
     assert built == [p.matrix for p in points]
@@ -145,6 +146,42 @@ def test_sampling_builds_each_table_once(monkeypatch, ex_135264):
     del built[:]
     report = verify_identities(ex_135264["necklace"], ex_135264["seed"], points, generic)
     assert report["passed"] and built == []
+
+
+def test_sampling_a_new_graph_analyses_no_faces_and_divides_no_minors(monkeypatch):
+    analysed = []
+    label_faces = plabic._label_faces
+    monkeypatch.setattr(plabic, "_label_faces", lambda *args: analysed.append(args) or label_faces(*args))
+    numeric._graph_positroid.cache_clear()
+    graph = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string("(14)(263):-"))
+    point = sample_cell_point(graph, rng_seed=9)
+    assert analysed == []
+    # the vanishing check read the integer table; the Fractions wait for a read
+    assert "scaled_minors" in vars(point.matrix) and "minors" not in vars(point.matrix)
+    dets, scale = point.matrix.scaled_minors
+    assert point.matrix.minors == {c: Fraction(dets.get(c, 0), scale) for c in point.matrix.minors}
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_integer_vanishing_check_names_the_fraction_loops_offender(monkeypatch, ex_135264, change):
+    graph = ex_135264["graph"]
+    table = sample_cell_point(graph, rng_seed=5).matrix.minors
+    members = numeric._graph_positroid(graph, 12)
+    off = min(members) if change == "drop" else min(set(table) - members)
+    wrong = members - {off} if change == "drop" else members | {off}
+    expected = None
+    for cols, value in table.items():  # the Fraction loop the integer check replaced
+        if cols in wrong and value <= 0:
+            expected = f"minor {KSet(cols, 6)} should be positive, got {value}"
+        elif cols not in wrong and value != 0:
+            expected = f"minor {KSet(cols, 6)} should vanish, got {value}"
+        if expected:
+            break
+    assert ("should vanish" if change == "drop" else "should be positive") in expected
+    monkeypatch.setattr(numeric, "_graph_positroid", lambda g, n_cap: wrong)
+    with pytest.raises(ConstructionError) as caught:
+        sample_cell_point(graph, rng_seed=5)
+    assert str(caught.value) == expected
 
 
 def test_matrix_json_round_trip():
@@ -561,6 +598,28 @@ def test_identity_sweep_reports_off_cell_points():
         ]
         lhs, rhs = (x * y for x, y in products)
         assert (failure["lhs"], failure["rhs"]) == (str(lhs), str(rhs))
+
+
+def test_off_cell_failures_on_a_rational_point_show_fraction_products():
+    # the sweep compares integer products; a failure still reports the Fractions
+    sigma = DecoratedPermutation.from_cycle_string("(12453)")
+    g = bridge_graph_from_permutation(sigma)
+    rows = sample_generic_matrix(2, 5, random.Random(3)).rows
+    off = RationalMatrix.of([[x / 2 for x in rows[0]], [x / 3 for x in rows[1]]])
+    point = dataclasses.replace(sample_cell_point(g, rng_seed=1), matrix=off)
+    report = verify_identities(necklace_from_permutation(sigma), initial_seed(quiver_from_graph(g)), (point,), ())
+    shown = []
+    for entry in report["identities"]:
+        if entry["name"].startswith("restricted:"):
+            (failure,) = entry["failures"]
+            products = [
+                [minor(off, ks(lab, 5)) for lab in side.split("*")]
+                for side in entry["name"].split(":")[1].split("=")
+            ]
+            lhs, rhs = (x * y for x, y in products)
+            assert (failure["lhs"], failure["rhs"]) == (str(lhs), str(rhs))
+            shown += [failure["lhs"], failure["rhs"]]
+    assert len(shown) == 10 and any("/" in side for side in shown)
 
 
 def two_pass_exchanges(seed):

@@ -24,7 +24,14 @@ from positroids import (
 )
 from positroids import plabic
 from positroids.combinatorics import ValidationError
-from positroids.plabic import _contract_edge, _corner_runs, _Disk, _split_corner, movable_faces
+from positroids.plabic import (
+    ReducednessError,
+    _contract_edge,
+    _corner_runs,
+    _Disk,
+    _split_corner,
+    movable_faces,
+)
 
 from conftest import (
     assert_frozen_glued,
@@ -86,6 +93,27 @@ def test_random_cells_round_trip():
         g = bridge_graph_from_permutation(sigma)
         assert trip_permutation(g) == sigma
         assert validate_reduced(g)
+
+
+def test_trip_permutation_matches_the_face_analysis_for_n_up_to_6(monkeypatch):
+    graphs = [(sigma, bridge_graph_from_permutation(sigma)) for n in range(1, 7) for sigma in every_decorated(n)]
+    assert all(face_labels(g).permutation == sigma for sigma, g in graphs)
+    # the strands alone give the permutation and its decoration
+    monkeypatch.setattr(plabic, "_label_faces", None)
+    assert all(trip_permutation(g) == sigma for sigma, g in graphs)
+
+
+@pytest.mark.parametrize("color", ["white", "black"])
+def test_a_fixed_point_must_bounce_off_a_leaf(color):
+    # strand 1 runs out along the leg, bounces off the leaf 3 and comes back
+    # through the degree-two vertex 2, so it uses the leg twice
+    g = PlabicGraph.of(1, {2: color, 3: "black"}, [(1, 2), (2, 3)], {1: [0], 2: [0, 1], 3: [1]})
+    assert [(t.source, t.target) for t in trips(g)] == [(1, 1)]
+    with pytest.raises(ReducednessError):
+        trip_permutation(g)
+    with pytest.raises(ReducednessError):
+        face_labels(g)
+    assert not validate_reduced(g)
 
 
 def test_lollipop_cells():
