@@ -258,6 +258,7 @@ HANDLERS = {
 }
 
 POINT_DEFAULTS = {"verify": 50, "sample": 1}
+SEEDS_LIMIT = 1000  # above Gr(3,7)'s 833 seeds; an infinite class stops, marked partial
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None, metavar="FILE")
         if name == "seeds":
-            p.add_argument("--limit", type=int, default=None)
+            p.add_argument("--limit", type=int, default=SEEDS_LIMIT)
         if name in POINT_DEFAULTS:
             p.add_argument("--points", type=int, default=POINT_DEFAULTS[name])
         if name == "verify":

@@ -19,15 +19,16 @@ Conventions, fixed once and used consistently:
   vertex is white and counterclockwise if black.
 
 Face labels use the target convention: the label of a face collects the
-targets of all trips that leave the face on their left.  Left/right sides of
-a single trip are propagated to every face by crossing edges: the side flips
-exactly when the trip traverses the crossed edge once.
+targets of all trips that leave the face on their left.  One search over the
+faces carries a bit mask with a bit per trip: crossing an edge flips the bit
+of each trip that traverses the edge once.  The faces beside each trip's
+darts then fix which value of its bit means "left".
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -309,9 +310,7 @@ def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeli
     """The one face analysis of g, from its disk and ``_trips(disk)``."""
     n = disk.n
     orbits, dart_face = _face_orbits(disk)
-    n_vert = n + len(g.colors)
-    n_edge = len(disk.ends)
-    if n_vert - n_edge + len(orbits) != 2:
+    if n + len(g.colors) - len(disk.ends) + len(orbits) != 2:  # Euler's formula
         raise ValidationError("graph is not connected and planar in the disk")
     outer = dart_face[disk.dart(disk.arc_of[1], 1)] if n >= 2 else None
     interior = [fid for fid in range(len(orbits)) if fid != outer]
@@ -324,13 +323,52 @@ def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeli
             adjacent[fa].append((eid, fb))
             adjacent[fb].append((eid, fa))
 
-    sides = [_trip_sides(disk, t, dart_face, adjacent, interior) for t in strands]
+    # bit t of a face's mask flips across each edge that the strand ending at t
+    # traverses once; no edge has more than two darts, so XOR over darts suffices
+    flips = [0] * disk.m
+    for t in strands:
+        for d in t.darts:
+            flips[d >> 1] ^= 1 << t.target
+    # masks relative to the first interior face, so each strand's bit may be inverted
+    mask: list[int | None] = [None] * len(orbits)
+    mask[interior[0]] = 0
+    queue = deque([interior[0]])
+    while queue:
+        fid = queue.popleft()
+        for eid, other in adjacent[fid]:
+            want = mask[fid] ^ flips[eid]
+            if mask[other] is None:
+                mask[other] = want
+                queue.append(other)
+            elif mask[other] != want:
+                raise ReducednessError(f"a trip through edge {eid} assigns both sides to one face")
+    if any(mask[fid] is None for fid in interior):
+        raise ValidationError("face side propagation did not reach every face")
 
-    labels: dict[int, set[int]] = {fid: set() for fid in interior}
-    for trip, side in zip(strands, sides):
-        for fid, s in side.items():
-            if s == "L":
-                labels[fid].add(trip.target)
+    # each strand's darts fix which value of its bit means "on its left"
+    offset = 0
+    for t in strands:
+        bit, t_offset = 1 << t.target, None
+        for d in t.darts:
+            # a cap edge ends in an internal leaf, whose color picks the side
+            u, v = disk.ends[d >> 1]
+            leaf = u if u > n and disk.deg[u] == 1 else v
+            if leaf > n and disk.deg[leaf] == 1:
+                sides = ((dart_face[d], disk.colors[leaf] == WHITE),)
+            else:
+                sides = ((dart_face[d], True), (dart_face[d ^ 1], False))
+            for fid, left in sides:
+                want = (mask[fid] & bit) ^ (bit if left else 0)
+                if t_offset is None:
+                    t_offset = want
+                elif t_offset != want:
+                    raise ReducednessError(f"trip {t.source} assigns both sides to one face")
+        offset |= t_offset
+
+    labels = {
+        fid: tuple(j for j in range(1, n + 1) if (mask[fid] ^ offset) >> j & 1)
+        for fid in interior
+    }
     sizes = {len(s) for s in labels.values()}
     if len(sizes) > 1:
         raise ReducednessError(f"face label sizes disagree: {sorted(sizes)}")
@@ -341,7 +379,7 @@ def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeli
         marks[dart_face[strands[i - 2].darts[0]]].append(i)
 
     faces = tuple(
-        Face(fid, KSet.of(labels[fid], n), tuple(marks[fid]), orbits[fid]) for fid in interior
+        Face(fid, KSet(labels[fid], n), tuple(marks[fid]), orbits[fid]) for fid in interior
     )
     return FaceLabeling(g, faces, _strand_permutation(disk, strands))
 
@@ -357,47 +395,6 @@ def _strand_permutation(disk: _Disk, strands: list[Trip]) -> DecoratedPermutatio
                 raise ReducednessError(f"fixed point {t.source} is not a leaf bounce")
             colors[t.source] = -1 if disk.colors[leaf] == WHITE else 1
     return DecoratedPermutation.of([t.target for t in strands], colors)
-
-
-def _trip_sides(
-    disk: _Disk,
-    trip: Trip,
-    dart_face: dict[int, int],
-    adjacent: list[list[tuple[int, int]]],
-    interior: list[int],
-) -> dict[int, str]:
-    side: dict[int, str] = {}
-    conflict = "trip {} assigns both sides to one face".format(trip.source)
-
-    def put(fid: int, s: str) -> None:
-        if side.setdefault(fid, s) != s:
-            raise ReducednessError(conflict)
-
-    traversals = Counter(d >> 1 for d in trip.darts)
-    for d in trip.darts:
-        # a cap edge ends in an internal leaf, whose color picks the side
-        u, v = disk.ends[d >> 1]
-        leaf = u if u > disk.n and disk.deg[u] == 1 else v
-        if leaf > disk.n and disk.deg[leaf] == 1:
-            put(dart_face[d], "L" if disk.colors[leaf] == WHITE else "R")
-        else:
-            put(dart_face[d], "L")
-            put(dart_face[d ^ 1], "R")
-
-    queue = deque(side)
-    while queue:
-        fid = queue.popleft()
-        for eid, other in adjacent[fid]:
-            flip = traversals[eid] == 1
-            want = ("R" if side[fid] == "L" else "L") if flip else side[fid]
-            if other not in side:
-                side[other] = want
-                queue.append(other)
-            elif side[other] != want:
-                raise ReducednessError(conflict)
-    if any(fid not in side for fid in interior):
-        raise ValidationError("face side propagation did not reach every face")
-    return side
 
 
 def face_labels(g: PlabicGraph) -> FaceLabeling:
@@ -531,11 +528,12 @@ def bridge_graph_from_permutation(sigma: DecoratedPermutation) -> PlabicGraph:
         u, d, br = up_edge[v], down_edge[v], bridge_edge[t]
         rotation[v] = (br, u, d) if role == "a" else (u, br, d)
 
-    return _cleanup(PlabicGraph.of(n, colors, edges, rotation))
+    return _cleanup(n, colors, edges, rotation)
 
 
-def _cleanup(g: PlabicGraph) -> PlabicGraph:
-    """Remove bounce caps and straighten the graph.
+def _cleanup(n: int, colors: dict[int, str], edge_list: list, rotation: dict) -> PlabicGraph:
+    """Build the graph with boundary n from its parts, with bounce caps removed
+    and degree-2 vertices straightened; ``colors`` is updated in place.
 
     A degree-1 internal vertex hanging off another internal vertex only makes
     the strand through its neighbor take a detour down and back; deleting it
@@ -543,9 +541,8 @@ def _cleanup(g: PlabicGraph) -> PlabicGraph:
     faces and labels unchanged.  Caps attached directly to a boundary vertex
     are genuine lollipops (decorated fixed points) and are kept.
     """
-    colors = g.color_map
-    edges: dict[int, tuple[int, int]] = dict(enumerate(g.edges))
-    rot: dict[int, list[int]] = {v: list(r) for v, r in g.rotation}
+    edges: dict[int, tuple[int, int]] = dict(enumerate(edge_list))
+    rot: dict[int, list[int]] = {v: list(rotation[v]) for v in sorted(rotation)}
 
     def far_end(eid: int, v: int) -> int:
         u, w = edges[eid]
@@ -555,17 +552,17 @@ def _cleanup(g: PlabicGraph) -> PlabicGraph:
     while changed:
         changed = False
         for v in list(rot):
-            if v not in rot or v <= g.boundary or len(rot[v]) != 1:
+            if v not in rot or v <= n or len(rot[v]) != 1:
                 continue
             eid = rot[v][0]
             other = far_end(eid, v)
-            if other <= g.boundary:
+            if other <= n:
                 continue
             del rot[v], colors[v], edges[eid]
             rot[other].remove(eid)
             changed = True
         for v in list(rot):
-            if v not in rot or v <= g.boundary or len(rot[v]) != 2:
+            if v not in rot or v <= n or len(rot[v]) != 2:
                 continue
             e1, e2 = rot[v]
             a, b = far_end(e1, v), far_end(e2, v)
@@ -579,7 +576,7 @@ def _cleanup(g: PlabicGraph) -> PlabicGraph:
     remap = {eid: k for k, eid in enumerate(sorted(edges))}
     new_edges = [edges[eid] for eid in sorted(edges)]
     new_rot = {v: tuple(remap[e] for e in r) for v, r in rot.items()}
-    return PlabicGraph.of(g.boundary, colors, new_edges, new_rot)
+    return PlabicGraph.of(n, colors, new_edges, new_rot)
 
 
 def _contract_edge(g: PlabicGraph, eid: int) -> PlabicGraph:

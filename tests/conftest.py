@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,16 @@ from positroids import (
     necklace_from_permutation,
     quiver_from_graph,
 )
-from positroids.combinatorics import cyclically_ordered
+from positroids.combinatorics import ValidationError, cyclically_ordered
+from positroids.plabic import (
+    BLACK,
+    WHITE,
+    Face,
+    FaceLabeling,
+    ReducednessError,
+    _face_orbits,
+    _strand_permutation,
+)
 
 SNAPSHOTS = json.loads((Path(__file__).parent / "snapshots.json").read_text())
 
@@ -80,6 +90,95 @@ def chords_cross(s, t, n: int) -> bool:
         for x, z in itertools.combinations(s, 2)
         for y, w in itertools.permutations(t, 2)
     )
+
+
+def reference_trip_sides(disk, trip, dart_face, adjacent, interior) -> dict[int, str]:
+    """Side ("L" or "R") of every face reached from one strand's darts.
+
+    The faces beside the strand's darts seed a breadth-first search; the side
+    flips across an edge exactly when the strand traverses it once.
+    """
+    side: dict[int, str] = {}
+    conflict = "trip {} assigns both sides to one face".format(trip.source)
+
+    def put(fid: int, s: str) -> None:
+        if side.setdefault(fid, s) != s:
+            raise ReducednessError(conflict)
+
+    traversals = Counter(d >> 1 for d in trip.darts)
+    for d in trip.darts:
+        # a cap edge ends in an internal leaf, whose color picks the side
+        u, v = disk.ends[d >> 1]
+        leaf = u if u > disk.n and disk.deg[u] == 1 else v
+        if leaf > disk.n and disk.deg[leaf] == 1:
+            put(dart_face[d], "L" if disk.colors[leaf] == WHITE else "R")
+        else:
+            put(dart_face[d], "L")
+            put(dart_face[d ^ 1], "R")
+
+    queue = deque(side)
+    while queue:
+        fid = queue.popleft()
+        for eid, other in adjacent[fid]:
+            flip = traversals[eid] == 1
+            want = ("R" if side[fid] == "L" else "L") if flip else side[fid]
+            if other not in side:
+                side[other] = want
+                queue.append(other)
+            elif side[other] != want:
+                raise ReducednessError(conflict)
+    if any(fid not in side for fid in interior):
+        raise ValidationError("face side propagation did not reach every face")
+    return side
+
+
+def reference_label_faces(g, disk, strands) -> FaceLabeling:
+    """Reference face analysis, a drop-in for ``plabic._label_faces``: one
+    side propagation per strand, and a face's label collects the targets of
+    the strands that have it on their left."""
+    n = disk.n
+    orbits, dart_face = _face_orbits(disk)
+    if n + len(g.colors) - len(disk.ends) + len(orbits) != 2:
+        raise ValidationError("graph is not connected and planar in the disk")
+    outer = dart_face[disk.dart(disk.arc_of[1], 1)] if n >= 2 else None
+    interior = [fid for fid in range(len(orbits)) if fid != outer]
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in orbits]
+    for eid in range(disk.m):
+        fa, fb = dart_face[2 * eid], dart_face[2 * eid + 1]
+        if fa != fb:
+            adjacent[fa].append((eid, fb))
+            adjacent[fb].append((eid, fa))
+
+    sides = [reference_trip_sides(disk, t, dart_face, adjacent, interior) for t in strands]
+    labels: dict[int, set[int]] = {fid: set() for fid in interior}
+    for trip, side in zip(strands, sides):
+        for fid, s in side.items():
+            if s == "L":
+                labels[fid].add(trip.target)
+    sizes = {len(s) for s in labels.values()}
+    if len(sizes) > 1:
+        raise ReducednessError(f"face label sizes disagree: {sorted(sizes)}")
+
+    marks: dict[int, list[int]] = {fid: [] for fid in interior}
+    for i in range(1, n + 1):
+        marks[dart_face[strands[i - 2].darts[0]]].append(i)
+    faces = tuple(
+        Face(fid, KSet.of(labels[fid], n), tuple(marks[fid]), orbits[fid]) for fid in interior
+    )
+    return FaceLabeling(g, faces, _strand_permutation(disk, strands))
+
+
+def recoloured_bridge_corpus(max_n: int, recolourings: int, seed: int):
+    """The bridge graph of every decorated permutation with n <= max_n, each
+    followed by ``recolourings`` copies with every internal vertex recoloured
+    at random.  Most recolourings are not reduced, and many are not labelled."""
+    rng = random.Random(seed)
+    for n in range(1, max_n + 1):
+        for sigma in decorated_permutations(n):
+            g = bridge_graph_from_permutation(sigma)
+            yield g
+            for _ in range(recolourings):
+                yield g.recolor({v: rng.choice((WHITE, BLACK)) for v in g.internal_ids()})
 
 
 def has_core_two_cycle_or_loop(quiver) -> bool:

@@ -146,6 +146,15 @@ def test_seeds_limit_marks_incomplete(capsys):
     assert data["complete"] is False and data["count"] == 3
 
 
+def test_seeds_stops_an_infinite_class_at_the_default_limit(capsys):
+    args = cli.build_parser().parse_args(["seeds", "(14)(25)(36)"])
+    assert args.limit == cli.SEEDS_LIMIT == 1000
+    code, out, _ = run(capsys, "seeds", "(15)(26)(37)(48)", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["complete"] is False and data["count"] == len(data["seeds"]) == 1000
+
+
 def test_seeds_dot_emits_the_initial_quiver(capsys):
     code, out, _ = run(capsys, "seeds", "(13)(24)", "--format", "dot")
     assert code == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -38,6 +39,8 @@ from conftest import (
     has_core_two_cycle_or_loop,
     ks,
     random_decorated,
+    recoloured_bridge_corpus,
+    reference_label_faces,
     uniform_perm,
 )
 
@@ -101,6 +104,48 @@ def test_trip_permutation_matches_the_face_analysis_for_n_up_to_6(monkeypatch):
     # the strands alone give the permutation and its decoration
     monkeypatch.setattr(plabic, "_label_faces", None)
     assert all(trip_permutation(g) == sigma for sigma, g in graphs)
+
+
+def test_bridge_graph_validates_only_the_graph_it_returns(monkeypatch):
+    validated = []
+    validate = PlabicGraph.validate
+
+    def counting(g):
+        validated.append(g)
+        validate(g)
+
+    monkeypatch.setattr(PlabicGraph, "validate", counting)
+    g = bridge_graph_from_permutation(uniform_perm(3, 6))
+    assert validated == [g]
+
+
+def labelling_outcome(g):
+    """Faces with their ids, labels, marks and darts plus the permutation, or
+    the error type; then the reducedness verdict, or its error type."""
+    try:
+        lab = face_labels(g)
+        faces = [(f.id, f.label, f.boundary_marks, f.darts) for f in lab.faces]
+        labelled = (faces, lab.permutation)
+    except ValidationError as exc:
+        labelled = type(exc)
+    try:
+        reduced = validate_reduced(g)
+    except ValidationError as exc:
+        reduced = type(exc)
+    return labelled, reduced
+
+
+def test_face_masks_match_the_per_strand_reference(monkeypatch):
+    graphs = list(recoloured_bridge_corpus(6, 3, seed=12))
+    for k, n in ((2, 7), (3, 6)):
+        graphs += [m for m, _ in graph_mutation_class(bridge_graph_from_permutation(uniform_perm(k, n)))[0]]
+    fast = [labelling_outcome(g) for g in graphs]
+    monkeypatch.setattr(plabic, "_label_faces", reference_label_faces)
+    assert fast == [labelling_outcome(g) for g in graphs]
+    # the corpus holds reduced graphs, labelled but unreduced ones and refused ones
+    kinds = Counter((isinstance(lab, tuple), reduced) for lab, reduced in fast)
+    assert kinds[(True, True)] and kinds[(True, False)] and kinds[(False, False)]
+    assert {lab for lab, _ in fast if not isinstance(lab, tuple)} == {ReducednessError}
 
 
 @pytest.mark.parametrize("color", ["white", "black"])
