@@ -176,6 +176,8 @@ def cmd_plabic(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
 
 
 def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
+    if args.limit < 1:
+        raise ValidationError(f"--limit must be at least 1, got {args.limit}")
     graph = bridge_graph_from_permutation(sigma)
     seed = initial_seed(quiver_from_graph(graph))
     if args.fmt == "dot":

@@ -3,12 +3,14 @@
 Cluster variables are stored fully expanded as Laurent polynomials in the
 initial cluster's symbols (face labels of a plabic graph), with exact
 ``Fraction`` coefficients at the boundary.  Products and divisions run in one
-integer kernel: exponents are int tuples over the sorted symbols involved and
-coefficients stay ``int`` until a quotient is not integral.  Every variable
-that mutation reaches lies in Z[x^+-1] (Fomin-Zelevinsky), so mutation stays
-in integers.  It divides by the departing variable with an explicit exactness
-check: a nonzero remainder is a Laurent-phenomenon violation and raises, it is
-never truncated or approximated.
+integer kernel over int exponent tuples, with ``int`` coefficients until a
+quotient is not integral; by the Laurent phenomenon (Fomin-Zelevinsky) every
+variable that mutation reaches lies in Z[x^+-1].  Mutation divides by the
+departing variable with an explicit exactness check: a nonzero remainder
+raises, it is never truncated or approximated.
+
+Seeds are keyed by integer g-vectors (Nakanishi-Zelevinsky recursion), so the
+mutation class keys each neighbour first and builds only the unseen ones.
 
 Quivers carry a frozen flag and an optional k-subset label per vertex.  Arrows
 between two frozen vertices are recorded but flagged, and every comparison made
@@ -22,7 +24,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import add, itemgetter, lt, neg, sub
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
@@ -183,13 +185,6 @@ class LaurentPoly:
                 val *= Fraction(base) ** x
             total += val
         return total
-
-    def fingerprint(self) -> tuple:
-        return self._fingerprint
-
-    @cached_property
-    def _fingerprint(self) -> tuple:
-        return tuple((tuple(sorted(e)), c) for e, c in self.terms)
 
     def single_symbol(self) -> str | None:
         """Symbol name when the value is exactly one symbol, else None."""
@@ -360,16 +355,20 @@ def fz_mutate_quiver(quiver: IceQuiver, vid: int) -> IceQuiver:
 
 @dataclass(frozen=True)
 class Seed:
-    """An ice quiver together with one Laurent variable per vertex."""
+    """An ice quiver, one Laurent variable per vertex, and the C- and G-matrices
+    by columns, under principal framing over ``quiver.mutable_ids()``."""
 
     quiver: IceQuiver
     variables: tuple[tuple[int, LaurentPoly], ...]
+    c_vectors: tuple[tuple[int, ...], ...]
+    g_vectors: tuple[tuple[int, ...], ...]
 
     @classmethod
     def of(cls, quiver: IceQuiver, variables: Mapping[int, LaurentPoly]) -> Seed:
         if set(variables) != {v.id for v in quiver.vertices}:
             raise ValidationError("variables must cover exactly the quiver vertices")
-        return cls(quiver, tuple(sorted(variables.items())))
+        eye = tuple(tuple(int(i == j) for i in quiver.mutable_ids()) for j in quiver.mutable_ids())
+        return cls(quiver, tuple(sorted(variables.items())), eye, eye)
 
     def variable(self, vid: int) -> LaurentPoly:
         return dict(self.variables)[vid]
@@ -386,17 +385,10 @@ class Seed:
             raise ValidationError("seed has unlabeled vertices")
         return frozenset(labels)  # type: ignore[arg-type]
 
-    def key(self) -> tuple:
-        """Canonical identity: variable fingerprints plus the quiver on vertices
-        ordered by (frozen, fingerprint)."""
-        var = dict(self.variables)
-        order = sorted(
-            self.quiver.vertices,
-            key=lambda v: (not v.frozen, var[v.id].fingerprint()),
-        )
-        index = {v.id: p for p, v in enumerate(order)}
-        arrows = frozenset((index[s], index[t], m) for s, t, m in self.quiver.core_arrows())
-        return (tuple(var[v.id].fingerprint() for v in order), arrows)
+    def key(self) -> frozenset[tuple[int, ...]]:
+        """Canonical identity: the mutable g-vectors, which tell cluster
+        variables apart (Fomin-Zelevinsky IV) and so determine the seed."""
+        return frozenset(self.g_vectors)
 
     def to_json(self) -> dict:
         data = self.quiver.to_json()
@@ -426,10 +418,30 @@ def _symbol_label(poly: LaurentPoly, seed: Seed) -> KSet | None:
     return None
 
 
+def _tropical_step(seed: Seed, vid: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """C- and G-matrix columns after mutation at mutable ``vid``, by the
+    Nakanishi-Zelevinsky recursion C' = C(J_k + [εB]₊^{k•}), G' = G(J_k + [-εB]₊^{•k})
+    with ε the sign of the sign-coherent c-vector k; [εb_kj]₊ = [-εb_jk]₊ > 0
+    only for the mutable j on arrows k -> j if ε = +1, j -> k if ε = -1."""
+    pos = {w: j for j, w in enumerate(seed.quiver.mutable_ids())}
+    k = pos[vid]
+    cs, gs = list(seed.c_vectors), list(seed.g_vectors)
+    if min(cs[k]) < 0 < max(cs[k]):
+        raise ValidationError(f"c-vector {cs[k]} of vertex {vid} is not sign-coherent")
+    g_k = tuple(map(neg, gs[k]))
+    for w, m in seed.quiver.arrows_out(vid) if max(cs[k]) > 0 else seed.quiver.arrows_in(vid):
+        if w in pos:
+            cs[pos[w]] = tuple(a + m * b for a, b in zip(cs[pos[w]], cs[k]))
+            g_k = tuple(a + m * b for a, b in zip(g_k, gs[pos[w]]))
+    cs[k], gs[k] = tuple(map(neg, cs[k])), g_k
+    return tuple(cs), tuple(gs)
+
+
 def mutate_seed(seed: Seed, vid: int) -> Seed:
     """Mutation at a mutable vertex: exchange polynomial divided exactly by the
-    departing variable.  The vertex keeps a label only when the mutation is a
-    square move in the quiver; otherwise it becomes unlabeled."""
+    departing variable, C- and G-matrices by :func:`_tropical_step`.  The
+    vertex keeps a label only when the mutation is a square move in the
+    quiver; otherwise it becomes unlabeled."""
     arrows = _mutated_arrows(seed.quiver, vid)
     var = dict(seed.variables)
     sides = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
@@ -453,36 +465,42 @@ def mutate_seed(seed: Seed, vid: int) -> Seed:
         replace(v, label=new_label) if v.id == vid else v for v in seed.quiver.vertices
     )
     variables = tuple((vid, new_var) if pair[0] == vid else pair for pair in seed.variables)
-    return Seed(IceQuiver(vertices, arrows), variables)
+    return Seed(IceQuiver(vertices, arrows), variables, *_tropical_step(seed, vid))
 
 
 def closure(
-    start: T, moves: Callable[[T], Iterable[T]], key: Callable[[T], Hashable], limit: int | None = None
+    start: T, moves: Callable[[T], Iterable[tuple]], key: Callable[[T], Hashable], limit: int | None = None
 ) -> tuple[list[T], bool]:
-    """Breadth-first closure of ``start`` under ``moves``, deduplicated by ``key``.
+    """Breadth-first closure of ``start`` under ``moves``, deduplicated by key.
 
-    ``moves(x)`` yields the neighbours of x; it is called once per member, in
-    the order the members are returned.  Returns (members, complete): at the
-    first unseen neighbour past ``limit`` members the exploration stops and
-    ``complete`` is False.
+    ``moves(x)`` yields a (key, build) pair per neighbour of x, and ``build()``
+    makes the neighbour only for a new key.  ``moves`` is called once per
+    member, in member order; ``key(start)`` keys the start.  Returns (members,
+    complete): at the first unseen neighbour past ``limit`` members the
+    exploration stops and ``complete`` is False.
     """
     members = [start]
     seen = {key(start)}
     for cur in members:  # the list is the queue: members appended here are visited in turn
-        for nxt in moves(cur):
-            k = key(nxt)
+        for k, build in moves(cur):
             if k in seen:
                 continue
             if limit is not None and len(members) >= limit:
                 return members, False
             seen.add(k)
-            members.append(nxt)
+            members.append(build())
     return members, True
 
 
 def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool]:
-    """:func:`closure` of a seed under mutation at all mutable vertices."""
-    return closure(seed, lambda s: (mutate_seed(s, v) for v in s.quiver.mutable_ids()), Seed.key, limit)
+    """:func:`closure` of a seed under mutation at all mutable vertices, keyed
+    in integers by :func:`_tropical_step`; only a new key runs :func:`mutate_seed`."""
+
+    def moves(s: Seed):
+        for v in s.quiver.mutable_ids():
+            yield frozenset(_tropical_step(s, v)[1]), partial(mutate_seed, s, v)
+
+    return closure(seed, moves, Seed.key, limit)
 
 
 def square_move_exchange(

@@ -509,7 +509,7 @@ def _exchange_identities(seed: Seed) -> list[dict]:
             pivot = member.quiver.vertex(vid).label
             name = pivot.label() if pivot is not None else f"v{vid}"
             out.append({"name": f"exchange:{name}@{idx}", "seed": member, "mutated": mutated, "vid": vid})
-            yield mutated
+            yield mutated.key(), lambda mutated=mutated: mutated
 
     _, complete = closure(seed, moves, Seed.key, limit=MUTATION_CLASS_LIMIT)
     if not complete:
@@ -586,10 +586,9 @@ def corrupt_seed(seed: Seed, vid: int) -> Seed:
     """Negative control for :func:`verify_identities`: ``seed`` with 1 added
     to the variable at ``vid`` and that vertex's label dropped, since the
     direct-minor route would otherwise bypass the broken variable."""
-    variables = dict(seed.variables)
-    variables[vid] = variables[vid] + LaurentPoly.const(1)
+    variables = tuple((v, poly + LaurentPoly.const(1) if v == vid else poly) for v, poly in seed.variables)
     vertices = tuple(replace(v, label=None) if v.id == vid else v for v in seed.quiver.vertices)
-    return Seed.of(replace(seed.quiver, vertices=vertices), variables)
+    return replace(seed, quiver=replace(seed.quiver, vertices=vertices), variables=variables)
 
 
 def verify_identities(

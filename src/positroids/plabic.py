@@ -745,7 +745,8 @@ def graph_mutation_class(
 
     def moves(lab: FaceLabeling):
         for face in movable_faces(lab):
-            yield face_labels(square_move(lab, face.label))
+            nxt = face_labels(square_move(lab, face.label))
+            yield nxt.collection(), lambda nxt=nxt: nxt
 
     labelings, complete = closure(face_labels(g), moves, FaceLabeling.collection, limit)
     return [(lab.graph, lab) for lab in labelings], complete

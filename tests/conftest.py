@@ -22,9 +22,11 @@ from positroids import (
     connected_components,
     face_labels,
     initial_seed,
+    mutate_seed,
     necklace_from_permutation,
     quiver_from_graph,
 )
+from positroids.cluster import closure
 from positroids.combinatorics import ValidationError, cyclically_ordered
 from positroids.plabic import (
     BLACK,
@@ -42,6 +44,20 @@ SNAPSHOTS = json.loads((Path(__file__).parent / "snapshots.json").read_text())
 def uniform_perm(k: int, n: int) -> DecoratedPermutation:
     """The shift i -> i + k mod n, whose cell is the whole nonnegative Grassmannian piece."""
     return DecoratedPermutation.of(tuple((i + k - 1) % n + 1 for i in range(1, n + 1)))
+
+
+def named_cells():
+    """The cells pinned by name in snapshots.json, as (name, permutation)."""
+    yield "uniform(2,4)", uniform_perm(2, 4)
+    yield "uniform(2,5)", uniform_perm(2, 5)
+    yield "uniform(2,6)", uniform_perm(2, 6)
+    yield "uniform(2,7)", uniform_perm(2, 7)
+    yield "uniform(2,8)", uniform_perm(2, 8)
+    yield "uniform(3,6)", uniform_perm(3, 6)
+    yield "uniform(3,7)", uniform_perm(3, 7)
+    yield "(135)(264)", DecoratedPermutation.from_cycle_string("(135)(264)")
+    yield "disc(3,4,1,2,7,6,5)|6:+", DecoratedPermutation.of((3, 4, 1, 2, 7, 6, 5), {6: 1})
+    yield "disc(3,4,1,2,7,8,5,6)", DecoratedPermutation.of((3, 4, 1, 2, 7, 8, 5, 6))
 
 
 def random_decorated(rng: random.Random, n: int) -> DecoratedPermutation:
@@ -204,6 +220,51 @@ def quiver_b(quiver, i: int, j: int) -> int:
         elif (s, t) == (j, i):
             total -= m
     return total
+
+
+def fingerprint_key(seed):
+    """Seed identity by Laurent expansions, as keyed before g-vectors: each
+    variable's sorted terms, plus the core arrows over the vertices ordered by
+    (frozen, terms)."""
+    prints = {vid: tuple((tuple(sorted(e)), c) for e, c in poly.terms) for vid, poly in seed.variables}
+    order = sorted(seed.quiver.vertices, key=lambda v: (not v.frozen, prints[v.id]))
+    index = {v.id: p for p, v in enumerate(order)}
+    arrows = frozenset((index[s], index[t], m) for s, t, m in seed.quiver.core_arrows())
+    return tuple(prints[v.id] for v in order), arrows
+
+
+def reference_mutation_class(seed, limit=None):
+    """Mutation class by the route g-vector keys replaced: every neighbour is
+    built by ``mutate_seed`` and keyed by :func:`fingerprint_key`."""
+
+    def moves(member):
+        for vid in member.quiver.mutable_ids():
+            nxt = mutate_seed(member, vid)
+            yield fingerprint_key(nxt), lambda nxt=nxt: nxt
+
+    return closure(seed, moves, fingerprint_key, limit)
+
+
+def tropical_reference(seed, vid):
+    """(c_vectors, g_vectors) after mutation at ``vid`` by the matrix form of
+    the Nakanishi-Zelevinsky recursion, with ε the sign of c-vector k and B
+    the exchange matrix on the mutable vertices:
+    C' = C(J_k + [εB]₊^{k•}) and G' = G(J_k + [-εB]₊^{•k})."""
+    ids = seed.quiver.mutable_ids()
+    m, k = len(ids), ids.index(vid)
+    b = [[quiver_b(seed.quiver, i, j) for j in ids] for i in ids]
+    eps = 1 if max(seed.c_vectors[k]) > 0 else -1
+    j_k = [[(i == j) * (-1 if i == k else 1) for j in range(m)] for i in range(m)]
+    right_c = [[j_k[i][j] + (i == k) * max(eps * b[k][j], 0) for j in range(m)] for i in range(m)]
+    right_g = [[j_k[i][j] + (j == k) * max(-eps * b[i][k], 0) for j in range(m)] for i in range(m)]
+
+    def times(columns, right):
+        # the columns of (the matrix with these columns) @ right
+        return tuple(
+            tuple(sum(columns[l][r] * right[l][j] for l in range(m)) for r in range(m)) for j in range(m)
+        )
+
+    return times(seed.c_vectors, right_c), times(seed.g_vectors, right_g)
 
 
 def matrix_rank(matrix) -> int:

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from positroids import (
-    DecoratedPermutation,
     KSet,
     LaurentPoly,
     alignments,
@@ -48,22 +47,9 @@ from conftest import (
     has_core_two_cycle_or_loop,
     k2_permutations,
     ks,
+    named_cells,
     random_decorated,
-    uniform_perm,
 )
-
-
-def _named_family():
-    yield "uniform(2,4)", uniform_perm(2, 4)
-    yield "uniform(2,5)", uniform_perm(2, 5)
-    yield "uniform(2,6)", uniform_perm(2, 6)
-    yield "uniform(2,7)", uniform_perm(2, 7)
-    yield "uniform(2,8)", uniform_perm(2, 8)
-    yield "uniform(3,6)", uniform_perm(3, 6)
-    yield "uniform(3,7)", uniform_perm(3, 7)
-    yield "(135)(264)", DecoratedPermutation.from_cycle_string("(135)(264)")
-    yield "disc(3,4,1,2,7,6,5)|6:+", DecoratedPermutation.of((3, 4, 1, 2, 7, 6, 5), {6: 1})
-    yield "disc(3,4,1,2,7,8,5,6)", DecoratedPermutation.of((3, 4, 1, 2, 7, 8, 5, 6))
 
 
 def _random_family(count=10, dim_cap=10):
@@ -82,7 +68,7 @@ def _random_family(count=10, dim_cap=10):
 @pytest.fixture(scope="module")
 def family():
     out = []
-    for name, sigma in list(_named_family()) + list(_random_family()):
+    for name, sigma in list(named_cells()) + list(_random_family()):
         graph = bridge_graph_from_permutation(sigma)
         members, complete = graph_mutation_class(graph)
         assert complete, name

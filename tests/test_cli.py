@@ -146,6 +146,13 @@ def test_seeds_limit_marks_incomplete(capsys):
     assert data["complete"] is False and data["count"] == 3
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_seeds_refuses_a_limit_below_one(capsys, limit):
+    code, out, err = run(capsys, "seeds", "(14)(25)(36)", "--limit", limit)
+    assert code == 2 and out == ""
+    assert err == f"error: --limit must be at least 1, got {limit}\n"
+
+
 def test_seeds_stops_an_infinite_class_at_the_default_limit(capsys):
     args = cli.build_parser().parse_args(["seeds", "(14)(25)(36)"])
     assert args.limit == cli.SEEDS_LIMIT == 1000

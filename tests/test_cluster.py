@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,17 @@ from positroids.cluster import (
 )
 from positroids.combinatorics import ValidationError, cyclically_ordered
 
-from conftest import has_core_two_cycle_or_loop, ks, quiver_b, uniform_perm
+from conftest import (
+    SNAPSHOTS,
+    decorated_permutations,
+    has_core_two_cycle_or_loop,
+    ks,
+    named_cells,
+    quiver_b,
+    reference_mutation_class,
+    tropical_reference,
+    uniform_perm,
+)
 
 
 def sym(name):
@@ -500,7 +511,7 @@ def mutate_seed_reference(seed, vid):
     vertices = tuple(
         dataclasses.replace(v, label=new_label) if v.id == vid else v for v in seed.quiver.vertices
     )
-    return Seed.of(IceQuiver(vertices, arrows), var)
+    return Seed(IceQuiver(vertices, arrows), tuple(sorted(var.items())), *tropical_reference(seed, vid))
 
 
 @pytest.mark.parametrize("k, n", [(2, 7), (3, 6)])
@@ -522,24 +533,108 @@ def test_mutation_class_matches_the_reference_division(monkeypatch, k, n):
 
 def test_closure_calls_moves_once_per_member_in_member_order():
     # integers mod 10 under x -> x + 3 and x -> 7x
-    visited = []
+    visited, built = [], []
 
-    def moves(x):
+    def moves(x, key=lambda y: y):
         visited.append(x)
-        return [(x + 3) % 10, (7 * x) % 10]
+        for y in ((x + 3) % 10, (7 * x) % 10):
+            yield key(y), lambda y=y: built.append(y) or y
 
     members, complete = closure(1, moves, key=lambda x: x)
     assert complete and members == [1, 4, 7, 8, 0, 9, 6, 3, 2, 5]
-    assert visited == members
+    assert visited == members and built == members[1:]
 
     visited.clear()
+    built.clear()
     members, complete = closure(1, moves, key=lambda x: x, limit=4)
     assert not complete and members == [1, 4, 7, 8]
     assert visited == [1, 4, 7]  # 7 yields 0, the first unseen number past the limit
+    assert built == members[1:]
 
     visited.clear()
-    members, complete = closure(1, moves, key=lambda x: x % 5)
+    built.clear()
+    members, complete = closure(1, lambda x: moves(x, key=lambda y: y % 5), key=lambda x: x % 5)
     assert complete and members == [1, 4, 7, 8, 0] and visited == members
+    assert built == members[1:]  # a neighbour with a seen key is never built
+
+
+# --- g-vector keys -------------------------------------------------------
+
+
+def test_seeds_start_with_identity_tropical_data(ex_135264):
+    seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(3, 6))))
+    identity = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))
+    assert seed.c_vectors == seed.g_vectors == identity
+    assert seed.key() == frozenset(identity)
+    assert ex_135264["seed"].g_vectors == ((1,),)
+
+
+@pytest.mark.parametrize("name, sigma", list(named_cells()), ids=[name for name, _ in named_cells()])
+def test_g_vector_classes_match_the_laurent_classes_on_snapshot_cells(name, sigma):
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
+    shipped, complete = mutation_class(start)
+    reference, reference_complete = reference_mutation_class(start)
+    assert complete and reference_complete
+    assert len(shipped) == SNAPSHOTS["seed_closures"][name]
+    assert [s.to_json() for s in shipped] == [s.to_json() for s in reference]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_g_vector_classes_match_the_laurent_classes_for_n_up_to_6(n):
+    for sigma in decorated_permutations(n):
+        start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
+        shipped, complete = mutation_class(start, limit=100)
+        reference, reference_complete = reference_mutation_class(start, limit=100)
+        assert complete and reference_complete, sigma
+        assert [s.to_json() for s in shipped] == [s.to_json() for s in reference], sigma
+
+
+@pytest.mark.parametrize("k, n", [(2, 8), (3, 7)])
+def test_c_vectors_are_sign_coherent_and_dual_to_the_g_vectors(k, n):
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(k, n))))
+    seeds, complete = mutation_class(start)
+    assert complete
+    m = len(start.g_vectors)
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
+    for seed in seeds:
+        assert all(min(c) >= 0 or max(c) <= 0 for c in seed.c_vectors)
+        # G^T C = I, entry (i, j) being g_i . c_j
+        assert [[sum(map(mul, g, c)) for c in seed.c_vectors] for g in seed.g_vectors] == identity
+
+
+@pytest.mark.parametrize("k, n", [(2, 7), (3, 6)])
+def test_tropical_step_matches_the_matrix_recursion_and_is_an_involution(k, n):
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(k, n))))
+    seeds, _ = mutation_class(start)
+    for seed in seeds:
+        for vid in seed.quiver.mutable_ids():
+            once = mutate_seed(seed, vid)
+            assert (once.c_vectors, once.g_vectors) == tropical_reference(seed, vid)
+            twice = mutate_seed(once, vid)
+            assert (twice.c_vectors, twice.g_vectors) == (seed.c_vectors, seed.g_vectors)
+
+
+def test_a_c_vector_that_is_not_sign_coherent_is_refused():
+    seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(2, 5))))
+    bad = dataclasses.replace(seed, c_vectors=((1, -1), (0, 1)))
+    vid = seed.quiver.mutable_ids()[0]
+    with pytest.raises(ValidationError, match="sign-coherent"):
+        mutate_seed(bad, vid)
+    with pytest.raises(ValidationError, match="sign-coherent"):
+        mutation_class(bad)
+
+
+def test_mutation_class_divides_only_for_unseen_keys(monkeypatch):
+    # Gr(3,7): 833 seeds with 6 mutable vertices each; building every
+    # neighbour divided 833 * 6 = 4998 times, building only the neighbours
+    # with an unseen key divides once per seed past the first
+    divisions = []
+    kdiv = cluster._kdiv
+    monkeypatch.setattr(cluster, "_kdiv", lambda p, q: divisions.append(q) or kdiv(p, q))
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(3, 7))))
+    seeds, complete = mutation_class(start)
+    assert complete and len(seeds) == 833
+    assert len(divisions) == 832
 
 
 # --- square-move detection on seeds ------------------------------------

@@ -684,3 +684,13 @@ def test_corrupting_a_variable_is_caught(ex_135264):
     assert not report["passed"]
     bad = [e for e in report["identities"] if e["failures"]]
     assert bad and all(e["name"].endswith(":corrupted") for e in bad)
+
+
+def test_corrupting_keeps_the_tropical_data(ex_135264):
+    seed = ex_135264["seed"]
+    (vid,) = seed.quiver.mutable_ids()
+    mutated = mutate_seed(seed, vid)
+    bad = corrupt_seed(mutated, vid)
+    assert (bad.c_vectors, bad.g_vectors) == (mutated.c_vectors, mutated.g_vectors) == (((-1,),), ((-1,),))
+    assert bad.variable(vid) == mutated.variable(vid) + LaurentPoly.const(1)
+    assert bad.cluster_labels()[vid] is None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from collections import Counter
@@ -36,6 +35,7 @@ from positroids.plabic import (
 
 from conftest import (
     assert_frozen_glued,
+    decorated_permutations,
     has_core_two_cycle_or_loop,
     ks,
     random_decorated,
@@ -43,13 +43,6 @@ from conftest import (
     reference_label_faces,
     uniform_perm,
 )
-
-
-def every_decorated(n):
-    for image in itertools.permutations(range(1, n + 1)):
-        fixed = [i for i, v in enumerate(image, 1) if v == i]
-        for signs in itertools.product((1, -1), repeat=len(fixed)):
-            yield DecoratedPermutation.of(image, dict(zip(fixed, signs)))
 
 
 # --- construction and trips --------------------------------------------
@@ -78,7 +71,7 @@ def test_trips_start_and_end_on_the_boundary(ex_135264):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_every_small_cell_round_trips_exhaustively(n):
-    for sigma in every_decorated(n):
+    for sigma in decorated_permutations(n):
         g = bridge_graph_from_permutation(sigma)
         assert trip_permutation(g) == sigma
         assert validate_reduced(g)
@@ -99,7 +92,7 @@ def test_random_cells_round_trip():
 
 
 def test_trip_permutation_matches_the_face_analysis_for_n_up_to_6(monkeypatch):
-    graphs = [(sigma, bridge_graph_from_permutation(sigma)) for n in range(1, 7) for sigma in every_decorated(n)]
+    graphs = [(sigma, bridge_graph_from_permutation(sigma)) for n in range(1, 7) for sigma in decorated_permutations(n)]
     assert all(face_labels(g).permutation == sigma for sigma, g in graphs)
     # the strands alone give the permutation and its decoration
     monkeypatch.setattr(plabic, "_label_faces", None)
