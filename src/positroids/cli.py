@@ -17,7 +17,7 @@ import re
 import sys
 
 from . import cm, numeric
-from .cluster import Seed, initial_seed, mutation_class
+from .cluster import SEEDS_LIMIT, Seed, initial_seed, mutation_class
 from .combinatorics import (
     DecoratedPermutation,
     DimensionError,
@@ -260,7 +260,6 @@ HANDLERS = {
 }
 
 POINT_DEFAULTS = {"verify": 50, "sample": 1}
-SEEDS_LIMIT = 1000  # above Gr(3,7)'s 833 seeds; an infinite class stops, marked partial
 
 
 def build_parser() -> argparse.ArgumentParser:

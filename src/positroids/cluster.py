@@ -492,6 +492,11 @@ def closure(
     return members, True
 
 
+# Seeds of a class kept before ``seeds`` marks it partial and ``verify``
+# refuses it: an infinite class stops, and Gr(3,7)'s 833 seeds fit.
+SEEDS_LIMIT = 1000
+
+
 def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool]:
     """:func:`closure` of a seed under mutation at all mutable vertices, keyed
     in integers by :func:`_tropical_step`; only a new key runs :func:`mutate_seed`."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .cluster import LaurentPoly, Seed, closure, mutate_seed
+from .cluster import SEEDS_LIMIT, LaurentPoly, Seed, _tropical_step, mutation_class
 from .combinatorics import (
     DimensionError,
     GrassmannNecklace,
@@ -55,9 +55,6 @@ __all__ = [
 # Graphs whose orientation and positroid stay cached.  Callers sample one
 # graph at a time, so a small bound keeps every hit and long runs stay flat.
 GRAPH_CACHE_SIZE = 16
-
-# Seeds explored before ``verify_identities`` gives up on a mutation class.
-MUTATION_CLASS_LIMIT = 500
 
 # The default edge weights a / b with 1 <= a, b <= 9, drawn by index.
 _WEIGHTS = {(a, b): Fraction(a, b) for a in range(1, 10) for b in range(1, 10)}
@@ -487,34 +484,34 @@ def sample_generic_matrix(k: int, n: int, rng: random.Random) -> RationalMatrix:
 # identity verification
 
 
-def _value(seed: Seed, vid: int, matrix: RationalMatrix, assignment: Mapping[str, Fraction]) -> Fraction:
-    # direct minor for labeled vertices, Laurent route otherwise; the exchange
-    # identities below tie the two routes together
-    vertex = seed.quiver.vertex(vid)
-    if vertex.label is not None:
-        return minor(matrix, vertex.label)
-    return seed.variable(vid).evaluate(assignment)
+def _values(seed: Seed, generic: Sequence[RationalMatrix], assignments: Sequence) -> list[dict[int, Fraction]]:
+    # every variable once per matrix: direct minor for a labeled vertex, Laurent
+    # route otherwise; the exchange identities tie the two routes together
+    variables = dict(seed.variables)
+    return [
+        {v.id: minor(m, v.label) if v.label is not None else variables[v.id].evaluate(a) for v in seed.quiver.vertices}
+        for m, a in zip(generic, assignments)
+    ]
 
 
-def _exchange_identities(seed: Seed) -> list[dict]:
-    # one exploration: every mutation the closure makes is also an exchange
-    # entry, so each (member, vertex) pair is mutated once
+def _exchange_identities(seed: Seed) -> tuple[list[Seed], list[tuple[str, int, int, int, int]]]:
+    # the mutation class, and (name, member, pivot, neighbour, vertex of x')
+    # per (member, mutable vertex): the neighbour is the member under the
+    # g-vector key that mutation_class explored it by, x' its new g-vector
+    members, complete = mutation_class(seed, SEEDS_LIMIT)
+    if not complete:
+        raise ValidationError(f"mutation class exceeded the limit {SEEDS_LIMIT}")
+    index = {member.key(): idx for idx, member in enumerate(members)}
     out = []
-    visits = itertools.count()
-
-    def moves(member: Seed):
-        idx = next(visits)
-        for vid in member.quiver.mutable_ids():
-            mutated = mutate_seed(member, vid)
+    for idx, member in enumerate(members):
+        for j, vid in enumerate(member.quiver.mutable_ids()):
+            g_vectors = _tropical_step(member, vid)[1]
+            target = index[frozenset(g_vectors)]
+            new = members[target].quiver.mutable_ids()[members[target].g_vectors.index(g_vectors[j])]
             pivot = member.quiver.vertex(vid).label
             name = pivot.label() if pivot is not None else f"v{vid}"
-            out.append({"name": f"exchange:{name}@{idx}", "seed": member, "mutated": mutated, "vid": vid})
-            yield mutated.key(), lambda mutated=mutated: mutated
-
-    _, complete = closure(seed, moves, Seed.key, limit=MUTATION_CLASS_LIMIT)
-    if not complete:
-        raise ValidationError(f"mutation class exceeded the limit {MUTATION_CLASS_LIMIT}")
-    return out
+            out.append((f"exchange:{name}@{idx}", idx, vid, target, new))
+    return members, out
 
 
 def _minor_identities(
@@ -552,23 +549,18 @@ def _product(dets: Mapping[tuple[int, ...], int], pair: tuple[KSet, KSet]) -> in
 
 
 def _exchange_checks(
-    item: dict, generic: Sequence[RationalMatrix], assignments: Sequence[Mapping[str, Fraction]]
+    seed: Seed, vid: int, values: Sequence[Mapping[int, Fraction]], new_values: Sequence[Fraction]
 ) -> Iterator[tuple[str, Fraction, Fraction]]:
-    # x * x' against the two monomials of the exchange binomial
-    member, mutated, vid = item["seed"], item["mutated"], item["vid"]
-    sides = (member.quiver.arrows_in(vid), member.quiver.arrows_out(vid))
-    for pidx, (matrix, assignment) in enumerate(zip(generic, assignments)):
-        lhs = _value(member, vid, matrix, assignment) * _value(
-            mutated, vid, matrix, assignment
-        )
+    # x * x' against the two monomials of the exchange binomial, per matrix
+    sides = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
+    for pidx, (here, new_value) in enumerate(zip(values, new_values)):
         rhs = Fraction(0)
         for arrows in sides:
             product = Fraction(1)
             for w, mult in arrows:
-                value = _value(member, w, matrix, assignment)
-                product *= value if mult == 1 else value**mult
+                product *= here[w] if mult == 1 else here[w] ** mult
             rhs += product
-        yield f"generic:{pidx}", lhs, rhs
+        yield f"generic:{pidx}", here[vid] * new_value, rhs
 
 
 def _entry(name: str, checks: Iterable[tuple[str, object, object]], show=str) -> dict:
@@ -601,30 +593,32 @@ def verify_identities(
 ) -> dict:
     """Exact verification sweep; no tolerances anywhere.
 
-    Checks, in order: every exchange relation of every seed in the mutation
-    class on every generic matrix (labels evaluated as minors, unlabeled
-    variables through their Laurent expansions, which ties the two routes);
-    the restricted two-term identities on every cell point, which include the
-    k=2 generator decompositions; and the exact vanishing profile of
-    every cell point.  ``tamper``, such as :func:`corrupt_seed`, replaces the
-    first exchange's mutated seed, given with its pivot, and that entry's name
+    Checks, in order: every exchange relation of every seed that
+    :func:`mutation_class` returns on every generic matrix (labels evaluated
+    as minors, unlabeled variables through their Laurent expansions, which
+    ties the two routes); the restricted two-term identities on every cell
+    point, which include the k=2 generator decompositions; and the exact
+    vanishing profile of every cell point.  ``tamper``, such as
+    :func:`corrupt_seed`, replaces the member that holds the first exchange's
+    new variable, given with that variable's vertex, and the entry's name
     gains ":corrupted"; it is a negative control, so the report must then
-    contain failures.  The mutation class exploration stops at its first seed
-    past ``MUTATION_CLASS_LIMIT`` and raises ValidationError.
+    contain failures.  A class past ``SEEDS_LIMIT`` raises ValidationError.
     """
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):
         raise ValidationError("seed must be fully labeled")
 
-    exchanges = _exchange_identities(seed)
+    members, exchanges = _exchange_identities(seed)
     if tamper is not None and exchanges:
-        victim = exchanges[0]
-        victim["mutated"] = tamper(victim["mutated"], victim["vid"])
-        victim["name"] += ":corrupted"
+        name, idx, vid, target, new = exchanges[0]
+        members.append(tamper(members[target], new))  # read by the first exchange only
+        exchanges[0] = (f"{name}:corrupted", idx, vid, len(members) - 1, new)
 
     assignments = [minor_assignment(matrix, initial_labels) for matrix in generic]
+    values = [_values(member, generic, assignments) for member in members]
     identities = [
-        _entry(item["name"], _exchange_checks(item, generic, assignments)) for item in exchanges
+        _entry(name, _exchange_checks(members[idx], vid, values[idx], [v[new] for v in values[target]]))
+        for name, idx, vid, target, new in exchanges
     ]
 
     # the labels below are k-subsets of [n], read straight from the tables

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import positroids
-from positroids import PlabicGraph, bridge_graph_from_permutation, cli, face_labels
+from positroids import PlabicGraph, bridge_graph_from_permutation, cli, cluster, face_labels
 from positroids.combinatorics import DecoratedPermutation
 
 from conftest import uniform_perm
@@ -155,7 +155,7 @@ def test_seeds_refuses_a_limit_below_one(capsys, limit):
 
 def test_seeds_stops_an_infinite_class_at_the_default_limit(capsys):
     args = cli.build_parser().parse_args(["seeds", "(14)(25)(36)"])
-    assert args.limit == cli.SEEDS_LIMIT == 1000
+    assert args.limit == cluster.SEEDS_LIMIT == 1000
     code, out, _ = run(capsys, "seeds", "(15)(26)(37)(48)", "--format", "json")
     assert code == 0
     data = json.loads(out)
@@ -194,7 +194,18 @@ def test_verify_on_an_infinite_type_cell_exits_2(capsys):
     # the Gr(4,8) top cell has infinitely many seeds
     code, out, err = run(capsys, "verify", "(15)(26)(37)(48)")
     assert code == 2 and out == ""
-    assert err == "error: mutation class exceeded the limit 500\n"
+    assert err == "error: mutation class exceeded the limit 1000\n"
+
+
+def test_verify_passes_on_the_833_seeds_of_the_gr37_top_cell(capsys):
+    # finite type E6: the whole class fits under the one seed limit
+    code, out, err = run(capsys, "verify", "(1473625)", "--points", "5")
+    assert code == 0 and not err
+    report = json.loads(out)
+    assert report["passed"] is True
+    exchanges = [e for e in report["identities"] if e["name"].startswith("exchange:")]
+    assert len(exchanges) == 833 * 6
+    assert exchanges[-1]["name"].endswith("@832")
 
 
 def test_sample_emits_requested_points(capsys):

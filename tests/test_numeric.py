@@ -466,10 +466,11 @@ def test_exchange_checks_raise_each_neighbour_to_its_multiplicity():
     labels = [ks("12", 4), ks("13", 4), ks("14", 4)]
     vertices = tuple(cluster.QuiverVertex(i, i > 0, lab) for i, lab in enumerate(labels))
     seed = initial_seed(cluster.IceQuiver(vertices, ((1, 0, 2), (0, 2, 1))))
-    item = {"seed": seed, "mutated": mutate_seed(seed, 0), "vid": 0}
     generic = [sample_generic_matrix(2, 4, random.Random(s)) for s in range(3)]
     assignments = [minor_assignment(m, labels) for m in generic]
-    checks = list(numeric._exchange_checks(item, generic, assignments))
+    values = numeric._values(seed, generic, assignments)
+    new_values = [v[0] for v in numeric._values(mutate_seed(seed, 0), generic, assignments)]
+    checks = list(numeric._exchange_checks(seed, 0, values, new_values))
     assert len(checks) == 3
     assert all(lhs == rhs for _, lhs, rhs in checks)
 
@@ -623,16 +624,17 @@ def test_off_cell_failures_on_a_rational_point_show_fraction_products():
 
 
 def two_pass_exchanges(seed):
-    # the route the one-pass sweep replaced: explore the class, then mutate
+    # the route the keyed sweep replaced: explore the class, then mutate
     # every (member, vertex) pair a second time
-    seeds, complete = mutation_class(seed, limit=numeric.MUTATION_CLASS_LIMIT)
+    seeds, complete = mutation_class(seed, limit=cluster.SEEDS_LIMIT)
     assert complete
     out = []
     for idx, member in enumerate(seeds):
         for vid in member.quiver.mutable_ids():
             pivot = member.quiver.vertex(vid).label
             name = pivot.label() if pivot is not None else f"v{vid}"
-            out.append((f"exchange:{name}@{idx}", vid, member.key(), mutate_seed(member, vid).key()))
+            mutated = mutate_seed(member, vid)
+            out.append((f"exchange:{name}@{idx}", vid, member.key(), mutated.key(), mutated.variable(vid)))
     return out
 
 
@@ -643,17 +645,20 @@ def two_pass_exchanges(seed):
     ids=str,
 )
 def test_exchange_sweep_matches_the_two_pass_reference(sigma):
+    # the neighbour found by key holds the variable that mutation divides out
     seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
+    members, exchanges = numeric._exchange_identities(seed)
     swept = [
-        (e["name"], e["vid"], e["seed"].key(), e["mutated"].key())
-        for e in numeric._exchange_identities(seed)
+        (name, vid, members[idx].key(), members[target].key(), members[target].variable(new))
+        for name, idx, vid, target, new in exchanges
     ]
     assert swept == two_pass_exchanges(seed)
 
 
-def test_exchange_sweep_mutates_each_pair_once(monkeypatch):
-    # Gr(3,6) top cell: 50 seeds with 4 mutable vertices each; both bindings
-    # are counted, so a second mutation of a pair shows wherever it is made
+def test_exchange_sweep_mutates_once_per_new_seed(monkeypatch):
+    # Gr(3,6) top cell: 50 seeds, so 49 mutations build the class and the 200
+    # exchanges read theirs from it; numeric binds no mutation of its own
+    assert "mutate_seed" not in vars(numeric) and "closure" not in vars(numeric)
     calls = []
 
     def counting(seed, vid):
@@ -661,7 +666,6 @@ def test_exchange_sweep_mutates_each_pair_once(monkeypatch):
         return mutate_seed(seed, vid)
 
     monkeypatch.setattr(cluster, "mutate_seed", counting)
-    monkeypatch.setattr(numeric, "mutate_seed", counting)
     sigma = uniform_perm(3, 6)
     g = bridge_graph_from_permutation(sigma)
     report = verify_identities(
@@ -671,7 +675,37 @@ def test_exchange_sweep_mutates_each_pair_once(monkeypatch):
         (sample_generic_matrix(3, 6, random.Random(0)),),
     )
     assert report["passed"]
-    assert len(calls) == 200
+    assert len(calls) == 49
+    assert sum(e["name"].startswith("exchange:") for e in report["identities"]) == 200
+
+
+def test_verify_checks_the_seeds_of_the_mutation_class(monkeypatch):
+    # perturb one unlabeled variable of a non-initial member: exactly the
+    # exchanges that read it fail, as x, as a neighbour of x, or as x'
+    sigma = uniform_perm(3, 6)
+    g = bridge_graph_from_permutation(sigma)
+    seed = initial_seed(quiver_from_graph(g))
+    clean, exchanges = numeric._exchange_identities(seed)
+    idx, vid = next(
+        (i, v.id) for i, member in enumerate(clean[1:], 1) for v in member.quiver.vertices if v.label is None
+    )
+    quiver = clean[idx].quiver
+    reads = {
+        name
+        for name, member, pivot, target, new in exchanges
+        if (member == idx and vid in (pivot, *(w for w, _ in quiver.arrows_in(pivot) + quiver.arrows_out(pivot))))
+        or (target, new) == (idx, vid)
+    }
+    perturbed = clean[:idx] + [corrupt_seed(clean[idx], vid)] + clean[idx + 1 :]
+    monkeypatch.setattr(numeric, "mutation_class", lambda start, limit: (perturbed, True))
+    report = verify_identities(
+        necklace_from_permutation(sigma),
+        seed,
+        (sample_cell_point(g),),
+        tuple(sample_generic_matrix(3, 6, random.Random(s)) for s in range(2)),
+    )
+    failed = {e["name"] for e in report["identities"] if e["failures"]}
+    assert reads and failed == reads
 
 
 def test_corrupting_a_variable_is_caught(ex_135264):
