@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .cluster import SEEDS_LIMIT, LaurentPoly, Seed, _tropical_step, mutation_class
+from .cluster import SEEDS_LIMIT, LaurentPoly, Seed, mutation_class
 from .combinatorics import (
     DimensionError,
     GrassmannNecklace,
@@ -66,8 +66,8 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """A k x n matrix of exact rationals, one affine chart representative.
-    ``n`` is stored, so a matrix with no rows (Gr(0, n)) keeps its width."""
+    """A k x n matrix of exact rationals, one affine chart representative;
+    ``n`` is stored for Gr(0, n), and ``scaled_minors`` is its one cache."""
 
     rows: tuple[tuple[Fraction, ...], ...]
     n: int
@@ -90,11 +90,6 @@ class RationalMatrix:
         """:func:`_scaled_table`, built on first use, once per matrix; read only."""
         return _scaled_table(self)
 
-    @cached_property
-    def minors(self) -> Mapping[tuple[int, ...], Fraction]:
-        """:func:`pluecker_table`, built on first read, once per matrix; read only."""
-        return pluecker_table(self)
-
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
 
@@ -106,11 +101,10 @@ class RationalMatrix:
 def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
     """Every maximal minor of ``matrix``, keyed by sorted 1-based column tuple.
 
-    Each integer determinant of ``matrix.scaled_minors``, the one integer
-    table kept per matrix, is divided once by its scale: the values are the
-    canonical Fractions that exact elimination gives, and Gr(0, n) has the
-    single minor ``{(): 1}``.  Each call builds new Fractions:
-    ``matrix.minors`` is the table kept per matrix.
+    Each entry of ``matrix.scaled_minors``, the one table kept per matrix,
+    divided by its scale: the canonical Fractions of exact elimination, and
+    ``{(): 1}`` on Gr(0, n).  Nothing is cached; :func:`minor` divides only
+    the entry it reads.
     """
     dets, scale = matrix.scaled_minors
     return {
@@ -150,8 +144,8 @@ def _scaled_table(matrix: RationalMatrix) -> tuple[dict[tuple[int, ...], int], i
 def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
     """Exact determinant of the selected columns.
 
-    A lookup in ``matrix.minors``, whose Fractions are divided out of the one
-    integer table per matrix, ``matrix.scaled_minors``, on first read.
+    One entry of ``matrix.scaled_minors``, the integer table kept per
+    matrix, divided by its scale; no other entry is divided.
 
     >>> m = RationalMatrix.of([[1, 0, 2], [0, 1, 3]])
     >>> minor(m, KSet.of([1, 2], 3))
@@ -161,7 +155,8 @@ def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
         raise DimensionError(f"need {matrix.k} columns, got {columns.k}")
     if columns.n != matrix.n:
         raise DimensionError(f"matrix has {matrix.n} columns, label lives on [{columns.n}]")
-    return matrix.minors[columns.elements]
+    dets, scale = matrix.scaled_minors
+    return Fraction(dets.get(columns.elements, 0), scale)
 
 
 def pluecker_relation_check(
@@ -442,7 +437,7 @@ def sample_cell_point(
     members = _graph_positroid(graph, n_cap)
     dets, _ = matrix.scaled_minors
     if dets.keys() != members or any(det < 0 for det in dets.values()):
-        for cols, value in matrix.minors.items():
+        for cols, value in pluecker_table(matrix).items():
             if cols in members and value <= 0:
                 raise ConstructionError(f"minor {KSet(cols, matrix.n)} should be positive, got {value}")
             if cols not in members and value != 0:
@@ -471,12 +466,12 @@ def gauge_rescale(point: CellPoint, vertex: int, factor: Fraction) -> CellPoint:
 
 
 def sample_generic_matrix(k: int, n: int, rng: random.Random) -> RationalMatrix:
-    """Random integer matrix with every maximal minor nonzero."""
+    """Random integer matrix whose integer table holds every maximal minor."""
     while True:
         m = RationalMatrix.of(
             [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)], n
         )
-        if all(m.minors.values()):
+        if len(m.scaled_minors[0]) == math.comb(n, k):
             return m
 
 
@@ -495,19 +490,22 @@ def _values(seed: Seed, generic: Sequence[RationalMatrix], assignments: Sequence
 
 
 def _exchange_identities(seed: Seed) -> tuple[list[Seed], list[tuple[str, int, int, int, int]]]:
-    # the mutation class, and (name, member, pivot, neighbour, vertex of x')
-    # per (member, mutable vertex): the neighbour is the member under the
-    # g-vector key that mutation_class explored it by, x' its new g-vector
+    # the mutation class, and (name, member, pivot, neighbour, vertex of x') per
+    # (member, mutable vertex): the neighbour is the other member that holds the
+    # key less the pivot's g-vector, and x' its one g-vector the member lacks
     members, complete = mutation_class(seed, SEEDS_LIMIT)
     if not complete:
         raise ValidationError(f"mutation class exceeded the limit {SEEDS_LIMIT}")
-    index = {member.key(): idx for idx, member in enumerate(members)}
+    holders: dict[frozenset[tuple[int, ...]], list[int]] = {}
+    for idx, member in enumerate(members):
+        for g in member.g_vectors:
+            holders.setdefault(member.key() - {g}, []).append(idx)
     out = []
     for idx, member in enumerate(members):
-        for j, vid in enumerate(member.quiver.mutable_ids()):
-            g_vectors = _tropical_step(member, vid)[1]
-            target = index[frozenset(g_vectors)]
-            new = members[target].quiver.mutable_ids()[members[target].g_vectors.index(g_vectors[j])]
+        for vid, g in zip(member.quiver.mutable_ids(), member.g_vectors):
+            (target,) = (other for other in holders[member.key() - {g}] if other != idx)
+            (fresh,) = members[target].key() - member.key()
+            new = members[target].quiver.mutable_ids()[members[target].g_vectors.index(fresh)]
             pivot = member.quiver.vertex(vid).label
             name = pivot.label() if pivot is not None else f"v{vid}"
             out.append((f"exchange:{name}@{idx}", idx, vid, target, new))
@@ -599,17 +597,19 @@ def verify_identities(
     ties the two routes); the restricted two-term identities on every cell
     point, which include the k=2 generator decompositions; and the exact
     vanishing profile of every cell point.  ``tamper``, such as
-    :func:`corrupt_seed`, replaces the member that holds the first exchange's
-    new variable, given with that variable's vertex, and the entry's name
-    gains ":corrupted"; it is a negative control, so the report must then
-    contain failures.  A class past ``SEEDS_LIMIT`` raises ValidationError.
+    :func:`corrupt_seed`, is a negative control that replaces the member
+    holding the first exchange's new variable, given with its vertex; that
+    entry gains ":corrupted" and must fail.  ValidationError: ``tamper`` on a
+    cell with no exchange relation, or a class past ``SEEDS_LIMIT``.
     """
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):
         raise ValidationError("seed must be fully labeled")
 
     members, exchanges = _exchange_identities(seed)
-    if tamper is not None and exchanges:
+    if tamper is not None:
+        if not exchanges:
+            raise ValidationError("the negative control needs an exchange relation; this cell has none")
         name, idx, vid, target, new = exchanges[0]
         members.append(tamper(members[target], new))  # read by the first exchange only
         exchanges[0] = (f"{name}:corrupted", idx, vid, len(members) - 1, new)

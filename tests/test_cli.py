@@ -190,6 +190,15 @@ def test_verify_corrupt_control_fails_loudly(capsys):
     assert any(e["failures"] for e in report["identities"])
 
 
+@pytest.mark.parametrize("spec", ["(12453)", "(14):+,-"])
+def test_verify_corrupt_control_without_an_exchange_relation_exits_2(capsys, spec):
+    # the control cannot bite on a cell with no exchange relation: refused, not passed
+    assert run(capsys, "verify", spec, "--points", "2")[0] == 0
+    code, out, err = run(capsys, "verify", spec, "--points", "2", "--corrupt-seed")
+    assert code == 2 and out == ""
+    assert err == "error: the negative control needs an exchange relation; this cell has none\n"
+
+
 def test_verify_on_an_infinite_type_cell_exits_2(capsys):
     # the Gr(4,8) top cell has infinitely many seeds
     code, out, err = run(capsys, "verify", "(15)(26)(37)(48)")
@@ -314,6 +323,9 @@ def test_n_cap_bounds_every_subcommand(capsys, command):
     code, out, err = run(capsys, "plabic", "(1,13)", "--n-cap", "13", "--format", "json")
     assert code == 0 and not err
     assert json.loads(out)["boundary"] == 13
+    # past the default cap every subcommand runs on n = 13, comma labels and all
+    code, out, err = run(capsys, command, "(1,13)(2,12)", "--n-cap", "13")
+    assert code == 0 and out and not err
 
 
 @pytest.mark.parametrize(

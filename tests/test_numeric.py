@@ -41,7 +41,7 @@ from positroids.numeric import (
     sample_generic_matrix,
 )
 
-from conftest import k2_permutations, ks, matrix_rank, random_decorated, uniform_perm
+from conftest import SNAPSHOTS, k2_permutations, ks, matrix_rank, named_cells, random_decorated, uniform_perm
 
 
 def det_cofactor(rows):
@@ -156,16 +156,17 @@ def test_sampling_a_new_graph_analyses_no_faces_and_divides_no_minors(monkeypatc
     graph = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string("(14)(263):-"))
     point = sample_cell_point(graph, rng_seed=9)
     assert analysed == []
-    # the vanishing check read the integer table; the Fractions wait for a read
-    assert "scaled_minors" in vars(point.matrix) and "minors" not in vars(point.matrix)
+    # the vanishing check read the integer table, the one table a matrix caches
+    assert "scaled_minors" in vars(point.matrix) and not hasattr(point.matrix, "minors")
     dets, scale = point.matrix.scaled_minors
-    assert point.matrix.minors == {c: Fraction(dets.get(c, 0), scale) for c in point.matrix.minors}
+    table = pluecker_table(point.matrix)
+    assert table == {c: Fraction(dets.get(c, 0), scale) for c in table}
 
 
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_integer_vanishing_check_names_the_fraction_loops_offender(monkeypatch, ex_135264, change):
     graph = ex_135264["graph"]
-    table = sample_cell_point(graph, rng_seed=5).matrix.minors
+    table = pluecker_table(sample_cell_point(graph, rng_seed=5).matrix)
     members = numeric._graph_positroid(graph, 12)
     off = min(members) if change == "drop" else min(set(table) - members)
     wrong = members - {off} if change == "drop" else members | {off}
@@ -182,6 +183,38 @@ def test_integer_vanishing_check_names_the_fraction_loops_offender(monkeypatch, 
     with pytest.raises(ConstructionError) as caught:
         sample_cell_point(graph, rng_seed=5)
     assert str(caught.value) == expected
+
+
+def test_no_successful_path_divides_a_whole_table(monkeypatch, ex_135264):
+    # pluecker_table divides every minor; sampling, minor reads, generic draws
+    # and the sweep divide only the entries they read
+    monkeypatch.setattr(numeric, "pluecker_table", lambda matrix: pytest.fail("divided a whole table"))
+    assert not hasattr(RationalMatrix, "minors")
+    for spec in ("(135)(264)", "(14)(25)(36)", "(14)(263):-", "(12453)", "(13)(24)"):
+        graph = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string(spec))
+        matrix = sample_cell_point(graph).matrix
+        for cols in itertools.combinations(range(1, matrix.n + 1), matrix.k):
+            expected = det_cofactor([[row[j - 1] for j in cols] for row in matrix.rows])
+            assert minor(matrix, KSet(cols, matrix.n)) == expected
+    generic = tuple(sample_generic_matrix(3, 6, random.Random(s)) for s in range(2))
+    points = tuple(sample_cell_point(ex_135264["graph"], rng_seed=s) for s in range(3))
+    assert verify_identities(ex_135264["necklace"], ex_135264["seed"], points, generic)["passed"]
+
+
+def reference_generic_matrix(k, n, rng):
+    # the draw loop that tests every entry of the Fraction table
+    while True:
+        m = RationalMatrix.of([[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)], n)
+        if all(pluecker_table(m).values()):
+            return m
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_generic_draws_match_the_full_table_reference(n):
+    for k, seed in itertools.product(range(n + 1), range(3)):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        assert sample_generic_matrix(k, n, rng) == reference_generic_matrix(k, n, reference_rng)
+        assert rng.getstate() == reference_rng.getstate()
 
 
 def test_matrix_json_round_trip():
@@ -653,6 +686,35 @@ def test_exchange_sweep_matches_the_two_pass_reference(sigma):
         for name, idx, vid, target, new in exchanges
     ]
     assert swept == two_pass_exchanges(seed)
+
+
+def tropical_exchanges(seed):
+    # the route the facet lookup replaced: each neighbour under its key after
+    # one tropical step, x' at the vertex of the neighbour's new g-vector
+    members, complete = mutation_class(seed, cluster.SEEDS_LIMIT)
+    assert complete
+    index = {member.key(): idx for idx, member in enumerate(members)}
+    out = []
+    for idx, member in enumerate(members):
+        for j, vid in enumerate(member.quiver.mutable_ids()):
+            g_vectors = cluster._tropical_step(member, vid)[1]
+            target = index[frozenset(g_vectors)]
+            new = members[target].quiver.mutable_ids()[members[target].g_vectors.index(g_vectors[j])]
+            pivot = member.quiver.vertex(vid).label
+            name = pivot.label() if pivot is not None else f"v{vid}"
+            out.append((f"exchange:{name}@{idx}", idx, vid, target, new))
+    return members, out
+
+
+@pytest.mark.parametrize("name, sigma", list(named_cells()), ids=[name for name, _ in named_cells()])
+def test_facet_neighbours_match_the_tropical_route_on_snapshot_cells(name, sigma):
+    assert "_tropical_step" not in vars(numeric)
+    seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
+    members, exchanges = numeric._exchange_identities(seed)
+    reference_members, reference = tropical_exchanges(seed)
+    assert len(members) == SNAPSHOTS["seed_closures"][name]
+    assert [m.key() for m in members] == [m.key() for m in reference_members]
+    assert exchanges == reference
 
 
 def test_exchange_sweep_mutates_once_per_new_seed(monkeypatch):
