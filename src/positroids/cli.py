@@ -211,6 +211,8 @@ def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise ValidationError(f"--points must be at least 1, got {args.points}")
     necklace = necklace_from_permutation(sigma)
     graph = bridge_graph_from_permutation(sigma)
     seed = initial_seed(quiver_from_graph(graph))
@@ -232,6 +234,8 @@ def cmd_verify(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
 
 
 def cmd_sample(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise ValidationError(f"--points must be at least 1, got {args.points}")
     graph = bridge_graph_from_permutation(sigma)
     rng = random.Random(args.rng_seed)
     points = [

@@ -423,6 +423,8 @@ def _tropical_step(seed: Seed, vid: int) -> tuple[tuple[tuple[int, ...], ...], t
     Nakanishi-Zelevinsky recursion C' = C(J_k + [εB]₊^{k•}), G' = G(J_k + [-εB]₊^{•k})
     with ε the sign of the sign-coherent c-vector k; [εb_kj]₊ = [-εb_jk]₊ > 0
     only for the mutable j on arrows k -> j if ε = +1, j -> k if ε = -1."""
+    if seed.quiver.vertex(vid).frozen:
+        raise ValidationError(f"cannot mutate frozen vertex {vid}")
     pos = {w: j for j, w in enumerate(seed.quiver.mutable_ids())}
     k = pos[vid]
     cs, gs = list(seed.c_vectors), list(seed.g_vectors)
@@ -439,9 +441,13 @@ def _tropical_step(seed: Seed, vid: int) -> tuple[tuple[tuple[int, ...], ...], t
 
 def mutate_seed(seed: Seed, vid: int) -> Seed:
     """Mutation at a mutable vertex: exchange polynomial divided exactly by the
-    departing variable, C- and G-matrices by :func:`_tropical_step`.  The
-    vertex keeps a label only when the mutation is a square move in the
-    quiver; otherwise it becomes unlabeled."""
+    departing variable, C- and G-matrices by one :func:`_tropical_step`, which
+    ``_mutate`` takes as given.  The vertex keeps a label only when the
+    mutation is a square move in the quiver; otherwise it becomes unlabeled."""
+    return _mutate(seed, vid, _tropical_step(seed, vid))
+
+
+def _mutate(seed: Seed, vid: int, step: tuple) -> Seed:
     arrows = _mutated_arrows(seed.quiver, vid)
     var = dict(seed.variables)
     sides = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
@@ -457,15 +463,13 @@ def mutate_seed(seed: Seed, vid: int) -> Seed:
         for e, c in product.items():
             binomial[e] = binomial.get(e, 0) + c
     new_var = _unpack(syms, _kdiv({e: c for e, c in binomial.items() if c}, old))
-    new_label = seed_square_move(seed, vid)
-    if new_label is None:
-        new_label = _symbol_label(new_var, seed)
+    new_label = seed_square_move(seed, vid) or _symbol_label(new_var, seed)
     # every other vertex and (id, variable) pair is shared with ``seed``
     vertices = tuple(
         replace(v, label=new_label) if v.id == vid else v for v in seed.quiver.vertices
     )
     variables = tuple((vid, new_var) if pair[0] == vid else pair for pair in seed.variables)
-    return Seed(IceQuiver(vertices, arrows), variables, *_tropical_step(seed, vid))
+    return Seed(IceQuiver(vertices, arrows), variables, *step)
 
 
 def closure(
@@ -498,12 +502,13 @@ SEEDS_LIMIT = 1000
 
 
 def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool]:
-    """:func:`closure` of a seed under mutation at all mutable vertices, keyed
-    in integers by :func:`_tropical_step`; only a new key runs :func:`mutate_seed`."""
+    """:func:`closure` of a seed under mutation at all mutable vertices, keyed by
+    one :func:`_tropical_step` per neighbour; only a new key is built, from that step."""
 
     def moves(s: Seed):
         for v in s.quiver.mutable_ids():
-            yield frozenset(_tropical_step(s, v)[1]), partial(mutate_seed, s, v)
+            step = _tropical_step(s, v)
+            yield frozenset(step[1]), partial(_mutate, s, v, step)
 
     return closure(seed, moves, Seed.key, limit)
 
@@ -559,8 +564,7 @@ def seed_square_move(seed: Seed, vid: int) -> KSet | None:
     outs = q.arrows_out(vid)
     if len(ins) != 2 or len(outs) != 2 or any(m != 1 for _, m in (*ins, *outs)):
         return None
-    labs_in = tuple(q.vertex(w).label for w, _ in ins)
-    labs_out = tuple(q.vertex(w).label for w, _ in outs)
+    labs_in, labs_out = (tuple(q.vertex(w).label for w, _ in side) for side in (ins, outs))
     if any(l is None for l in labs_in + labs_out):
         return None
     return square_move_exchange(v.label, labs_in, labs_out)  # type: ignore[arg-type]

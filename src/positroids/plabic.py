@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from positroids.cluster import IceQuiver, QuiverVertex, closure
+from positroids.cluster import IceQuiver, QuiverVertex, closure, square_move_exchange
 from positroids.combinatorics import (
     DecoratedPermutation,
     GrassmannNecklace,
@@ -150,8 +150,7 @@ class PlabicGraph:
         for i in range(1, self.boundary + 1):
             lines.append(f'  b{i} [shape=none, label="{i}"];')
         for v, c in self.colors:
-            fill = "white" if c == WHITE else "black"
-            lines.append(f'  v{v} [shape=circle, style=filled, fillcolor={fill}, label=""];')
+            lines.append(f'  v{v} [shape=circle, style=filled, fillcolor={c}, label=""];')
         for u, v in self.edges:
             a = f"b{u}" if u <= self.boundary else f"v{u}"
             b = f"b{v}" if v <= self.boundary else f"v{v}"
@@ -199,11 +198,8 @@ class FaceLabeling:
         return frozenset(f.label for f in self.faces)
 
     def boundary_labels(self) -> tuple[KSet, ...]:
-        out = []
-        for i in range(1, self.graph.boundary + 1):
-            face = next(f for f in self.faces if i in f.boundary_marks)
-            out.append(face.label)
-        return tuple(out)
+        marks = {i: f.label for f in self.faces for i in f.boundary_marks}
+        return tuple(marks[i] for i in range(1, self.graph.boundary + 1))
 
     def necklace(self) -> GrassmannNecklace:
         return GrassmannNecklace(self.boundary_labels())
@@ -699,19 +695,19 @@ def quiver_from_graph(g: PlabicGraph) -> IceQuiver:
     edge's white endpoint is on the left when crossing from source to target
     face.  Arrows between two frozen faces are recorded (net of cancellation)
     but ignored by quiver comparisons; a loop or a two-cycle at a mutable face
-    means the graph was not reduced and raises.
+    means the graph was not reduced and raises.  Runs one face analysis.
     """
-    disk = _Disk(g)
-    faces = _label_faces(g, disk, _trips(disk)).faces
+    return _quiver(face_labels(g))
+
+
+def _quiver(labeling: FaceLabeling) -> IceQuiver:
+    """:func:`quiver_from_graph` of ``labeling.graph``, read from its labeling."""
+    g, faces, disk = labeling.graph, labeling.faces, _Disk(labeling.graph)
     dart_face = {d: f.id for f in faces for d in f.darts}
     colors = g.color_map
     raw: dict[tuple[int, int], int] = {}
     for eid, (u, v) in enumerate(g.edges):
-        if u <= g.boundary or v <= g.boundary:
-            continue
-        if disk.deg[u] == 1 or disk.deg[v] == 1:
-            continue
-        if colors[u] == colors[v]:
+        if min(u, v) <= g.boundary or 1 in (disk.deg[u], disk.deg[v]) or colors[u] == colors[v]:
             continue
         w = u if colors[u] == WHITE else v
         d_wb = disk.dart(eid, w)
@@ -741,12 +737,21 @@ def graph_mutation_class(
     g: PlabicGraph, limit: int | None = None
 ) -> tuple[list[tuple[PlabicGraph, FaceLabeling]], bool]:
     """:func:`~positroids.cluster.closure` of a reduced graph under square moves,
-    deduplicated by the face label collection.  Returns (members, complete)."""
+    deduplicated by the face label collection.  Returns (members, complete).
+
+    A move is keyed before it is made, by the label Lbd that replaces the pivot's
+    Lac (:func:`~positroids.cluster.square_move_exchange` on its quiver
+    neighbours), so only an unseen collection is built; each member runs one
+    face analysis."""
 
     def moves(lab: FaceLabeling):
+        q, collection = _quiver(lab), lab.collection()
         for face in movable_faces(lab):
-            nxt = face_labels(square_move(lab, face.label))
-            yield nxt.collection(), lambda nxt=nxt: nxt
+            ins, outs = (tuple(q.vertex(w).label for w, _ in s) for s in (q.arrows_in(face.id), q.arrows_out(face.id)))
+            new = square_move_exchange(face.label, ins, outs)
+            if new is None:
+                raise ReducednessError(f"face {face.label} is not a three-term exchange")
+            yield collection - {face.label} | {new}, lambda p=face.label: face_labels(square_move(lab, p))
 
     labelings, complete = closure(face_labels(g), moves, FaceLabeling.collection, limit)
     return [(lab.graph, lab) for lab in labelings], complete

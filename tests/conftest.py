@@ -36,6 +36,8 @@ from positroids.plabic import (
     ReducednessError,
     _face_orbits,
     _strand_permutation,
+    movable_faces,
+    square_move,
 )
 
 SNAPSHOTS = json.loads((Path(__file__).parent / "snapshots.json").read_text())
@@ -243,6 +245,19 @@ def reference_mutation_class(seed, limit=None):
             yield fingerprint_key(nxt), lambda nxt=nxt: nxt
 
     return closure(seed, moves, fingerprint_key, limit)
+
+
+def reference_graph_mutation_class(g, limit=None):
+    """Square-move closure by the route keyed moves replaced: every neighbour
+    is built, validated and face-labelled, and then keyed by its collection."""
+
+    def moves(lab):
+        for face in movable_faces(lab):
+            nxt = face_labels(square_move(lab, face.label))
+            yield nxt.collection(), lambda nxt=nxt: nxt
+
+    labelings, complete = closure(face_labels(g), moves, FaceLabeling.collection, limit)
+    return [(lab.graph, lab) for lab in labelings], complete
 
 
 def tropical_reference(seed, vid):

@@ -226,6 +226,14 @@ def test_sample_emits_requested_points(capsys):
     assert points[0] != points[1]
 
 
+@pytest.mark.parametrize("command", ["verify", "sample"])
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_verify_and_sample_refuse_points_below_one(capsys, command, points):
+    code, out, err = run(capsys, command, "(135)(264)", "--points", points)
+    assert code == 2 and out == ""
+    assert err == f"error: --points must be at least 1, got {points}\n"
+
+
 def test_sample_seed_changes_the_draw(capsys):
     base = run(capsys, "sample", "(13)(24)", "--points", "1", "--format", "json")
     redo = run(capsys, "sample", "(13)(24)", "--points", "1", "--format", "json")

@@ -516,12 +516,12 @@ def mutate_seed_reference(seed, vid):
 
 @pytest.mark.parametrize("k, n", [(2, 7), (3, 6)])
 def test_mutation_class_matches_the_reference_division(monkeypatch, k, n):
-    # mutate_seed divides inside the kernel, so the reference route swaps in
-    # the old mutation as well as the old divide_exact
+    # mutation divides inside the kernel, so the reference route swaps in the
+    # old mutation, with its own tropical step, as well as the old divide_exact
     start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(k, n))))
     shipped, complete = mutation_class(start)
     monkeypatch.setattr(LaurentPoly, "divide_exact", divide_exact_reference)
-    monkeypatch.setattr(cluster, "mutate_seed", mutate_seed_reference)
+    monkeypatch.setattr(cluster, "_mutate", lambda seed, vid, step: mutate_seed_reference(seed, vid))
     reference, reference_complete = mutation_class(start)
     assert complete and reference_complete
     assert len(shipped) == len(reference) == {7: 42, 6: 50}[n]
@@ -635,6 +635,20 @@ def test_mutation_class_divides_only_for_unseen_keys(monkeypatch):
     seeds, complete = mutation_class(start)
     assert complete and len(seeds) == 833
     assert len(divisions) == 832
+
+
+def test_mutation_class_takes_one_tropical_step_per_key(monkeypatch):
+    # Gr(3,7): one step keys each of the 833 * 6 neighbours, and a new
+    # neighbour is built from that step rather than a second one
+    steps = []
+    step = cluster._tropical_step
+    monkeypatch.setattr(cluster, "_tropical_step", lambda seed, vid: steps.append(vid) or step(seed, vid))
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(3, 7))))
+    seeds, complete = mutation_class(start)
+    assert complete and len(seeds) == 833
+    assert len(steps) == 833 * 6 == 4998
+    once = mutate_seed(start, start.quiver.mutable_ids()[0])
+    assert len(steps) == 4999 and once.key() == seeds[1].key()
 
 
 # --- square-move detection on seeds ------------------------------------

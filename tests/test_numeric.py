@@ -722,12 +722,13 @@ def test_exchange_sweep_mutates_once_per_new_seed(monkeypatch):
     # exchanges read theirs from it; numeric binds no mutation of its own
     assert "mutate_seed" not in vars(numeric) and "closure" not in vars(numeric)
     calls = []
+    mutate = cluster._mutate
 
-    def counting(seed, vid):
+    def counting(seed, vid, step):
         calls.append(vid)
-        return mutate_seed(seed, vid)
+        return mutate(seed, vid, step)
 
-    monkeypatch.setattr(cluster, "mutate_seed", counting)
+    monkeypatch.setattr(cluster, "_mutate", counting)
     sigma = uniform_perm(3, 6)
     g = bridge_graph_from_permutation(sigma)
     report = verify_identities(

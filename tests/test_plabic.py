@@ -23,6 +23,7 @@ from positroids import (
     validate_reduced,
 )
 from positroids import plabic
+from positroids.cluster import closure
 from positroids.combinatorics import ValidationError
 from positroids.plabic import (
     ReducednessError,
@@ -34,12 +35,15 @@ from positroids.plabic import (
 )
 
 from conftest import (
+    SNAPSHOTS,
     assert_frozen_glued,
     decorated_permutations,
     has_core_two_cycle_or_loop,
     ks,
+    named_cells,
     random_decorated,
     recoloured_bridge_corpus,
+    reference_graph_mutation_class,
     reference_label_faces,
     uniform_perm,
 )
@@ -403,3 +407,53 @@ def test_graph_mutation_class_counts_and_limit():
         members, complete = graph_mutation_class(g, limit=limit)
         assert members == full[:limit]
         assert complete == (limit >= len(full))
+
+
+def test_keyed_closure_matches_the_build_then_key_reference(monkeypatch):
+    # every graph_closures snapshot cell and every cell with n <= 6; a second
+    # run builds every move, new or seen, to check its key against the graph
+    cells = [sigma for name, sigma in named_cells() if name in SNAPSHOTS["graph_closures"]]
+    cells += [sigma for n in range(1, 7) for sigma in decorated_permutations(n)]
+    assert len(cells) == 10 + 2371
+    keys = []
+
+    def checking(start, moves, key, limit=None):
+        def checked(lab):
+            for k, build in moves(lab):
+                assert build().collection() == k
+                keys.append(k)
+                yield k, build
+
+        return closure(start, checked, key, limit)
+
+    members = 0
+    for sigma in cells:
+        g = bridge_graph_from_permutation(sigma)
+        shipped, complete = graph_mutation_class(g)
+        reference, reference_complete = reference_graph_mutation_class(g)
+        assert complete and reference_complete
+        assert shipped == reference
+        assert [json.dumps(m.to_json()) for m, _ in shipped] == [json.dumps(m.to_json()) for m, _ in reference]
+        with monkeypatch.context() as patch:
+            patch.setattr(plabic, "closure", checking)
+            assert graph_mutation_class(g) == (shipped, True)
+        members += len(shipped)
+    # more keys were checked than there are members, so seen moves were built too
+    assert len(keys) > members > len(cells)
+
+
+@pytest.mark.parametrize("k, n, members", [(2, 7, 42), (2, 8, 132), (3, 6, 34), (3, 7, 259)])
+def test_graph_mutation_class_analyses_each_member_once(monkeypatch, k, n, members):
+    analysed = []
+    label_faces = plabic._label_faces
+    monkeypatch.setattr(plabic, "_label_faces", lambda *args: analysed.append(args[0]) or label_faces(*args))
+    found, complete = graph_mutation_class(bridge_graph_from_permutation(uniform_perm(k, n)))
+    assert complete and len(found) == members == SNAPSHOTS["graph_closures"][f"uniform({k},{n})"]
+    assert analysed == [m for m, _ in found]
+
+
+def test_a_movable_face_without_a_three_term_exchange_raises(monkeypatch):
+    # no fallback builds the move to key it
+    monkeypatch.setattr(plabic, "square_move_exchange", lambda *args: None)
+    with pytest.raises(ReducednessError, match="three-term exchange"):
+        graph_mutation_class(bridge_graph_from_permutation(uniform_perm(2, 4)))
