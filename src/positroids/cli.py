@@ -76,8 +76,11 @@ def emit(text: str, args: argparse.Namespace) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -310,7 +310,14 @@ class DecoratedPermutation:
 
     @classmethod
     def from_json(cls, data: dict) -> DecoratedPermutation:
-        return cls.of(data["image"], {int(i): c for i, c in data.get("colors", {}).items()})
+        colors = data.get("colors", {})
+        if not isinstance(colors, dict):
+            raise ValidationError(f"colors must be an object keyed by fixed point, got {colors!r}")
+        try:
+            keyed = {int(i): c for i, c in colors.items()}
+        except ValueError:
+            raise ValidationError(f"colors must be keyed by integer fixed points, got {list(colors)}") from None
+        return cls.of(data["image"], keyed)
 
 
 @dataclass(frozen=True)

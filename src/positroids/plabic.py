@@ -569,74 +569,23 @@ def _cleanup(n: int, colors: dict[int, str], edge_list: list, rotation: dict) ->
             del rot[v], colors[v], edges[e2]
             changed = True
 
+    return _assemble(n, colors, edges, rot)
+
+
+def _assemble(n: int, colors: dict, edges: dict[int, tuple[int, int]], rot: dict) -> PlabicGraph:
+    """The graph with boundary n from its parts, edge ids renumbered in order."""
     remap = {eid: k for k, eid in enumerate(sorted(edges))}
-    new_edges = [edges[eid] for eid in sorted(edges)]
-    new_rot = {v: tuple(remap[e] for e in r) for v, r in rot.items()}
-    return PlabicGraph.of(n, colors, new_edges, new_rot)
+    rotation = {v: tuple(remap[e] for e in r) for v, r in rot.items()}
+    return PlabicGraph.of(n, colors, [edges[eid] for eid in sorted(edges)], rotation)
 
 
-def _contract_edge(g: PlabicGraph, eid: int) -> PlabicGraph:
-    """Merge the two same-colored internal ends of an edge, splicing rotations."""
-    u, v = g.edges[eid]
-    colors = g.color_map
-    if u <= g.boundary or v <= g.boundary or colors[u] != colors[v]:
-        raise ValidationError(f"edge {eid} is not contractible")
-    rot = g.rotation_map
-    ru, rv = list(rot[u]), list(rot[v])
-    iu, iv = ru.index(eid), rv.index(eid)
-    merged = ru[iu + 1:] + ru[:iu] + rv[iv + 1:] + rv[:iv]
-    new_edges: list[tuple[int, int]] = []
-    remap: dict[int, int] = {}
-    for k, (a, b) in enumerate(g.edges):
-        if k == eid:
-            continue
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        if a2 == b2:
-            raise ValidationError("contraction of a parallel edge would create a loop")
-        remap[k] = len(new_edges)
-        new_edges.append((a2, b2))
-    new_rot = {
-        w: tuple(remap[e] for e in (merged if w == u else r))
-        for w, r in rot.items()
-        if w != v
-    }
-    new_colors = {w: c for w, c in colors.items() if w != v}
-    return PlabicGraph.of(g.boundary, new_colors, new_edges, new_rot)
-
-
-def _split_corner(g: PlabicGraph, corner: int, e_in: int, e_out: int) -> PlabicGraph:
-    """Detach all edges of ``corner`` except e_in/e_out onto a fresh same-color
-    vertex joined to the corner, leaving the corner trivalent on its face."""
-    rot = list(g.rotation_map[corner])
-    i_in = rot.index(e_in)
-    rot2 = rot[i_in + 1:] + rot[:i_in + 1]
-    if rot2[-2] != e_out:
-        raise ValidationError("face edges are not adjacent in the corner rotation")
-    rest = rot2[:-2]
-    new_id = max([g.boundary, *(v for v, _ in g.colors)]) + 1
-    new_eid = len(g.edges)
-    edges = []
-    for k, (a, b) in enumerate(g.edges):
-        if k in rest:
-            a, b = (new_id if a == corner else a), (new_id if b == corner else b)
-        edges.append((a, b))
-    edges.append((corner, new_id))
-    colors = g.color_map
-    colors[new_id] = colors[corner]
-    rotation = g.rotation_map
-    rotation[corner] = (e_out, e_in, new_eid)
-    rotation[new_id] = tuple(rest) + (new_eid,)
-    return PlabicGraph.of(g.boundary, colors, edges, rotation)
-
-
-def _corner_runs(disk: _Disk, face: Face) -> int | None:
+def _corner_runs(g: PlabicGraph, colors: Mapping[int, str], face: Face) -> int | None:
     """Number of cyclic color runs among the face's corners, or None when the
     face revisits a vertex or touches the boundary."""
-    corners = [disk.head(d) for d in face.darts]
-    if any(v <= disk.n for v in corners) or len(set(corners)) != len(corners):
+    corners = [g.edges[d >> 1][1 - (d & 1)] for d in face.darts]
+    if any(v <= g.boundary for v in corners) or len(set(corners)) != len(corners):
         return None
-    cols = [disk.colors[v] for v in corners]
+    cols = [colors[v] for v in corners]
     changes = sum(cols[i] != cols[i - 1] for i in range(len(cols)))
     return changes if changes else 1
 
@@ -649,41 +598,70 @@ def square_move(labeling: FaceLabeling, pivot: KSet) -> PlabicGraph:
     that its on-face part is trivalent.  The result must be a quadrilateral
     with alternating corner colors, whose four corners are then flipped.
 
-    No face analysis runs: the face is followed through each contraction by
-    one of its surviving darts, and a split keeps the face's darts and corners.
+    All of this edits one copy of the graph's parts, which are built into a
+    graph once; no face analysis runs.  The face is followed by its own darts:
+    a contraction drops one, and the walk restarts at the smallest.
     """
     g = labeling.graph
     face = labeling.face_with_label(pivot)
     if face.frozen:
         raise ValidationError(f"face {pivot} touches the boundary")
-    disk = _Disk(g)
-    if _corner_runs(disk, face) != 4:
+    colors = g.color_map
+    if _corner_runs(g, colors, face) != 4:
         raise ValidationError(f"face {pivot} does not normalize to a quadrilateral")
+    edges = dict(enumerate(g.edges))
+    rot = {v: list(r) for v, r in g.rotation}
 
-    darts = face.darts
+    def head(d: int) -> int:
+        return edges[d >> 1][1 - (d & 1)]
+
+    darts = list(face.darts)
     while True:
-        cols = [disk.colors[disk.head(d)] for d in darts]
+        cols = [colors[head(d)] for d in darts]
         same = next((i for i in range(len(cols)) if cols[i] == cols[i - 1]), None)
         if same is None:
             break
+        # merge v into u, splicing v's rotation into u's in place of the edge
         eid = darts[same] >> 1
-        g = _contract_edge(g, eid)
-        disk = _Disk(g)
-        # edge ids above the contracted one shift down by one; end bits stay
-        d = next(d for d in darts if d >> 1 != eid)
-        darts = _face_orbit(disk, d - 2 if d >> 1 > eid else d)
+        u, v = edges.pop(eid)
+        ru, rv = rot[u], rot.pop(v)
+        iu, iv = ru.index(eid), rv.index(eid)
+        moved = rv[iv + 1:] + rv[:iv]
+        rot[u] = ru[iu + 1:] + ru[:iu] + moved
+        for k in moved:
+            a, b = edges[k]
+            if u in (a, b):
+                raise ValidationError("contraction of a parallel edge would create a loop")
+            edges[k] = (u if a == v else a, u if b == v else b)
+        del colors[v], darts[same]
+        first = darts.index(min(darts))
+        darts = darts[first:] + darts[:first]
 
-    corners = [disk.head(d) for d in darts]
-    for spot, v in enumerate(corners):
-        if disk.deg[v] > 3:
-            g = _split_corner(g, v, darts[spot] >> 1, darts[(spot + 1) % 4] >> 1)
-    return g.recolor({v: (WHITE if disk.colors[v] == BLACK else BLACK) for v in corners})
+    corners = [head(d) for d in darts]
+    for spot, corner in enumerate(corners):
+        if len(rot[corner]) > 3:
+            # detach all but the corner's two face edges onto a new vertex of its color
+            e_in, e_out = darts[spot] >> 1, darts[(spot + 1) % 4] >> 1
+            r = rot[corner]
+            i = r.index(e_in)
+            rest = (r[i + 1:] + r[:i])[:-1]
+            new, new_eid = max([g.boundary, *colors]) + 1, max(edges) + 1
+            for k in rest:
+                a, b = edges[k]
+                edges[k] = (new if a == corner else a, new if b == corner else b)
+            edges[new_eid] = (corner, new)
+            colors[new] = colors[corner]
+            rot[corner], rot[new] = [e_out, e_in, new_eid], rest + [new_eid]
+    for v in corners:
+        colors[v] = WHITE if colors[v] == BLACK else BLACK
+    return _assemble(g.boundary, colors, edges, rot)
 
 
 def movable_faces(labeling: FaceLabeling) -> tuple[Face, ...]:
     """Interior faces that normalize to an alternating quadrilateral."""
-    disk = _Disk(labeling.graph)
-    return tuple(f for f in labeling.faces if not f.frozen and _corner_runs(disk, f) == 4)
+    g = labeling.graph
+    colors = g.color_map
+    return tuple(f for f in labeling.faces if not f.frozen and _corner_runs(g, colors, f) == 4)
 
 
 def quiver_from_graph(g: PlabicGraph) -> IceQuiver:
@@ -702,15 +680,14 @@ def quiver_from_graph(g: PlabicGraph) -> IceQuiver:
 
 def _quiver(labeling: FaceLabeling) -> IceQuiver:
     """:func:`quiver_from_graph` of ``labeling.graph``, read from its labeling."""
-    g, faces, disk = labeling.graph, labeling.faces, _Disk(labeling.graph)
+    g, faces = labeling.graph, labeling.faces
     dart_face = {d: f.id for f in faces for d in f.darts}
-    colors = g.color_map
+    colors, deg = g.color_map, {v: len(r) for v, r in g.rotation}
     raw: dict[tuple[int, int], int] = {}
     for eid, (u, v) in enumerate(g.edges):
-        if min(u, v) <= g.boundary or 1 in (disk.deg[u], disk.deg[v]) or colors[u] == colors[v]:
+        if min(u, v) <= g.boundary or 1 in (deg[u], deg[v]) or colors[u] == colors[v]:
             continue
-        w = u if colors[u] == WHITE else v
-        d_wb = disk.dart(eid, w)
+        d_wb = 2 * eid + (colors[u] != WHITE)  # the dart leaving the white end
         src = dart_face[d_wb ^ 1]
         dst = dart_face[d_wb]
         if src == dst:

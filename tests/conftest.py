@@ -18,6 +18,7 @@ import pytest
 from positroids import (
     DecoratedPermutation,
     KSet,
+    PlabicGraph,
     bridge_graph_from_permutation,
     connected_components,
     face_labels,
@@ -34,6 +35,7 @@ from positroids.plabic import (
     Face,
     FaceLabeling,
     ReducednessError,
+    _Disk,
     _face_orbits,
     _strand_permutation,
     movable_faces,
@@ -258,6 +260,90 @@ def reference_graph_mutation_class(g, limit=None):
 
     labelings, complete = closure(face_labels(g), moves, FaceLabeling.collection, limit)
     return [(lab.graph, lab) for lab in labelings], complete
+
+
+def _contract_edge(g: PlabicGraph, eid: int) -> PlabicGraph:
+    """Merge the two same-colored internal ends of an edge, splicing rotations."""
+    u, v = g.edges[eid]
+    colors = g.color_map
+    if u <= g.boundary or v <= g.boundary or colors[u] != colors[v]:
+        raise ValidationError(f"edge {eid} is not contractible")
+    rot = g.rotation_map
+    ru, rv = list(rot[u]), list(rot[v])
+    iu, iv = ru.index(eid), rv.index(eid)
+    merged = ru[iu + 1:] + ru[:iu] + rv[iv + 1:] + rv[:iv]
+    new_edges: list[tuple[int, int]] = []
+    remap: dict[int, int] = {}
+    for k, (a, b) in enumerate(g.edges):
+        if k == eid:
+            continue
+        a2 = u if a == v else a
+        b2 = u if b == v else b
+        if a2 == b2:
+            raise ValidationError("contraction of a parallel edge would create a loop")
+        remap[k] = len(new_edges)
+        new_edges.append((a2, b2))
+    new_rot = {
+        w: tuple(remap[e] for e in (merged if w == u else r))
+        for w, r in rot.items()
+        if w != v
+    }
+    new_colors = {w: c for w, c in colors.items() if w != v}
+    return PlabicGraph.of(g.boundary, new_colors, new_edges, new_rot)
+
+
+def _split_corner(g: PlabicGraph, corner: int, e_in: int, e_out: int) -> PlabicGraph:
+    """Detach all edges of ``corner`` except e_in/e_out onto a fresh same-color
+    vertex joined to the corner, leaving the corner trivalent on its face."""
+    rot = list(g.rotation_map[corner])
+    i_in = rot.index(e_in)
+    rot2 = rot[i_in + 1:] + rot[:i_in + 1]
+    if rot2[-2] != e_out:
+        raise ValidationError("face edges are not adjacent in the corner rotation")
+    rest = rot2[:-2]
+    new_id = max([g.boundary, *(v for v, _ in g.colors)]) + 1
+    new_eid = len(g.edges)
+    edges = []
+    for k, (a, b) in enumerate(g.edges):
+        if k in rest:
+            a, b = (new_id if a == corner else a), (new_id if b == corner else b)
+        edges.append((a, b))
+    edges.append((corner, new_id))
+    colors = g.color_map
+    colors[new_id] = colors[corner]
+    rotation = g.rotation_map
+    rotation[corner] = (e_out, e_in, new_eid)
+    rotation[new_id] = tuple(rest) + (new_eid,)
+    return PlabicGraph.of(g.boundary, colors, edges, rotation)
+
+
+def reference_square_move(g, pivot, labeling):
+    """Square move that edits whole graphs, one ``_contract_edge`` or
+    ``_split_corner`` at a time, relabels the graph after each and looks the
+    pivot face up again by its label."""
+    face = labeling.face_with_label(pivot)
+    if face not in movable_faces(labeling):
+        raise ValidationError(f"face {pivot} is not movable")
+    while True:
+        disk = _Disk(g)
+        face = face_labels(g).face_with_label(pivot)
+        cols = [g.color_map[disk.head(d)] for d in face.darts]
+        same = next((i for i in range(len(cols)) if cols[i] == cols[i - 1]), None)
+        if same is None:
+            break
+        g = _contract_edge(g, face.darts[same] >> 1)
+    for spot in range(4):
+        disk = _Disk(g)
+        face = face_labels(g).face_with_label(pivot)
+        corners = [disk.head(d) for d in face.darts]
+        if disk.deg[corners[spot]] > 3:
+            e_in = face.darts[spot] >> 1
+            e_out = face.darts[(spot + 1) % 4] >> 1
+            g = _split_corner(g, corners[spot], e_in, e_out)
+    disk = _Disk(g)
+    corners = [disk.head(d) for d in face_labels(g).face_with_label(pivot).darts]
+    colors = g.color_map
+    return g.recolor({v: ("white" if colors[v] == "black" else "black") for v in corners})
 
 
 def tropical_reference(seed, vid):

@@ -264,6 +264,13 @@ def test_out_flag_writes_the_file_instead_of_stdout(tmp_path, capsys):
     assert json.loads(target.read_text())["k"] == 2
 
 
+def test_out_flag_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "necklace", "(12)", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 # --- failure modes ------------------------------------------------------
 
 
@@ -278,6 +285,19 @@ def test_malformed_cycle_entries_exit_2(capsys, spec):
     code, out, err = run(capsys, "necklace", spec)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"image":[2,1],"colors":[1]}', "colors must be an object keyed by fixed point, got [1]"),
+        ('{"image":[1],"colors":{"x":1}}', "colors must be keyed by integer fixed points, got ['x']"),
+    ],
+)
+def test_json_colors_that_are_not_keyed_by_fixed_points_exit_2(capsys, spec, message):
+    code, out, err = run(capsys, "necklace", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # no "," or "{", so every cycle entry is one digit and n stays small

@@ -25,14 +25,7 @@ from positroids import (
 from positroids import plabic
 from positroids.cluster import closure
 from positroids.combinatorics import ValidationError
-from positroids.plabic import (
-    ReducednessError,
-    _contract_edge,
-    _corner_runs,
-    _Disk,
-    _split_corner,
-    movable_faces,
-)
+from positroids.plabic import ReducednessError, _Disk, movable_faces
 
 from conftest import (
     SNAPSHOTS,
@@ -45,8 +38,26 @@ from conftest import (
     recoloured_bridge_corpus,
     reference_graph_mutation_class,
     reference_label_faces,
+    reference_square_move,
     uniform_perm,
 )
+
+
+def record_work(monkeypatch):
+    """Lists that collect the graph of each face analysis, each ``_Disk`` built
+    and each ``PlabicGraph.validate`` call, in call order."""
+    analysed, disks, validated = [], [], []
+    label_faces, validate = plabic._label_faces, PlabicGraph.validate
+
+    class CountingDisk(_Disk):
+        def __init__(self, graph):
+            disks.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(plabic, "_label_faces", lambda *args: analysed.append(args[0]) or label_faces(*args))
+    monkeypatch.setattr(plabic, "_Disk", CountingDisk)
+    monkeypatch.setattr(PlabicGraph, "validate", lambda g: validated.append(g) or validate(g))
+    return analysed, disks, validated
 
 
 # --- construction and trips --------------------------------------------
@@ -104,14 +115,7 @@ def test_trip_permutation_matches_the_face_analysis_for_n_up_to_6(monkeypatch):
 
 
 def test_bridge_graph_validates_only_the_graph_it_returns(monkeypatch):
-    validated = []
-    validate = PlabicGraph.validate
-
-    def counting(g):
-        validated.append(g)
-        validate(g)
-
-    monkeypatch.setattr(PlabicGraph, "validate", counting)
+    _, _, validated = record_work(monkeypatch)
     g = bridge_graph_from_permutation(uniform_perm(3, 6))
     assert validated == [g]
 
@@ -210,14 +214,7 @@ def test_bubble_graph_is_not_reduced():
 def test_validate_reduced_builds_one_disk(monkeypatch):
     # the strand checks and the face analysis share one _Disk and its trips
     g = bridge_graph_from_permutation(uniform_perm(3, 6))
-    built = []
-
-    class CountingDisk(_Disk):
-        def __init__(self, graph):
-            built.append(graph)
-            super().__init__(graph)
-
-    monkeypatch.setattr(plabic, "_Disk", CountingDisk)
+    _, built, _ = record_work(monkeypatch)
     assert validate_reduced(g)
     assert built == [g]
 
@@ -259,64 +256,30 @@ def test_square_move_preserves_the_trip_permutation():
             done += 1
 
 
-def reference_square_move(g, pivot, labeling):
-    """Square move that relabels the whole graph after every contraction and
-    split and looks the pivot face up again by its label."""
-    face = labeling.face_with_label(pivot)
-    if face.frozen or _corner_runs(_Disk(g), face) != 4:
-        raise ValidationError(f"face {pivot} is not movable")
-    while True:
-        disk = _Disk(g)
-        face = face_labels(g).face_with_label(pivot)
-        cols = [g.color_map[disk.head(d)] for d in face.darts]
-        same = next((i for i in range(len(cols)) if cols[i] == cols[i - 1]), None)
-        if same is None:
-            break
-        g = _contract_edge(g, face.darts[same] >> 1)
-    for spot in range(4):
-        disk = _Disk(g)
-        face = face_labels(g).face_with_label(pivot)
-        corners = [disk.head(d) for d in face.darts]
-        if disk.deg[corners[spot]] > 3:
-            e_in = face.darts[spot] >> 1
-            e_out = face.darts[(spot + 1) % 4] >> 1
-            g = _split_corner(g, corners[spot], e_in, e_out)
-    disk = _Disk(g)
-    corners = [disk.head(d) for d in face_labels(g).face_with_label(pivot).darts]
-    colors = g.color_map
-    return g.recolor({v: ("white" if colors[v] == "black" else "black") for v in corners})
-
-
 def test_square_move_matches_the_relabelling_reference():
     rng = random.Random(47)
-    graphs = [m for m, _ in graph_mutation_class(bridge_graph_from_permutation(uniform_perm(3, 6)))[0]]
-    assert len(graphs) == 34
-    graphs += [bridge_graph_from_permutation(random_decorated(rng, rng.randint(4, 7))) for _ in range(12)]
+    classes = [graph_mutation_class(bridge_graph_from_permutation(uniform_perm(k, n)))[0] for k, n in ((3, 6), (2, 8))]
+    assert [len(c) for c in classes] == [34, 132]
+    labs = [lab for c in classes for _, lab in c]
+    labs += [face_labels(bridge_graph_from_permutation(random_decorated(rng, rng.randint(4, 7)))) for _ in range(12)]
     moves = 0
-    for g in graphs:
-        lab = face_labels(g)
+    for lab in labs:
         for face in movable_faces(lab):
             fast = json.dumps(square_move(lab, face.label).to_json())
-            assert fast == json.dumps(reference_square_move(g, face.label, lab).to_json())
+            assert fast == json.dumps(reference_square_move(lab.graph, face.label, lab).to_json())
             moves += 1
-    assert moves > 100
+    assert moves == 120 + 660 + 1
 
 
 def test_square_move_with_a_labeling_analyses_nothing(monkeypatch):
+    # each move edits one copy of the parts and validates only the graph it returns
     lab = face_labels(bridge_graph_from_permutation(uniform_perm(3, 6)))
-    analysed = []
-    label_faces = plabic._label_faces
-
-    def counting(g, disk, strands):
-        analysed.append(g)
-        return label_faces(g, disk, strands)
-
-    monkeypatch.setattr(plabic, "_label_faces", counting)
-    for face in movable_faces(lab):
-        square_move(lab, face.label)
-    assert movable_faces(lab) and analysed == []
+    analysed, disks, validated = record_work(monkeypatch)
+    moved = [square_move(lab, face.label) for face in movable_faces(lab)]
+    assert moved and analysed == disks == []
+    assert validated == moved and all(v is m for v, m in zip(validated, moved))
     face_labels(lab.graph)
-    assert analysed == [lab.graph]
+    assert analysed == disks == [lab.graph]
 
 
 def test_square_move_rejects_non_movable_faces(ex_135264):
@@ -444,12 +407,14 @@ def test_keyed_closure_matches_the_build_then_key_reference(monkeypatch):
 
 @pytest.mark.parametrize("k, n, members", [(2, 7, 42), (2, 8, 132), (3, 6, 34), (3, 7, 259)])
 def test_graph_mutation_class_analyses_each_member_once(monkeypatch, k, n, members):
-    analysed = []
-    label_faces = plabic._label_faces
-    monkeypatch.setattr(plabic, "_label_faces", lambda *args: analysed.append(args[0]) or label_faces(*args))
-    found, complete = graph_mutation_class(bridge_graph_from_permutation(uniform_perm(k, n)))
+    # one face analysis and one _Disk per member, one validation per built move
+    g = bridge_graph_from_permutation(uniform_perm(k, n))
+    analysed, disks, validated = record_work(monkeypatch)
+    found, complete = graph_mutation_class(g)
     assert complete and len(found) == members == SNAPSHOTS["graph_closures"][f"uniform({k},{n})"]
-    assert analysed == [m for m, _ in found]
+    graphs = [m for m, _ in found]
+    assert analysed == disks == graphs
+    assert len(validated) == members - 1 and all(v is m for v, m in zip(validated, graphs[1:]))
 
 
 def test_a_movable_face_without_a_three_term_exchange_raises(monkeypatch):
