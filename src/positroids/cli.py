@@ -10,7 +10,6 @@ output is reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import re
@@ -21,11 +20,11 @@ from .cluster import SEEDS_LIMIT, Seed, initial_seed, mutation_class
 from .combinatorics import (
     DecoratedPermutation,
     DimensionError,
-    KSet,
     SizeCapError,
     ValidationError,
     alignments,
     connected_components,
+    k_subsets,
     necklace_from_permutation,
     positroid_members,
 )
@@ -131,8 +130,7 @@ def cmd_positroid(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     necklace = necklace_from_permutation(sigma)
     n, k = sigma.n, sigma.k
     rows = []
-    for combo in itertools.combinations(range(1, n + 1), k):
-        lab = KSet(combo, n)
+    for lab in k_subsets(n, k):
         in_p = cm.in_cm_b(lab, necklace)
         rows.append(
             {

@@ -163,12 +163,6 @@ class LaurentPoly:
         syms, (a, b) = _pack(self, other)
         return _unpack(syms, _kmul(a, b))
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def symbols(self) -> frozenset[str]:
-        return frozenset(s for e, _ in self.terms for s, _ in e)
-
     def divide_exact(self, divisor: LaurentPoly) -> LaurentPoly:
         """Exact division in the Laurent ring; raises LaurentDivisionError otherwise."""
         syms, (p, q) = _pack(self, divisor)
@@ -290,11 +284,6 @@ class IceQuiver:
     def arrows_out(self, vid: int) -> tuple[tuple[int, int], ...]:
         return tuple((t, m) for _, t, m in _run(self.arrows, _SOURCE, vid))
 
-    def core_key(self, names: Mapping[int, object] | None = None) -> frozenset:
-        """Canonical form of the Q-circle part under a vertex naming."""
-        names = names or {v.id: (v.label.label() if v.label else v.id) for v in self.vertices}
-        return frozenset((names[s], names[t], m) for s, t, m in self.core_arrows())
-
     def to_json(self) -> dict:
         return {
             "vertices": [
@@ -372,9 +361,6 @@ class Seed:
 
     def variable(self, vid: int) -> LaurentPoly:
         return dict(self.variables)[vid]
-
-    def cluster_labels(self) -> dict[int, KSet | None]:
-        return {v.id: v.label for v in self.quiver.vertices}
 
     def is_pure_pluecker(self) -> bool:
         return all(v.label is not None for v in self.quiver.vertices)

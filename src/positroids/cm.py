@@ -10,7 +10,6 @@ scope here: they only show up implicitly, as non-Pluecker cluster variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .combinatorics import (
     DimensionError,
@@ -26,8 +25,6 @@ from .combinatorics import (
 )
 
 __all__ = [
-    "RankOneModule",
-    "ModuleCollection",
     "ext1_vanishes",
     "in_cm_b",
     "in_gp_b",
@@ -36,47 +33,6 @@ __all__ = [
     "maximal_noncrossing_collections",
     "k2_generator_decomposition",
 ]
-
-
-@dataclass(frozen=True)
-class RankOneModule:
-    """A rank-one module, recorded by its label and drawn as a lattice path.
-
-    The profile walks the rectangle [0, n-k] x [0, k] from the top left: one
-    step per ground-set element, going down exactly at the elements of the
-    label and right elsewhere.
-    """
-
-    label: KSet
-
-    @property
-    def profile(self) -> tuple[str, ...]:
-        members = set(self.label.elements)
-        return tuple("D" if i in members else "R" for i in range(1, self.label.n + 1))
-
-    def __str__(self) -> str:
-        return f"M[{self.label.label()}]"
-
-
-@dataclass(frozen=True)
-class ModuleCollection:
-    """A set of rank-one labels considered inside a fixed positroid context."""
-
-    labels: frozenset[KSet]
-    necklace: GrassmannNecklace
-
-    @classmethod
-    def of(cls, labels, necklace: GrassmannNecklace, require_cm: bool = False) -> ModuleCollection:
-        labels = frozenset(labels)
-        for lab in labels:
-            if lab.n != necklace.n or lab.k != necklace.k:
-                raise DimensionError(f"{lab} does not fit a ({necklace.k},{necklace.n}) context")
-            if require_cm and not in_cm_b(lab, necklace):
-                raise ValidationError(f"{lab} is outside the positroid")
-        return cls(labels, necklace)
-
-    def modules(self) -> tuple[RankOneModule, ...]:
-        return tuple(RankOneModule(lab) for lab in sorted(self.labels, key=lambda s: s.elements))
 
 
 def ext1_vanishes(i_set: KSet, j_set: KSet) -> bool:

@@ -96,12 +96,6 @@ class KSet:
         """Bit j set for each element j."""
         return sum(1 << j for j in self.elements)
 
-    def difference(self, other: KSet) -> tuple[int, ...]:
-        return tuple(e for e in self.elements if e not in other.elements)
-
-    def replace(self, old: int, new: int) -> KSet:
-        return KSet.of([e for e in self.elements if e != old] + [new], self.n)
-
     def label(self) -> str:
         """Compact text form: "124" for n <= 9, comma separated above."""
         if self.n <= 9:
@@ -121,6 +115,15 @@ class KSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements) + "}"
+
+
+def k_subsets(n: int, k: int) -> Iterator[KSet]:
+    """Every k-subset of [n], in lexicographic order.
+
+    >>> [s.label() for s in k_subsets(4, 2)]
+    ['12', '13', '14', '23', '24', '34']
+    """
+    return (KSet(c, n) for c in itertools.combinations(range(1, n + 1), k))
 
 
 def three_term(
@@ -310,14 +313,17 @@ class DecoratedPermutation:
 
     @classmethod
     def from_json(cls, data: dict) -> DecoratedPermutation:
-        colors = data.get("colors", {})
+        image, colors = list(data["image"]), data.get("colors", {})
         if not isinstance(colors, dict):
             raise ValidationError(f"colors must be an object keyed by fixed point, got {colors!r}")
         try:
             keyed = {int(i): c for i, c in colors.items()}
         except ValueError:
             raise ValidationError(f"colors must be keyed by integer fixed points, got {list(colors)}") from None
-        return cls.of(data["image"], keyed)
+        for x in (*image, *keyed.values()):
+            if type(x) is not int:  # JSON true and 2.0 compare equal to 1 and 2
+                raise ValidationError(f"image entries and colors must be integers, got {x!r}")
+        return cls.of(image, keyed)
 
 
 @dataclass(frozen=True)
@@ -416,9 +422,7 @@ class Positroid:
         return self.necklace.k
 
     def complement(self) -> frozenset[KSet]:
-        n, k = self.n, self.k
-        every = {KSet(c, n) for c in itertools.combinations(range(1, n + 1), k)}
-        return frozenset(every - self.members)
+        return frozenset(k_subsets(self.n, self.k)) - self.members
 
 
 def necklace_from_permutation(sigma: DecoratedPermutation) -> GrassmannNecklace:
@@ -585,17 +589,3 @@ def connected_components(necklace: GrassmannNecklace) -> list[Component]:
         out.append(Component(elems, perm, necklace_from_permutation(perm)))
     return out
 
-
-def restricted_necklace(necklace: GrassmannNecklace, elements: tuple[int, ...]) -> GrassmannNecklace:
-    """Necklace of a component read off by restriction: entry p is I_{s_p} n S, relabeled.
-
-    Independent of the route through the relabeled permutation; the two are
-    compared in the test suite.
-    """
-    relabel = {e: p for p, e in enumerate(elements, start=1)}
-    m = len(elements)
-    sets = []
-    for e in elements:
-        inter = [relabel[x] for x in necklace[e] if x in relabel]
-        sets.append(KSet.of(inter, m))
-    return GrassmannNecklace(tuple(sets))

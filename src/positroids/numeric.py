@@ -29,6 +29,7 @@ from .combinatorics import (
     KSet,
     ValidationError,
     cyclically_ordered,
+    k_subsets,
     necklace_from_permutation,
     positroid_members,
     three_term,
@@ -43,7 +44,6 @@ __all__ = [
     "pluecker_table",
     "pluecker_relation_check",
     "minor_assignment",
-    "perfect_orientation",
     "sample_cell_point",
     "sample_generic_matrix",
     "gauge_rescale",
@@ -93,10 +93,6 @@ class RationalMatrix:
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
 
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]], n: int | None = None) -> RationalMatrix:
-        return cls.of(data, n)
-
 
 def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
     """Every maximal minor of ``matrix``, keyed by sorted 1-based column tuple.
@@ -107,10 +103,7 @@ def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
     the entry it reads.
     """
     dets, scale = matrix.scaled_minors
-    return {
-        cols: Fraction(dets.get(cols, 0), scale)
-        for cols in itertools.combinations(range(1, matrix.n + 1), matrix.k)
-    }
+    return {s.elements: Fraction(dets.get(s.elements, 0), scale) for s in k_subsets(matrix.n, matrix.k)}
 
 
 def _scaled_table(matrix: RationalMatrix) -> tuple[dict[tuple[int, ...], int], int]:
@@ -187,20 +180,6 @@ def minor_assignment(matrix: RationalMatrix, labels: Sequence[KSet]) -> dict[str
 # perfect orientations
 
 
-def perfect_orientation(graph: PlabicGraph) -> dict[int, tuple[int, int]]:
-    """An acyclic orientation with one outgoing edge per internal black vertex
-    and one incoming edge per internal white vertex, as edge id -> (tail, head).
-
-    Found by backtracking over the distinguished edge of each internal vertex
-    (the outgoing one at black, the incoming one at white) with unit
-    propagation; the coupling is local: a same-colored internal edge is
-    distinguished at exactly one end, an opposite-colored one at both ends or
-    neither.  Cyclic candidates are rejected, so the first surviving
-    assignment is returned.
-    """
-    return dict(_oriented(graph).orientation)
-
-
 class _Network(NamedTuple):
     """A graph's perfect orientation as sorted (edge id, (tail, head)) pairs,
     the topological order that accepted it and its boundary sources."""
@@ -219,6 +198,17 @@ def _oriented(graph: PlabicGraph) -> _Network:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _network(graph: PlabicGraph) -> _Network | None:
+    """An acyclic orientation with one outgoing edge per internal black vertex
+    and one incoming edge per internal white vertex, as edge id -> (tail, head)
+    pairs in a :class:`_Network`; None when the graph admits none.
+
+    Found by backtracking over the distinguished edge of each internal vertex
+    (the outgoing one at black, the incoming one at white) with unit
+    propagation; the coupling is local: a same-colored internal edge is
+    distinguished at exactly one end, an opposite-colored one at both ends or
+    neither.  Cyclic candidates are rejected, so the first surviving
+    assignment is returned.
+    """
     n = graph.boundary
     rot = graph.rotation_map
     internal = sorted(v for v in rot if v > n)
@@ -636,7 +626,7 @@ def verify_identities(
         identities.append(_entry(name, checks, show=lambda side: str(Fraction(*side))))
 
     expected = positroid.complement()
-    every = [KSet(c, n) for c in itertools.combinations(range(1, n + 1), k)]
+    every = list(k_subsets(n, k))
     profiles = (
         (f"cell:{pidx}", {s for s in every if s.elements not in dets}, expected)
         for pidx, (dets, _) in enumerate(tables)

@@ -120,14 +120,6 @@ class PlabicGraph:
             if len(rot[i]) != 1:
                 raise ValidationError(f"boundary vertex {i} must have exactly one leg")
 
-    def recolor(self, flips: Mapping[int, str]) -> PlabicGraph:
-        colors = self.color_map
-        for v, c in flips.items():
-            if v not in colors:
-                raise ValidationError(f"vertex {v} is not internal")
-            colors[v] = c
-        return PlabicGraph.of(self.boundary, colors, self.edges, self.rotation_map)
-
     def to_json(self) -> dict:
         return {
             "boundary": self.boundary,
@@ -209,9 +201,6 @@ class FaceLabeling:
             if f.label == label:
                 return f
         raise KeyError(label)
-
-    def mutable_faces(self) -> tuple[Face, ...]:
-        return tuple(f for f in self.faces if not f.frozen)
 
 
 class _Disk:

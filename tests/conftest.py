@@ -12,11 +12,13 @@ import json
 import random
 from collections import Counter, deque
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 
 from positroids import (
     DecoratedPermutation,
+    GrassmannNecklace,
     KSet,
     PlabicGraph,
     bridge_graph_from_permutation,
@@ -101,6 +103,11 @@ def ks(text: str, n: int) -> KSet:
     return KSet.from_label(text, n)
 
 
+def diff(a: KSet, b: KSet) -> tuple[int, ...]:
+    """The elements of a that b lacks, in increasing order."""
+    return tuple(e for e in a.elements if e not in b.elements)
+
+
 def chords_cross(s, t, n: int) -> bool:
     """Reference crossing test: a chord between two points of s crosses one
     between two points of t, i.e. x, y, z, w lie in cyclic order; the points
@@ -110,6 +117,21 @@ def chords_cross(s, t, n: int) -> bool:
         for x, z in itertools.combinations(s, 2)
         for y, w in itertools.permutations(t, 2)
     )
+
+
+def restricted_necklace(necklace: GrassmannNecklace, elements: tuple[int, ...]) -> GrassmannNecklace:
+    """Necklace of a component read off by restriction: entry p is I_{s_p} n S, relabeled.
+
+    Independent of the route through the relabeled permutation; the two are
+    compared in the test suite.
+    """
+    relabel = {e: p for p, e in enumerate(elements, start=1)}
+    m = len(elements)
+    sets = []
+    for e in elements:
+        inter = [relabel[x] for x in necklace[e] if x in relabel]
+        sets.append(KSet.of(inter, m))
+    return GrassmannNecklace(tuple(sets))
 
 
 def reference_trip_sides(disk, trip, dart_face, adjacent, interior) -> dict[int, str]:
@@ -198,7 +220,17 @@ def recoloured_bridge_corpus(max_n: int, recolourings: int, seed: int):
             g = bridge_graph_from_permutation(sigma)
             yield g
             for _ in range(recolourings):
-                yield g.recolor({v: rng.choice((WHITE, BLACK)) for v in g.internal_ids()})
+                yield recolor(g, {v: rng.choice((WHITE, BLACK)) for v in g.internal_ids()})
+
+
+def labels_of(seed) -> dict:
+    """Each vertex id of the seed's quiver with its label, None when unlabelled."""
+    return {v.id: v.label for v in seed.quiver.vertices}
+
+
+def core_key(quiver, names) -> frozenset:
+    """The arrows with a mutable end, their ends renamed by ``names``."""
+    return frozenset((names[s], names[t], m) for s, t, m in quiver.core_arrows())
 
 
 def has_core_two_cycle_or_loop(quiver) -> bool:
@@ -317,6 +349,15 @@ def _split_corner(g: PlabicGraph, corner: int, e_in: int, e_out: int) -> PlabicG
     return PlabicGraph.of(g.boundary, colors, edges, rotation)
 
 
+def recolor(g: PlabicGraph, flips: Mapping[int, str]) -> PlabicGraph:
+    colors = g.color_map
+    for v, c in flips.items():
+        if v not in colors:
+            raise ValidationError(f"vertex {v} is not internal")
+        colors[v] = c
+    return PlabicGraph.of(g.boundary, colors, g.edges, g.rotation_map)
+
+
 def reference_square_move(g, pivot, labeling):
     """Square move that edits whole graphs, one ``_contract_edge`` or
     ``_split_corner`` at a time, relabels the graph after each and looks the
@@ -343,7 +384,7 @@ def reference_square_move(g, pivot, labeling):
     disk = _Disk(g)
     corners = [disk.head(d) for d in face_labels(g).face_with_label(pivot).darts]
     colors = g.color_map
-    return g.recolor({v: ("white" if colors[v] == "black" else "black") for v in corners})
+    return recolor(g, {v: ("white" if colors[v] == "black" else "black") for v in corners})
 
 
 def tropical_reference(seed, vid):

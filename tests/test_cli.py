@@ -18,8 +18,6 @@ import positroids
 from positroids import PlabicGraph, bridge_graph_from_permutation, cli, cluster, face_labels
 from positroids.combinatorics import DecoratedPermutation
 
-from conftest import uniform_perm
-
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -292,6 +290,10 @@ def test_malformed_cycle_entries_exit_2(capsys, spec):
     [
         ('{"image":[2,1],"colors":[1]}', "colors must be an object keyed by fixed point, got [1]"),
         ('{"image":[1],"colors":{"x":1}}', "colors must be keyed by integer fixed points, got ['x']"),
+        ('{"image":[2.0,1]}', "image entries and colors must be integers, got 2.0"),
+        ('{"image":[true]}', "image entries and colors must be integers, got True"),
+        ('{"image":[1],"colors":{"1":true}}', "image entries and colors must be integers, got True"),
+        ('{"image":[1],"colors":{"1":1.0}}', "image entries and colors must be integers, got 1.0"),
     ],
 )
 def test_json_colors_that_are_not_keyed_by_fixed_points_exit_2(capsys, spec, message):

@@ -22,24 +22,18 @@ from positroids import (
     noncrossing,
     positroid_members,
 )
-from positroids.cm import ModuleCollection, RankOneModule
 from positroids.combinatorics import DimensionError, SizeCapError, ValidationError, in_positroid
 
 from conftest import (
     SNAPSHOTS,
     chords_cross,
     decorated_permutations,
+    diff,
     k2_permutations,
     ks,
     random_decorated,
     uniform_perm,
 )
-
-
-def test_profile_walks_down_at_label_elements():
-    m = RankOneModule(ks("124", 6))
-    assert m.profile == ("D", "D", "R", "D", "R", "R")
-    assert str(m) == "M[124]"
 
 
 def test_ext_vanishing_is_the_chord_test():
@@ -90,16 +84,6 @@ def test_gp_membership_implies_cm_membership():
         for lab in gp_b_rank_one_list(neck):
             assert in_cm_b(lab, neck)
             assert all(noncrossing(lab, entry) for entry in neck)
-
-
-def test_module_collection_validation(ex_135264):
-    neck = ex_135264["necklace"]
-    coll = ModuleCollection.of([ks("124", 6), ks("246", 6)], neck, require_cm=True)
-    assert [str(m) for m in coll.modules()] == ["M[124]", "M[246]"]
-    with pytest.raises(ValidationError):
-        ModuleCollection.of([ks("123", 6)], neck, require_cm=True)
-    with pytest.raises(DimensionError):
-        ModuleCollection.of([ks("12", 6)], neck)
 
 
 # --- tilting collections ------------------------------------------------
@@ -202,7 +186,7 @@ def test_mask_scans_match_the_chord_reference():
             neck = necklace_from_permutation(sigma)
             first = {}
             for lab in positroid_members(neck).members:
-                crossed = (j for j in neck if chords_cross(lab.difference(j), j.difference(lab), n))
+                crossed = (j for j in neck if chords_cross(diff(lab, j), diff(j, lab), n))
                 first[lab] = next(crossed, None)
                 assert in_gp_b(lab, neck) == (first[lab] is None)
                 if sigma.k == 2:

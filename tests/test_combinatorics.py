@@ -35,10 +35,17 @@ from positroids.combinatorics import (
     ValidationError,
     cyclic_pos,
     cyclically_ordered,
-    restricted_necklace,
 )
 
-from conftest import chords_cross, decorated_permutations, ks, random_decorated, uniform_perm
+from conftest import (
+    chords_cross,
+    decorated_permutations,
+    diff,
+    ks,
+    random_decorated,
+    restricted_necklace,
+    uniform_perm,
+)
 
 
 @pytest.mark.parametrize("module", [combinatorics, plabic, cluster, cm, numeric])
@@ -76,12 +83,6 @@ def test_kset_sorted_by_starts_cyclically_at_i():
     s = KSet.of((1, 4, 6), 7)
     assert s.sorted_by(5) == (6, 1, 4)
     assert s.sorted_by(1) == (1, 4, 6)
-
-
-def test_kset_replace_and_difference():
-    s = KSet.of((2, 4, 6), 7)
-    assert s.replace(4, 5).elements == (2, 5, 6)
-    assert s.difference(KSet.of((2, 5, 6), 7)) == (4,)
 
 
 def test_kset_json_is_sorted_int_list():
@@ -354,7 +355,7 @@ def test_mask_crossing_matches_the_chord_reference_for_n_up_to_8():
     for n in range(1, 9):
         subsets = [KSet(c, n) for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
         for a, b in itertools.product(subsets, repeat=2):
-            assert noncrossing(a, b) == (not reference(a.difference(b), b.difference(a), n)), (a, b)
+            assert noncrossing(a, b) == (not reference(diff(a, b), diff(b, a), n)), (a, b)
 
 
 def test_connected_components_cross_no_chords_between_blocks():

@@ -36,12 +36,20 @@ from positroids.numeric import (
     ConstructionError,
     corrupt_seed,
     minor_assignment,
-    perfect_orientation,
     pluecker_table,
     sample_generic_matrix,
 )
 
-from conftest import SNAPSHOTS, k2_permutations, ks, matrix_rank, named_cells, random_decorated, uniform_perm
+from conftest import (
+    SNAPSHOTS,
+    k2_permutations,
+    ks,
+    labels_of,
+    matrix_rank,
+    named_cells,
+    random_decorated,
+    uniform_perm,
+)
 
 
 def det_cofactor(rows):
@@ -221,10 +229,10 @@ def test_matrix_json_round_trip():
     m = RationalMatrix.of([[Fraction(1, 3), 2], [0, Fraction(-5, 7)]])
     data = m.to_json()
     assert data == [["1/3", "2"], ["0", "-5/7"]]
-    assert RationalMatrix.from_json(data) == m
+    assert RationalMatrix.of(data) == m
     empty = RationalMatrix.of([], 4)  # a point of Gr(0, 4): no rows, four columns
     assert empty.to_json() == []
-    assert RationalMatrix.from_json(empty.to_json(), 4) == empty
+    assert RationalMatrix.of(empty.to_json(), 4) == empty
 
 
 def test_three_term_relation_holds_for_arbitrary_matrices():
@@ -331,7 +339,7 @@ def test_perfect_orientations_exist_and_are_acyclic():
     for _ in range(40):
         sigma = random_decorated(rng, rng.randint(2, 8))
         g = bridge_graph_from_permutation(sigma)
-        directed = perfect_orientation(g)
+        directed = dict(numeric._oriented(g).orientation)
         assert set(directed) == set(range(len(g.edges)))
         assert orientation_is_perfect(g, directed)
         assert acyclic(g, directed)
@@ -339,7 +347,7 @@ def test_perfect_orientations_exist_and_are_acyclic():
 
 def test_orientation_source_count_is_the_rank(ex_135264):
     g = ex_135264["graph"]
-    directed = perfect_orientation(g)
+    directed = dict(numeric._oriented(g).orientation)
     point = sample_cell_point(g)
     assert point.sources.k == ex_135264["sigma"].k
     assert orientation_is_perfect(g, directed)
@@ -408,7 +416,7 @@ def test_points_read_orientation_and_sources_from_their_graph():
         point = sample_cell_point(graph, rng_seed=rng.randint(0, 99))
         moved = [gauge_rescale(point, v, Fraction(5, 2)) for v in graph.internal_ids()[:1]]
         for p in [point, *moved]:
-            assert dict(p.orientation) == perfect_orientation(graph)
+            assert dict(p.orientation) == dict(numeric._oriented(graph).orientation)
             cols = p.sources.elements
             unit = [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
             assert [[row[c - 1] for c in cols] for row in p.matrix.rows] == unit
@@ -790,4 +798,4 @@ def test_corrupting_keeps_the_tropical_data(ex_135264):
     bad = corrupt_seed(mutated, vid)
     assert (bad.c_vectors, bad.g_vectors) == (mutated.c_vectors, mutated.g_vectors) == (((-1,),), ((-1,),))
     assert bad.variable(vid) == mutated.variable(vid) + LaurentPoly.const(1)
-    assert bad.cluster_labels()[vid] is None
+    assert labels_of(bad)[vid] is None
