@@ -211,17 +211,22 @@ def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
+def _sample_points(graph, args: argparse.Namespace, rng: random.Random) -> list[numeric.CellPoint]:
+    """``--points`` cell points of ``graph``, each from its own draw of ``rng``."""
     if args.points < 1:
         raise ValidationError(f"--points must be at least 1, got {args.points}")
-    necklace = necklace_from_permutation(sigma)
-    graph = bridge_graph_from_permutation(sigma)
-    seed = initial_seed(quiver_from_graph(graph))
-    rng = random.Random(args.rng_seed)
-    points = [
+    return [
         numeric.sample_cell_point(graph, rng_seed=rng.randrange(2**63), n_cap=args.n_cap)
         for _ in range(args.points)
     ]
+
+
+def cmd_verify(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
+    graph = bridge_graph_from_permutation(sigma)
+    rng = random.Random(args.rng_seed)
+    points = _sample_points(graph, args, rng)  # the generic matrices draw after the points
+    necklace = necklace_from_permutation(sigma)
+    seed = initial_seed(quiver_from_graph(graph))
     generic = [
         numeric.sample_generic_matrix(sigma.k, sigma.n, rng)
         for _ in range(max(2, min(20, args.points // 5)))
@@ -235,14 +240,7 @@ def cmd_verify(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
 
 
 def cmd_sample(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
-    if args.points < 1:
-        raise ValidationError(f"--points must be at least 1, got {args.points}")
-    graph = bridge_graph_from_permutation(sigma)
-    rng = random.Random(args.rng_seed)
-    points = [
-        numeric.sample_cell_point(graph, rng_seed=rng.randrange(2**63), n_cap=args.n_cap)
-        for _ in range(args.points)
-    ]
+    points = _sample_points(bridge_graph_from_permutation(sigma), args, random.Random(args.rng_seed))
     if args.fmt == "json":
         emit(render_json([p.to_json() for p in points]), args)
         return 0

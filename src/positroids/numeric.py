@@ -469,16 +469,6 @@ def sample_generic_matrix(k: int, n: int, rng: random.Random) -> RationalMatrix:
 # identity verification
 
 
-def _values(seed: Seed, generic: Sequence[RationalMatrix], assignments: Sequence) -> list[dict[int, Fraction]]:
-    # every variable once per matrix: direct minor for a labeled vertex, Laurent
-    # route otherwise; the exchange identities tie the two routes together
-    variables = dict(seed.variables)
-    return [
-        {v.id: minor(m, v.label) if v.label is not None else variables[v.id].evaluate(a) for v in seed.quiver.vertices}
-        for m, a in zip(generic, assignments)
-    ]
-
-
 def _exchange_identities(seed: Seed) -> tuple[list[Seed], list[tuple[str, int, int, int, int]]]:
     # the mutation class, and (name, member, pivot, neighbour, vertex of x') per
     # (member, mutable vertex): the neighbour is the other member that holds the
@@ -537,18 +527,19 @@ def _product(dets: Mapping[tuple[int, ...], int], pair: tuple[KSet, KSet]) -> in
 
 
 def _exchange_checks(
-    seed: Seed, vid: int, values: Sequence[Mapping[int, Fraction]], new_values: Sequence[Fraction]
+    seed: Seed, vid: int, value: Callable[[Seed, int], Sequence[Fraction]], new_values: Sequence[Fraction]
 ) -> Iterator[tuple[str, Fraction, Fraction]]:
     # x * x' against the two monomials of the exchange binomial, per matrix
-    sides = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
-    for pidx, (here, new_value) in enumerate(zip(values, new_values)):
+    arrows = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
+    sides = [[(value(seed, w), mult) for w, mult in side] for side in arrows]
+    for pidx, (x, new_value) in enumerate(zip(value(seed, vid), new_values)):
         rhs = Fraction(0)
-        for arrows in sides:
+        for side in sides:
             product = Fraction(1)
-            for w, mult in arrows:
-                product *= here[w] if mult == 1 else here[w] ** mult
+            for values, mult in side:
+                product *= values[pidx] if mult == 1 else values[pidx] ** mult
             rhs += product
-        yield f"generic:{pidx}", here[vid] * new_value, rhs
+        yield f"generic:{pidx}", x * new_value, rhs
 
 
 def _entry(name: str, checks: Iterable[tuple[str, object, object]], show=str) -> dict:
@@ -586,30 +577,38 @@ def verify_identities(
     as minors, unlabeled variables through their Laurent expansions, which
     ties the two routes); the restricted two-term identities on every cell
     point, which include the k=2 generator decompositions; and the exact
-    vanishing profile of every cell point.  ``tamper``, such as
-    :func:`corrupt_seed`, is a negative control that replaces the member
-    holding the first exchange's new variable, given with its vertex; that
-    entry gains ":corrupted" and must fail.  ValidationError: ``tamper`` on a
-    cell with no exchange relation, or a class past ``SEEDS_LIMIT``.
+    vanishing profile of every cell point.  Seats with one label, or one
+    unlabeled Laurent polynomial, share one list of values.  ``tamper``,
+    such as :func:`corrupt_seed`, is a negative control: the first exchange
+    reads x' from ``tamper`` of the member holding it, given with its
+    vertex; that entry gains ":corrupted" and must fail.  ValidationError:
+    ``tamper`` on a cell with no exchange relation, or a class past ``SEEDS_LIMIT``.
     """
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):
         raise ValidationError("seed must be fully labeled")
-
     members, exchanges = _exchange_identities(seed)
-    if tamper is not None:
-        if not exchanges:
-            raise ValidationError("the negative control needs an exchange relation; this cell has none")
-        name, idx, vid, target, new = exchanges[0]
-        members.append(tamper(members[target], new))  # read by the first exchange only
-        exchanges[0] = (f"{name}:corrupted", idx, vid, len(members) - 1, new)
+    if tamper is not None and not exchanges:
+        raise ValidationError("the negative control needs an exchange relation; this cell has none")
 
     assignments = [minor_assignment(matrix, initial_labels) for matrix in generic]
-    values = [_values(member, generic, assignments) for member in members]
-    identities = [
-        _entry(name, _exchange_checks(members[idx], vid, values[idx], [v[new] for v in values[target]]))
-        for name, idx, vid, target, new in exchanges
-    ]
+    shared: dict[KSet | LaurentPoly, list[Fraction]] = {}
+
+    def value(member: Seed, vid: int) -> list[Fraction]:
+        # a label reads its minors, an unlabeled variable its Laurent expansion
+        label = member.quiver.vertex(vid).label
+        key = label if label is not None else member.variable(vid)
+        if key not in shared:
+            pairs = zip(generic, assignments)
+            shared[key] = [minor(m, label) if label is not None else key.evaluate(a) for m, a in pairs]
+        return shared[key]
+
+    identities = []
+    for pos, (name, idx, vid, target, new) in enumerate(exchanges):
+        holder = members[target]
+        if tamper is not None and pos == 0:
+            name, holder = f"{name}:corrupted", tamper(holder, new)
+        identities.append(_entry(name, _exchange_checks(members[idx], vid, value, value(holder, new))))
 
     # the labels below are k-subsets of [n], read straight from the tables
     n, k = necklace.n, necklace.k

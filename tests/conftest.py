@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 from collections import Counter, deque
+from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
@@ -29,6 +30,7 @@ from positroids import (
     necklace_from_permutation,
     quiver_from_graph,
 )
+from positroids import numeric
 from positroids.cluster import closure
 from positroids.combinatorics import ValidationError, cyclically_ordered
 from positroids.plabic import (
@@ -385,6 +387,56 @@ def reference_square_move(g, pivot, labeling):
     corners = [disk.head(d) for d in face_labels(g).face_with_label(pivot).darts]
     colors = g.color_map
     return recolor(g, {v: ("white" if colors[v] == "black" else "black") for v in corners})
+
+
+def reference_values(seed, generic, assignments) -> list[dict]:
+    """Every variable of one seed once per matrix, as vertex id -> value: the
+    direct minor for a labeled vertex, the Laurent route otherwise."""
+    variables = dict(seed.variables)
+    return [
+        {
+            v.id: numeric.minor(m, v.label) if v.label is not None else variables[v.id].evaluate(a)
+            for v in seed.quiver.vertices
+        }
+        for m, a in zip(generic, assignments)
+    ]
+
+
+def reference_exchange_checks(seed, vid, values, new_values):
+    """x * x' against the two monomials of the exchange binomial, per matrix,
+    read from one value table per matrix."""
+    sides = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
+    for pidx, (here, new_value) in enumerate(zip(values, new_values)):
+        rhs = Fraction(0)
+        for arrows in sides:
+            product = Fraction(1)
+            for w, mult in arrows:
+                product *= here[w] if mult == 1 else here[w] ** mult
+            rhs += product
+        yield f"generic:{pidx}", here[vid] * new_value, rhs
+
+
+def reference_verify_identities(necklace, seed, points, generic, n_cap=12, tamper=None) -> dict:
+    """``verify_identities`` by the per-seat route that shared values
+    replaced: every variable of every member evaluated once per generic
+    matrix, and the tampered member appended to the class for the first
+    exchange to read.  The cell-point entries, which both routes share, come
+    from ``verify_identities`` on no generic matrix."""
+    members, exchanges = numeric._exchange_identities(seed)
+    if tamper is not None:
+        name, idx, vid, target, new = exchanges[0]
+        members = [*members, tamper(members[target], new)]
+        exchanges[0] = (f"{name}:corrupted", idx, vid, len(members) - 1, new)
+    labels = [v.label for v in seed.quiver.vertices]
+    assignments = [numeric.minor_assignment(matrix, labels) for matrix in generic]
+    values = [reference_values(member, generic, assignments) for member in members]
+    identities = []
+    for name, idx, vid, target, new in exchanges:
+        checks = reference_exchange_checks(members[idx], vid, values[idx], [v[new] for v in values[target]])
+        identities.append(numeric._entry(name, checks))
+    cells = numeric.verify_identities(necklace, seed, points, (), n_cap, tamper)["identities"]
+    identities += cells[len(exchanges):]
+    return {"identities": identities, "passed": all(not e["failures"] for e in identities)}
 
 
 def tropical_reference(seed, vid):

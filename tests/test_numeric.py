@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -48,6 +49,7 @@ from conftest import (
     matrix_rank,
     named_cells,
     random_decorated,
+    reference_verify_identities,
     uniform_perm,
 )
 
@@ -415,9 +417,13 @@ def test_points_read_orientation_and_sources_from_their_graph():
         graph = bridge_graph_from_permutation(random_decorated(rng, rng.randint(2, 7)))
         point = sample_cell_point(graph, rng_seed=rng.randint(0, 99))
         moved = [gauge_rescale(point, v, Fraction(5, 2)) for v in graph.internal_ids()[:1]]
+        legs = {b: eid for eid, ends in enumerate(graph.edges) for b in ends if b <= graph.boundary}
         for p in [point, *moved]:
-            assert dict(p.orientation) == dict(numeric._oriented(graph).orientation)
+            directed = dict(p.orientation)
+            assert set(directed) == set(range(len(graph.edges)))
+            assert orientation_is_perfect(graph, directed) and acyclic(graph, directed)
             cols = p.sources.elements
+            assert cols == tuple(b for b in sorted(legs) if directed[legs[b]][0] == b)
             unit = [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
             assert [[row[c - 1] for c in cols] for row in p.matrix.rows] == unit
 
@@ -509,11 +515,16 @@ def test_exchange_checks_raise_each_neighbour_to_its_multiplicity():
     seed = initial_seed(cluster.IceQuiver(vertices, ((1, 0, 2), (0, 2, 1))))
     generic = [sample_generic_matrix(2, 4, random.Random(s)) for s in range(3)]
     assignments = [minor_assignment(m, labels) for m in generic]
-    values = numeric._values(seed, generic, assignments)
-    new_values = [v[0] for v in numeric._values(mutate_seed(seed, 0), generic, assignments)]
-    checks = list(numeric._exchange_checks(seed, 0, values, new_values))
+    reads = []
+
+    def value(member, vid):
+        reads.append((member, vid))
+        return [member.variable(vid).evaluate(a) for a in assignments]
+
+    checks = list(numeric._exchange_checks(seed, 0, value, value(mutate_seed(seed, 0), 0)))
     assert len(checks) == 3
     assert all(lhs == rhs for _, lhs, rhs in checks)
+    assert sorted(vid for member, vid in reads if member is seed) == [0, 1, 2]
 
 
 def test_generic_matrices_have_no_vanishing_minors():
@@ -748,6 +759,53 @@ def test_exchange_sweep_mutates_once_per_new_seed(monkeypatch):
     assert report["passed"]
     assert len(calls) == 49
     assert sum(e["name"].startswith("exchange:") for e in report["identities"]) == 200
+
+
+def test_verify_evaluates_each_distinct_variable_once_per_matrix(monkeypatch):
+    # Gr(3,6) top cell: the 50 seeds hold 45 unlabeled variables, but only 7
+    # distinct Laurent polynomials, each evaluated once per generic matrix
+    calls = []
+    evaluate = LaurentPoly.evaluate
+
+    def counting(poly, assignment):
+        calls.append(poly)
+        return evaluate(poly, assignment)
+
+    monkeypatch.setattr(LaurentPoly, "evaluate", counting)
+    sigma = uniform_perm(3, 6)
+    g = bridge_graph_from_permutation(sigma)
+    seed = initial_seed(quiver_from_graph(g))
+    for count in (1, 3):
+        calls.clear()
+        generic = tuple(sample_generic_matrix(3, 6, random.Random(s)) for s in range(count))
+        report = verify_identities(necklace_from_permutation(sigma), seed, (sample_cell_point(g),), generic)
+        assert report["passed"]
+        assert len(calls) == 7 * count and len(set(calls)) == 7
+
+
+@pytest.mark.parametrize("name, sigma", list(named_cells()), ids=[name for name, _ in named_cells()])
+def test_shared_values_match_the_per_seat_reference_on_snapshot_cells(name, sigma, monkeypatch):
+    once = functools.lru_cache(numeric.mutation_class)
+
+    def mutation_class(seed, limit):
+        # both routes read one mutation class per cell, each from its own list
+        members, complete = once(seed, limit)
+        return list(members), complete
+
+    monkeypatch.setattr(numeric, "mutation_class", mutation_class)
+    g = bridge_graph_from_permutation(sigma)
+    args = (
+        necklace_from_permutation(sigma),
+        initial_seed(quiver_from_graph(g)),
+        (sample_cell_point(g, rng_seed=1),),
+        tuple(sample_generic_matrix(sigma.k, sigma.n, random.Random(s)) for s in range(2)),
+    )
+    report = verify_identities(*args)
+    assert report == reference_verify_identities(*args)
+    assert report["passed"]
+    corrupted = verify_identities(*args, tamper=corrupt_seed)
+    assert corrupted == reference_verify_identities(*args, tamper=corrupt_seed)
+    assert not corrupted["passed"]
 
 
 def test_verify_checks_the_seeds_of_the_mutation_class(monkeypatch):
