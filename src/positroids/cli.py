@@ -14,6 +14,7 @@ import json
 import random
 import re
 import sys
+from functools import cache
 
 from . import cm, numeric
 from .cluster import SEEDS_LIMIT, Seed, initial_seed, mutation_class
@@ -265,6 +266,7 @@ HANDLERS = {
 POINT_DEFAULTS = {"verify": 50, "sample": 1}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="positroids",

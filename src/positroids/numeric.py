@@ -1,14 +1,15 @@
 """Exact evaluation on the Grassmannian side: minors, cell-point sampling,
 identity verification.
 
-Everything runs over ``fractions.Fraction``.  Cell points come from the
-boundary measurement of a planar network: pick an acyclic orientation of a
-reduced graph in which every internal black vertex has exactly one outgoing
-edge and every internal white vertex exactly one incoming edge, then sum
-weighted directed paths from boundary sources to boundary sinks.  With
-positive weights the resulting matrix lands in the totally nonnegative part
-of the open cell, which is what makes exact zero-testing of the vanishing
-profile meaningful.
+Everything is exact: a matrix keeps integer rows over one denominator per
+row, and a ``fractions.Fraction`` is built only where a value is read or
+printed.  Cell points come from the boundary measurement of a planar
+network: pick an acyclic orientation of a reduced graph in which every
+internal black vertex has exactly one outgoing edge and every internal white
+vertex exactly one incoming edge, then sum weighted directed paths from
+boundary sources to boundary sinks.  With positive weights the resulting
+matrix lands in the totally nonnegative part of the open cell, which is what
+makes exact zero-testing of the vanishing profile meaningful.
 """
 
 from __future__ import annotations
@@ -66,24 +67,31 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """A k x n matrix of exact rationals, one affine chart representative;
-    ``n`` is stored for Gr(0, n), and ``scaled_minors`` is its one cache."""
+    """A k x n matrix of exact rationals, one affine chart representative: row
+    i is ``numerators[i]`` over ``denominators[i]``, the lcm of its reduced
+    denominators, so equal matrices have equal fields.  ``n`` is kept for
+    Gr(0, n); the Fraction ``rows`` are built only when read."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
     n: int
 
     @classmethod
     def of(cls, rows: Sequence[Sequence], n: int | None = None) -> RationalMatrix:
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if n is None:
-            n = len(data[0]) if data else 0
+        data = [[Fraction(x) for x in row] for row in rows]
+        n = (len(data[0]) if data else 0) if n is None else n
         if any(len(row) != n for row in data):
             raise DimensionError(f"ragged rows: expected {n} entries per row")
-        return cls(data, n)
+        dens = tuple(math.lcm(*(x.denominator for x in row)) for row in data)
+        return cls(tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row, d in zip(data, dens)), dens, n)
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return len(self.denominators)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(a, d) for a in row) for row, d in zip(self.numerators, self.denominators))
 
     @cached_property
     def scaled_minors(self) -> tuple[dict[tuple[int, ...], int], int]:
@@ -108,17 +116,14 @@ def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
 
 def _scaled_table(matrix: RationalMatrix) -> tuple[dict[tuple[int, ...], int], int]:
     """(dets, scale): the nonzero maximal minors times ``scale`` as ints, keyed
-    by sorted column tuple.  Rows are scaled to integers by the lcm of their
-    denominators, and ``scale`` > 0 is the product of those lcms, so signs and
-    zeros are kept.  The nonzero minors of the first r rows come from those of
-    the first r - 1 by Laplace expansion along row r: about sum_r r * C(n, r)
+    by sorted column tuple.  The minors are read from the integer rows, and
+    ``scale`` > 0 is the product of the row denominators, so signs and zeros
+    are kept.  The nonzero minors of the first r rows come from those of the
+    first r - 1 by Laplace expansion along row r: about sum_r r * C(n, r)
     integer products."""
-    scale = 1
     level: dict[tuple[int, ...], int] = {(): 1}
-    for row in matrix.rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        entries = [(j, x.numerator * (lcm // x.denominator)) for j, x in enumerate(row, 1) if x]
+    for row in matrix.numerators:
+        entries = [(j, a) for j, a in enumerate(row, 1) if a]
         grown: dict[tuple[int, ...], int] = {}
         for cols, det in level.items():
             size = len(cols)
@@ -131,7 +136,7 @@ def _scaled_table(matrix: RationalMatrix) -> tuple[dict[tuple[int, ...], int], i
                 term = -a * det if (size - p) & 1 else a * det
                 grown[key] = grown.get(key, 0) + term
         level = {cols: det for cols, det in grown.items() if det}
-    return level, scale
+    return level, math.prod(matrix.denominators)
 
 
 def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
@@ -373,11 +378,10 @@ def _measurement_matrix(graph: PlabicGraph, weights: Mapping[int, Fraction]) -> 
     # before[j - 1] is the number of sources smaller than j
     before = list(itertools.accumulate((j in sources for j in range(1, n + 1)), initial=0))
 
-    rows = []
+    rows = []  # (integer row, its denominator)
     for i, s in enumerate(sources.elements):
         # reach[v] is the weighted path sum from s to v as an unreduced
-        # (numerator, denominator) pair of ints, kept for reached vertices
-        # only; each matrix entry becomes one Fraction at the end
+        # (numerator, denominator) pair of ints, kept for reached vertices only
         reach = {s: (1, 1)}
         for v in order:
             if v in reach:
@@ -388,14 +392,16 @@ def _measurement_matrix(graph: PlabicGraph, weights: Mapping[int, Fraction]) -> 
         row = []
         for j in range(1, n + 1):
             if j in sources:
-                row.append(Fraction(1) if j == s else Fraction(0))
+                row.append((int(j == s), 1))
                 continue
             num, den = reach.get(j, (0, 1))
+            g = math.gcd(num, den)
             # the sign is (-1) ** (number of sources strictly between s and j)
             between = before[j - 1] - i - 1 if s < j else i - before[j - 1]
-            row.append(Fraction(-num if between & 1 else num, den))
-        rows.append(tuple(row))
-    return RationalMatrix(tuple(rows), n)
+            row.append((-num // g if between & 1 else num // g, den // g))
+        lcm = math.lcm(*(den for _, den in row))
+        rows.append((tuple(num * (lcm // den) for num, den in row), lcm))
+    return RationalMatrix(tuple(r for r, _ in rows), tuple(d for _, d in rows), n)
 
 
 def sample_cell_point(
@@ -458,9 +464,7 @@ def gauge_rescale(point: CellPoint, vertex: int, factor: Fraction) -> CellPoint:
 def sample_generic_matrix(k: int, n: int, rng: random.Random) -> RationalMatrix:
     """Random integer matrix whose integer table holds every maximal minor."""
     while True:
-        m = RationalMatrix.of(
-            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)], n
-        )
+        m = RationalMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(k)), (1,) * k, n)
         if len(m.scaled_minors[0]) == math.comb(n, k):
             return m
 
@@ -528,23 +532,25 @@ def _product(dets: Mapping[tuple[int, ...], int], pair: tuple[KSet, KSet]) -> in
 
 def _exchange_checks(
     seed: Seed, vid: int, value: Callable[[Seed, int], Sequence[Fraction]], new_values: Sequence[Fraction]
-) -> Iterator[tuple[str, Fraction, Fraction]]:
-    # x * x' against the two monomials of the exchange binomial, per matrix
+) -> Iterator[tuple[str, tuple[int, int], tuple[int, int]]]:
+    # x * x' against the two monomials of the exchange binomial, per matrix, as
+    # (numerator, common denominator) pairs; at an integer matrix each is over 1
     arrows = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
     sides = [[(value(seed, w), mult) for w, mult in side] for side in arrows]
     for pidx, (x, new_value) in enumerate(zip(value(seed, vid), new_values)):
-        rhs = Fraction(0)
+        lhs, rhs, den = x.numerator * new_value.numerator, 0, x.denominator * new_value.denominator
         for side in sides:
-            product = Fraction(1)
+            p = q = 1  # the monomial p / q
             for values, mult in side:
-                product *= values[pidx] if mult == 1 else values[pidx] ** mult
-            rhs += product
-        yield f"generic:{pidx}", x * new_value, rhs
+                p *= values[pidx].numerator ** mult
+                q *= values[pidx].denominator ** mult
+            lhs, rhs, den = lhs * q, rhs * q + p * den, den * q
+        yield f"generic:{pidx}", (lhs, den), (rhs, den)
 
 
-def _entry(name: str, checks: Iterable[tuple[str, object, object]], show=str) -> dict:
+def _entry(name: str, checks: Iterable[tuple[str, object, object]], show=lambda side: str(Fraction(*side))) -> dict:
     """One report entry from (point, lhs, rhs) triples; a failure records both
-    sides through ``show``."""
+    sides through ``show``, by default (numerator, denominator) as a Fraction."""
     entry = {"name": name, "points_checked": 0, "failures": []}
     for point, lhs, rhs in checks:
         entry["points_checked"] += 1
@@ -622,7 +628,7 @@ def verify_identities(
             (f"cell:{pidx}", (_product(dets, lhs), scale**2), (sum(_product(dets, p) for p in rhs), scale**2))
             for pidx, (dets, scale) in enumerate(tables)
         )
-        identities.append(_entry(name, checks, show=lambda side: str(Fraction(*side))))
+        identities.append(_entry(name, checks))
 
     expected = positroid.complement()
     every = list(k_subsets(n, k))

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
+from bisect import bisect
 from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
@@ -389,6 +391,30 @@ def reference_square_move(g, pivot, labeling):
     return recolor(g, {v: ("white" if colors[v] == "black" else "black") for v in corners})
 
 
+def reference_scaled_table(matrix) -> tuple[dict[tuple[int, ...], int], int]:
+    """``numeric._scaled_table`` by the route the integer rows replaced: each
+    row of ``matrix.rows``, the reduced Fractions, is scaled to integers by
+    the lcm of its denominators, and ``scale`` is the product of those lcms."""
+    scale = 1
+    level: dict[tuple[int, ...], int] = {(): 1}
+    for row in matrix.rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        scale *= lcm
+        entries = [(j, x.numerator * (lcm // x.denominator)) for j, x in enumerate(row, 1) if x]
+        grown: dict[tuple[int, ...], int] = {}
+        for cols, det in level.items():
+            size = len(cols)
+            for j, a in entries:
+                p = bisect(cols, j)
+                if p and cols[p - 1] == j:
+                    continue
+                key = cols[:p] + (j,) + cols[p:]
+                term = -a * det if (size - p) & 1 else a * det
+                grown[key] = grown.get(key, 0) + term
+        level = {cols: det for cols, det in grown.items() if det}
+    return level, scale
+
+
 def reference_values(seed, generic, assignments) -> list[dict]:
     """Every variable of one seed once per matrix, as vertex id -> value: the
     direct minor for a labeled vertex, the Laurent route otherwise."""
@@ -433,7 +459,7 @@ def reference_verify_identities(necklace, seed, points, generic, n_cap=12, tampe
     identities = []
     for name, idx, vid, target, new in exchanges:
         checks = reference_exchange_checks(members[idx], vid, values[idx], [v[new] for v in values[target]])
-        identities.append(numeric._entry(name, checks))
+        identities.append(numeric._entry(name, checks, str))
     cells = numeric.verify_identities(necklace, seed, points, (), n_cap, tamper)["identities"]
     identities += cells[len(exchanges):]
     return {"identities": identities, "passed": all(not e["failures"] for e in identities)}

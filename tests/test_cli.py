@@ -160,6 +160,10 @@ def test_seeds_stops_an_infinite_class_at_the_default_limit(capsys):
     assert data["complete"] is False and data["count"] == len(data["seeds"]) == 1000
 
 
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_seeds_dot_emits_the_initial_quiver(capsys):
     code, out, _ = run(capsys, "seeds", "(13)(24)", "--format", "dot")
     assert code == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ from conftest import (
     matrix_rank,
     named_cells,
     random_decorated,
+    reference_scaled_table,
     reference_verify_identities,
     uniform_perm,
 )
@@ -138,6 +140,15 @@ def test_pluecker_table_agrees_with_cofactor_expansion(m):
         assert type(value) is Fraction
         assert value == det_cofactor([[row[j - 1] for j in cols] for row in m.rows])
         assert minor(m, KSet(cols, m.n)) == value
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_integer_rows_match_the_fraction_rows_reference(m):
+    # one form per matrix: each row over the lcm of its reduced denominators
+    assert all(math.gcd(d, *row) == 1 for row, d in zip(m.numerators, m.denominators))
+    assert RationalMatrix.of(m.rows, m.n) == m
+    assert m.scaled_minors == reference_scaled_table(m)
 
 
 def test_sampling_builds_each_table_once(monkeypatch, ex_135264):
@@ -497,7 +508,9 @@ def test_integer_measurement_matches_the_fraction_loop():
             graph = bridge_graph_from_permutation(sigma)
             for rng_seed in (0, 17):
                 point = sample_cell_point(graph, rng_seed=rng_seed)
+                assert point.matrix.scaled_minors == reference_scaled_table(point.matrix)
                 assert point.matrix.rows == fraction_measurement_rows(point)
+                assert RationalMatrix.of(point.matrix.rows) == point.matrix
             graphs += 1
     assert graphs == 2256
     graph = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string("(1357)(2468)"))
@@ -837,16 +850,32 @@ def test_verify_checks_the_seeds_of_the_mutation_class(monkeypatch):
     assert reads and failed == reads
 
 
-def test_corrupting_a_variable_is_caught(ex_135264):
-    g = ex_135264["graph"]
-    points = (sample_cell_point(g),)
-    generic = (sample_generic_matrix(3, 6, random.Random(1)),)
-    report = verify_identities(
-        ex_135264["necklace"], ex_135264["seed"], points, generic, tamper=corrupt_seed
-    )
-    assert not report["passed"]
-    bad = [e for e in report["identities"] if e["failures"]]
-    assert bad and all(e["name"].endswith(":corrupted") for e in bad)
+def test_corrupting_a_variable_is_caught():
+    # the control breaks one x', so exactly the one exchange that reads it fails
+    for spec, count in (("(135)(264)", 1), ("(14)(25)(36)", 1), ("(1473625)", 5)):
+        sigma = DecoratedPermutation.from_cycle_string(spec)
+        g = bridge_graph_from_permutation(sigma)
+        points = tuple(sample_cell_point(g, rng_seed=s) for s in range(count))
+        generic = (sample_generic_matrix(sigma.k, sigma.n, random.Random(1)),)
+        seed = initial_seed(quiver_from_graph(g))
+        report = verify_identities(necklace_from_permutation(sigma), seed, points, generic, tamper=corrupt_seed)
+        assert not report["passed"]
+        bad = [e for e in report["identities"] if e["failures"]]
+        assert len(bad) == 1 and bad[0]["name"].endswith(":corrupted"), spec
+
+
+def test_the_verify_path_builds_no_fraction_rows():
+    # sampling, generic draws and the sweep, honest or tampered, read only
+    # the integer rows; the Fraction rows are built for printing
+    sigma = uniform_perm(3, 6)
+    g = bridge_graph_from_permutation(sigma)
+    points = tuple(sample_cell_point(g, rng_seed=s) for s in range(3))
+    generic = tuple(sample_generic_matrix(3, 6, random.Random(s)) for s in range(2))
+    seed = initial_seed(quiver_from_graph(g))
+    for tamper in (None, corrupt_seed):
+        report = verify_identities(necklace_from_permutation(sigma), seed, points, generic, tamper=tamper)
+        assert report["passed"] is (tamper is None)
+    assert all("rows" not in vars(m) for m in (*(p.matrix for p in points), *generic))
 
 
 def test_corrupting_keeps_the_tropical_data(ex_135264):
