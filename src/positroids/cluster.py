@@ -460,26 +460,28 @@ def _mutate(seed: Seed, vid: int, step: tuple) -> Seed:
 
 def closure(
     start: T, moves: Callable[[T], Iterable[tuple]], key: Callable[[T], Hashable], limit: int | None = None
-) -> tuple[list[T], bool]:
+) -> tuple[list[T], bool, list[list[int]]]:
     """Breadth-first closure of ``start`` under ``moves``, deduplicated by key.
 
     ``moves(x)`` yields a (key, build) pair per neighbour of x, and ``build()``
     makes the neighbour only for a new key.  ``moves`` is called once per
     member, in member order; ``key(start)`` keys the start.  Returns (members,
-    complete): at the first unseen neighbour past ``limit`` members the
-    exploration stops and ``complete`` is False.
+    complete, neighbours): ``neighbours[i]`` lists, in move order, the member
+    index that each move of member i reaches, new or seen.  Past ``limit`` members,
+    the first unseen neighbour stops the exploration and the lists; ``complete`` is False.
     """
-    members = [start]
-    seen = {key(start)}
+    members, neighbours = [start], []
+    seen = {key(start): 0}  # key -> index of the member that holds it
     for cur in members:  # the list is the queue: members appended here are visited in turn
+        neighbours.append(row := [])
         for k, build in moves(cur):
-            if k in seen:
-                continue
-            if limit is not None and len(members) >= limit:
-                return members, False
-            seen.add(k)
-            members.append(build())
-    return members, True
+            if k not in seen:
+                if limit is not None and len(members) >= limit:
+                    return members, False, neighbours
+                seen[k] = len(members)
+                members.append(build())
+            row.append(seen[k])
+    return members, True, neighbours
 
 
 # Seeds of a class kept before ``seeds`` marks it partial and ``verify``
@@ -487,9 +489,9 @@ def closure(
 SEEDS_LIMIT = 1000
 
 
-def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool]:
-    """:func:`closure` of a seed under mutation at all mutable vertices, keyed by
-    one :func:`_tropical_step` per neighbour; only a new key is built, from that step."""
+def exchange_graph(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool, list[list[int]]]:
+    """:func:`closure` of a seed under mutation at each of its ``mutable_ids``, in order, keyed
+    by one :func:`_tropical_step` per neighbour; only a new key is built, from that step."""
 
     def moves(s: Seed):
         for v in s.quiver.mutable_ids():
@@ -497,6 +499,11 @@ def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bo
             yield frozenset(step[1]), partial(_mutate, s, v, step)
 
     return closure(seed, moves, Seed.key, limit)
+
+
+def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool]:
+    """(members, complete) of :func:`exchange_graph`, without its neighbour lists."""
+    return exchange_graph(seed, limit)[:2]
 
 
 def square_move_exchange(

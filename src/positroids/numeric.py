@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .cluster import SEEDS_LIMIT, LaurentPoly, Seed, mutation_class
+from .cluster import SEEDS_LIMIT, LaurentPoly, Seed, exchange_graph
 from .combinatorics import (
     DimensionError,
     GrassmannNecklace,
@@ -474,22 +474,15 @@ def sample_generic_matrix(k: int, n: int, rng: random.Random) -> RationalMatrix:
 
 
 def _exchange_identities(seed: Seed) -> tuple[list[Seed], list[tuple[str, int, int, int, int]]]:
-    # the mutation class, and (name, member, pivot, neighbour, vertex of x') per
-    # (member, mutable vertex): the neighbour is the other member that holds the
-    # key less the pivot's g-vector, and x' its one g-vector the member lacks
-    members, complete = mutation_class(seed, SEEDS_LIMIT)
+    # the mutation class, and (name, member, pivot, neighbour, vertex of x') per (member,
+    # mutable vertex); mutation is an involution, so x' sits at the one vertex whose move leads back
+    members, complete, neighbours = exchange_graph(seed, SEEDS_LIMIT)
     if not complete:
         raise ValidationError(f"mutation class exceeded the limit {SEEDS_LIMIT}")
-    holders: dict[frozenset[tuple[int, ...]], list[int]] = {}
-    for idx, member in enumerate(members):
-        for g in member.g_vectors:
-            holders.setdefault(member.key() - {g}, []).append(idx)
     out = []
     for idx, member in enumerate(members):
-        for vid, g in zip(member.quiver.mutable_ids(), member.g_vectors):
-            (target,) = (other for other in holders[member.key() - {g}] if other != idx)
-            (fresh,) = members[target].key() - member.key()
-            new = members[target].quiver.mutable_ids()[members[target].g_vectors.index(fresh)]
+        for vid, target in zip(member.quiver.mutable_ids(), neighbours[idx]):
+            new = members[target].quiver.mutable_ids()[neighbours[target].index(idx)]
             pivot = member.quiver.vertex(vid).label
             name = pivot.label() if pivot is not None else f"v{vid}"
             out.append((f"exchange:{name}@{idx}", idx, vid, target, new))
@@ -579,7 +572,7 @@ def verify_identities(
     """Exact verification sweep; no tolerances anywhere.
 
     Checks, in order: every exchange relation of every seed that
-    :func:`mutation_class` returns on every generic matrix (labels evaluated
+    :func:`exchange_graph` returns on every generic matrix (labels evaluated
     as minors, unlabeled variables through their Laurent expansions, which
     ties the two routes); the restricted two-term identities on every cell
     point, which include the k=2 generator decompositions; and the exact

@@ -719,5 +719,5 @@ def graph_mutation_class(
                 raise ReducednessError(f"face {face.label} is not a three-term exchange")
             yield collection - {face.label} | {new}, lambda p=face.label: face_labels(square_move(lab, p))
 
-    labelings, complete = closure(face_labels(g), moves, FaceLabeling.collection, limit)
+    labelings, complete, _ = closure(face_labels(g), moves, FaceLabeling.collection, limit)
     return [(lab.graph, lab) for lab in labelings], complete

@@ -282,7 +282,7 @@ def reference_mutation_class(seed, limit=None):
             nxt = mutate_seed(member, vid)
             yield fingerprint_key(nxt), lambda nxt=nxt: nxt
 
-    return closure(seed, moves, fingerprint_key, limit)
+    return closure(seed, moves, fingerprint_key, limit)[:2]
 
 
 def reference_graph_mutation_class(g, limit=None):
@@ -294,7 +294,7 @@ def reference_graph_mutation_class(g, limit=None):
             nxt = face_labels(square_move(lab, face.label))
             yield nxt.collection(), lambda nxt=nxt: nxt
 
-    labelings, complete = closure(face_labels(g), moves, FaceLabeling.collection, limit)
+    labelings, complete, _ = closure(face_labels(g), moves, FaceLabeling.collection, limit)
     return [(lab.graph, lab) for lab in labelings], complete
 
 

@@ -30,6 +30,7 @@ from positroids.cluster import (
     QuiverVertex,
     Seed,
     closure,
+    exchange_graph,
     fz_mutate_quiver,
     seed_square_move,
     square_move_exchange,
@@ -541,22 +542,27 @@ def test_closure_calls_moves_once_per_member_in_member_order():
         for y in ((x + 3) % 10, (7 * x) % 10):
             yield key(y), lambda y=y: built.append(y) or y
 
-    members, complete = closure(1, moves, key=lambda x: x)
+    members, complete, neighbours = closure(1, moves, key=lambda x: x)
     assert complete and members == [1, 4, 7, 8, 0, 9, 6, 3, 2, 5]
     assert visited == members and built == members[1:]
+    # per member, the index of x + 3 and of 7x, new or seen; 0 is its own 7x
+    assert neighbours == [[1, 2], [2, 3], [4, 5], [0, 6], [7, 4], [8, 7], [5, 8], [6, 0], [9, 1], [3, 9]]
 
     visited.clear()
     built.clear()
-    members, complete = closure(1, moves, key=lambda x: x, limit=4)
+    members, complete, neighbours = closure(1, moves, key=lambda x: x, limit=4)
     assert not complete and members == [1, 4, 7, 8]
     assert visited == [1, 4, 7]  # 7 yields 0, the first unseen number past the limit
     assert built == members[1:]
+    assert neighbours == [[1, 2], [2, 3], []]  # the lists stop where the exploration stopped
 
     visited.clear()
     built.clear()
-    members, complete = closure(1, lambda x: moves(x, key=lambda y: y % 5), key=lambda x: x % 5)
+    members, complete, neighbours = closure(1, lambda x: moves(x, key=lambda y: y % 5), key=lambda x: x % 5)
     assert complete and members == [1, 4, 7, 8, 0] and visited == members
     assert built == members[1:]  # a neighbour with a seen key is never built
+    # 9 and 6 are never built: they read the members holding 9 % 5 and 6 % 5, 4 and 1
+    assert neighbours == [[1, 2], [2, 3], [4, 1], [0, 0], [3, 4]]
 
 
 # --- g-vector keys -------------------------------------------------------
@@ -578,6 +584,21 @@ def test_g_vector_classes_match_the_laurent_classes_on_snapshot_cells(name, sigm
     assert complete and reference_complete
     assert len(shipped) == SNAPSHOTS["seed_closures"][name]
     assert [s.to_json() for s in shipped] == [s.to_json() for s in reference]
+
+
+@pytest.mark.parametrize("name, sigma", list(named_cells()), ids=[name for name, _ in named_cells()])
+def test_exchange_graph_is_an_involution_on_snapshot_cells(name, sigma):
+    # mutating twice at one vertex returns the seed, so each move of member i
+    # reaches another member t, and exactly one move of t leads back to i
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
+    members, complete, neighbours = exchange_graph(start)
+    assert complete and len(members) == len(neighbours) == SNAPSHOTS["seed_closures"][name]
+    for i, row in enumerate(neighbours):
+        assert len(row) == len(members[i].quiver.mutable_ids())
+        for t in row:
+            assert t != i and neighbours[t].count(i) == 1
+    # one exchange relation per (seed, mutable vertex): rank x seeds in all
+    assert sum(map(len, neighbours)) == len(start.quiver.mutable_ids()) * len(members)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -749,6 +749,18 @@ def test_facet_neighbours_match_the_tropical_route_on_snapshot_cells(name, sigma
     assert exchanges == reference
 
 
+def test_exchange_sweep_leaves_the_seed_key_to_cluster(monkeypatch):
+    # the sweep reads each neighbour and x' from the exchange graph, so the
+    # only key() call left is closure's one on the start seed
+    calls = []
+    key = cluster.Seed.key
+    monkeypatch.setattr(cluster.Seed, "key", lambda seed: calls.append(seed) or key(seed))
+    seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(3, 6))))
+    members, exchanges = numeric._exchange_identities(seed)
+    assert len(members) == 50 and len(exchanges) == 200
+    assert calls == [seed]
+
+
 def test_exchange_sweep_mutates_once_per_new_seed(monkeypatch):
     # Gr(3,6) top cell: 50 seeds, so 49 mutations build the class and the 200
     # exchanges read theirs from it; numeric binds no mutation of its own
@@ -798,14 +810,14 @@ def test_verify_evaluates_each_distinct_variable_once_per_matrix(monkeypatch):
 
 @pytest.mark.parametrize("name, sigma", list(named_cells()), ids=[name for name, _ in named_cells()])
 def test_shared_values_match_the_per_seat_reference_on_snapshot_cells(name, sigma, monkeypatch):
-    once = functools.lru_cache(numeric.mutation_class)
+    once = functools.lru_cache(numeric.exchange_graph)
 
-    def mutation_class(seed, limit):
+    def exchange_graph(seed, limit):
         # both routes read one mutation class per cell, each from its own list
-        members, complete = once(seed, limit)
-        return list(members), complete
+        members, complete, neighbours = once(seed, limit)
+        return list(members), complete, neighbours
 
-    monkeypatch.setattr(numeric, "mutation_class", mutation_class)
+    monkeypatch.setattr(numeric, "exchange_graph", exchange_graph)
     g = bridge_graph_from_permutation(sigma)
     args = (
         necklace_from_permutation(sigma),
@@ -839,7 +851,8 @@ def test_verify_checks_the_seeds_of_the_mutation_class(monkeypatch):
         or (target, new) == (idx, vid)
     }
     perturbed = clean[:idx] + [corrupt_seed(clean[idx], vid)] + clean[idx + 1 :]
-    monkeypatch.setattr(numeric, "mutation_class", lambda start, limit: (perturbed, True))
+    neighbours = numeric.exchange_graph(seed, cluster.SEEDS_LIMIT)[2]
+    monkeypatch.setattr(numeric, "exchange_graph", lambda start, limit: (perturbed, True, neighbours))
     report = verify_identities(
         necklace_from_permutation(sigma),
         seed,
