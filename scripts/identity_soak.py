@@ -28,7 +28,7 @@ from positroids import (
     sample_cell_point,
     verify_identities,
 )
-from positroids.numeric import corrupt_seed, sample_generic_matrix
+from positroids.numeric import sample_generic_matrix
 
 
 def soak(args: argparse.Namespace) -> int:
@@ -57,8 +57,7 @@ def soak(args: argparse.Namespace) -> int:
             sample_generic_matrix(sigma.k, n, random.Random(rng.randint(0, 10**6)))
             for _ in range(args.generic)
         )
-        tamper = corrupt_seed if args.corrupt else None
-        report = verify_identities(neck, seed, points, generic, tamper=tamper)
+        report = verify_identities(neck, seed, points, generic, corrupt=args.corrupt)
         n_idents = len(report["identities"])
         status = "ok" if report["passed"] else "FAILED"
         if args.corrupt:

@@ -21,7 +21,6 @@ from .cluster import SEEDS_LIMIT, Seed, initial_seed, mutation_class
 from .combinatorics import (
     DecoratedPermutation,
     DimensionError,
-    SizeCapError,
     ValidationError,
     alignments,
     connected_components,
@@ -36,6 +35,12 @@ from .plabic import (
     quiver_from_graph,
     trips,
 )
+
+
+class SizeCapError(RuntimeError):
+    """A permutation spec exceeds ``--n-cap``, the one size guard: library
+    functions take no cap."""
+
 
 USAGE_ERRORS = (
     ValidationError,
@@ -98,7 +103,7 @@ def pretty_variable(seed: Seed, vid: int) -> str:
 
 def cmd_necklace(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     necklace = necklace_from_permutation(sigma)
-    positroid = positroid_members(necklace, args.n_cap)
+    positroid = positroid_members(necklace)
     labeling = face_labels(bridge_graph_from_permutation(sigma))
     data = {
         "permutation": sigma.to_json(),
@@ -216,10 +221,7 @@ def _sample_points(graph, args: argparse.Namespace, rng: random.Random) -> list[
     """``--points`` cell points of ``graph``, each from its own draw of ``rng``."""
     if args.points < 1:
         raise ValidationError(f"--points must be at least 1, got {args.points}")
-    return [
-        numeric.sample_cell_point(graph, rng_seed=rng.randrange(2**63), n_cap=args.n_cap)
-        for _ in range(args.points)
-    ]
+    return [numeric.sample_cell_point(graph, rng_seed=rng.randrange(2**63)) for _ in range(args.points)]
 
 
 def cmd_verify(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
@@ -232,10 +234,7 @@ def cmd_verify(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
         numeric.sample_generic_matrix(sigma.k, sigma.n, rng)
         for _ in range(max(2, min(20, args.points // 5)))
     ]
-    tamper = numeric.corrupt_seed if args.corrupt else None
-    report = numeric.verify_identities(
-        necklace, seed, points, generic, n_cap=args.n_cap, tamper=tamper
-    )
+    report = numeric.verify_identities(necklace, seed, points, generic, corrupt=args.corrupt)
     emit(render_json(report), args)
     return 0 if report["passed"] else 1
 

@@ -68,9 +68,9 @@ def _first_crossing(label: KSet, necklace: GrassmannNecklace) -> KSet | None:
     return next((s for s, m in zip(necklace, necklace.masks) if masks_cross(mask, m)), None)
 
 
-def gp_b_rank_one_list(necklace: GrassmannNecklace, n_cap: int = 12) -> frozenset[KSet]:
+def gp_b_rank_one_list(necklace: GrassmannNecklace) -> frozenset[KSet]:
     """All rank-one Gorenstein-projective labels: the positroid members that
-    cross no necklace set.  Guarded by ``n_cap`` like :func:`positroid_members`.
+    cross no necklace set.  Materializes :func:`positroid_members`, for any n.
 
     Rank-two and higher indecomposables are not produced; when they exist they
     appear downstream as non-Pluecker cluster variables.
@@ -80,11 +80,11 @@ def gp_b_rank_one_list(necklace: GrassmannNecklace, n_cap: int = 12) -> frozense
     >>> sorted(x.label() for x in gp_b_rank_one_list(necklace_from_permutation(s)))
     ['124', '126', '234', '246', '256', '346', '456']
     """
-    members = positroid_members(necklace, n_cap).members
+    members = positroid_members(necklace).members
     return frozenset(lab for lab in members if _first_crossing(lab, necklace) is None)
 
 
-def is_cluster_tilting_collection(labels, necklace: GrassmannNecklace, n_cap: int = 12) -> bool:
+def is_cluster_tilting_collection(labels, necklace: GrassmannNecklace) -> bool:
     """Whether a set of labels indexes a cluster tilting collection.
 
     The conditions: contains the necklace, sits inside the positroid, is
@@ -100,21 +100,19 @@ def is_cluster_tilting_collection(labels, necklace: GrassmannNecklace, n_cap: in
     masks = [lab.mask for lab in labels]
     if any(masks_cross(a, b) for a, b in itertools.combinations(masks, 2)):
         return False
-    for cand in _compatible_pool(necklace, n_cap):
+    for cand in _compatible_pool(necklace):
         if cand not in labels and not any(masks_cross(cand.mask, m) for m in masks):
             return False
     return True
 
 
-def _compatible_pool(necklace: GrassmannNecklace, n_cap: int) -> list[KSet]:
+def _compatible_pool(necklace: GrassmannNecklace) -> list[KSet]:
     # candidates for extending a collection: must be noncrossing with the
     # whole necklace, which is the rank-one Gorenstein-projective condition
-    return sorted(gp_b_rank_one_list(necklace, n_cap), key=lambda s: s.elements)
+    return sorted(gp_b_rank_one_list(necklace), key=lambda s: s.elements)
 
 
-def maximal_noncrossing_collections(
-    necklace: GrassmannNecklace, n_cap: int = 12
-) -> frozenset[frozenset[KSet]]:
+def maximal_noncrossing_collections(necklace: GrassmannNecklace) -> frozenset[frozenset[KSet]]:
     """Brute force: every maximal pairwise-noncrossing collection of positroid
     members containing the necklace.
 
@@ -122,7 +120,7 @@ def maximal_noncrossing_collections(
     crossing a necklace set can never join).  Pools stay small for n <= 8, so
     plain pivoting clique search is enough.
     """
-    pool = _compatible_pool(necklace, n_cap)
+    pool = _compatible_pool(necklace)
     index = {lab: i for i, lab in enumerate(pool)}
     adj: list[set[int]] = [set() for _ in pool]
     for (i, a), (j, b) in itertools.combinations(enumerate(lab.mask for lab in pool), 2):

@@ -36,10 +36,6 @@ class ValidationError(ValueError):
     """Structured input violates a defining invariant."""
 
 
-class SizeCapError(RuntimeError):
-    """Eager materialization was requested above the configured ground-set cap."""
-
-
 def cyclic_pos(i: int, j: int, n: int) -> int:
     """Position of j in the shifted order <_i, i.e. (j - i) mod n.
 
@@ -258,12 +254,11 @@ class DecoratedPermutation:
         return body
 
     @classmethod
-    def from_cycle_string(cls, text: str, n: int | None = None) -> DecoratedPermutation:
+    def from_cycle_string(cls, text: str) -> DecoratedPermutation:
         """Parse "(135)(264)" or "id:+,-,+" style notation.
 
         Colors after ":" apply to the fixed points in increasing order; n is
-        inferred from the largest entry (or the color count for "id") unless
-        given explicitly.
+        inferred from the largest entry (or the color count for "id").
         """
         text = text.strip()
         body, _, suffix = text.partition(":")
@@ -285,12 +280,11 @@ class DecoratedPermutation:
         if len(set(in_cycles)) != len(in_cycles):
             raise ValidationError(f"repeated entry in {text!r}")
         colors_list = [s.strip() for s in suffix.split(",") if s.strip()] if suffix else []
-        if n is None:
-            # fixed points past the largest cycle entry are only visible through
-            # the color suffix, so grow n until they all fit
-            n = max(in_cycles, default=0)
-            while n - len(in_cycles) < len(colors_list):
-                n += 1
+        # fixed points past the largest cycle entry are only visible through
+        # the color suffix, so grow n until they all fit
+        n = max(in_cycles, default=0)
+        while n - len(in_cycles) < len(colors_list):
+            n += 1
         image = list(range(1, n + 1))
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -490,12 +484,11 @@ def in_positroid(necklace: GrassmannNecklace, candidate: KSet) -> bool:
     return True
 
 
-def positroid_members(necklace: GrassmannNecklace, n_cap: int = 12) -> Positroid:
-    """Materialize every member of the positroid.  Guarded by ``n_cap``;
-    use :func:`in_positroid` for single queries on larger ground sets."""
+def positroid_members(necklace: GrassmannNecklace) -> Positroid:
+    """Materialize every member of the positroid, for any n: all C(n, k)
+    k-subsets pass through the Gale bounds, so use :func:`in_positroid` for
+    single queries on large ground sets."""
     n, k = necklace.n, necklace.k
-    if n > n_cap:
-        raise SizeCapError(f"n={n} exceeds the eager-materialization cap {n_cap}")
     ground = range(1, n + 1)
     masks = map(sum, itertools.combinations([1 << j for j in ground], k))  # in step with the k-subsets
     alive = list(zip(masks, itertools.combinations(ground, k)))

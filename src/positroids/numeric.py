@@ -363,10 +363,10 @@ class CellPoint:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _graph_positroid(graph: PlabicGraph, n_cap: int) -> frozenset[tuple[int, ...]]:
+def _graph_positroid(graph: PlabicGraph) -> frozenset[tuple[int, ...]]:
     """Column tuples of the positroid of the graph's trip permutation."""
     necklace = necklace_from_permutation(trip_permutation(graph))
-    return frozenset(lab.elements for lab in positroid_members(necklace, n_cap).members)
+    return frozenset(lab.elements for lab in positroid_members(necklace).members)
 
 
 def _measurement_matrix(graph: PlabicGraph, weights: Mapping[int, Fraction]) -> RationalMatrix:
@@ -408,16 +408,16 @@ def sample_cell_point(
     graph: PlabicGraph,
     weights: Mapping[int, Fraction] | None = None,
     rng_seed: int = 0,
-    n_cap: int = 12,
 ) -> CellPoint:
     """Boundary measurement at positive edge weights, validated exactly.
 
     Weights default to small random positive rationals drawn from the seeded
     generator.  Every call checks the vanishing profile of the result: minors
     vanish exactly on the positroid complement and are strictly positive on
-    the members (the point lies in the totally nonnegative part of the cell).
-    The check reads the integer minors; Fractions are built only to name the
-    first offending minor, or when the point's minors are read.
+    the members (the point lies in the totally nonnegative part of the cell),
+    whose positroid is materialized for any n.  The check reads the integer
+    minors; Fractions are built only to name the first offending minor, or
+    when the point's minors are read.
     """
     if weights is None:
         rng = random.Random(rng_seed)
@@ -430,7 +430,7 @@ def sample_cell_point(
             raise ValidationError("weights must be positive")
     matrix = _measurement_matrix(graph, weights)
 
-    members = _graph_positroid(graph, n_cap)
+    members = _graph_positroid(graph)
     dets, _ = matrix.scaled_minors
     if dets.keys() != members or any(det < 0 for det in dets.values()):
         for cols, value in pluecker_table(matrix).items():
@@ -553,9 +553,10 @@ def _entry(name: str, checks: Iterable[tuple[str, object, object]], show=lambda 
 
 
 def corrupt_seed(seed: Seed, vid: int) -> Seed:
-    """Negative control for :func:`verify_identities`: ``seed`` with 1 added
-    to the variable at ``vid`` and that vertex's label dropped, since the
-    direct-minor route would otherwise bypass the broken variable."""
+    """The negative control that ``verify_identities(..., corrupt=True)``
+    applies: ``seed`` with 1 added to the variable at ``vid`` and that
+    vertex's label dropped, since the direct-minor route would otherwise
+    bypass the broken variable."""
     variables = tuple((v, poly + LaurentPoly.const(1) if v == vid else poly) for v, poly in seed.variables)
     vertices = tuple(replace(v, label=None) if v.id == vid else v for v in seed.quiver.vertices)
     return replace(seed, quiver=replace(seed.quiver, vertices=vertices), variables=variables)
@@ -566,8 +567,7 @@ def verify_identities(
     seed: Seed,
     points: Sequence[CellPoint],
     generic: Sequence[RationalMatrix],
-    n_cap: int = 12,
-    tamper: Callable[[Seed, int], Seed] | None = None,
+    corrupt: bool = False,
 ) -> dict:
     """Exact verification sweep; no tolerances anywhere.
 
@@ -577,17 +577,18 @@ def verify_identities(
     ties the two routes); the restricted two-term identities on every cell
     point, which include the k=2 generator decompositions; and the exact
     vanishing profile of every cell point.  Seats with one label, or one
-    unlabeled Laurent polynomial, share one list of values.  ``tamper``,
-    such as :func:`corrupt_seed`, is a negative control: the first exchange
-    reads x' from ``tamper`` of the member holding it, given with its
-    vertex; that entry gains ":corrupted" and must fail.  ValidationError:
-    ``tamper`` on a cell with no exchange relation, or a class past ``SEEDS_LIMIT``.
+    unlabeled Laurent polynomial, share one list of values.  ``corrupt`` is
+    a negative control: the first exchange reads x' from :func:`corrupt_seed`
+    of the member holding it, so the broken value still goes through the
+    shared table; that entry gains ":corrupted" and must fail.
+    ValidationError: ``corrupt`` on a cell with no exchange relation, or a
+    class past ``SEEDS_LIMIT``.
     """
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):
         raise ValidationError("seed must be fully labeled")
     members, exchanges = _exchange_identities(seed)
-    if tamper is not None and not exchanges:
+    if corrupt and not exchanges:
         raise ValidationError("the negative control needs an exchange relation; this cell has none")
 
     assignments = [minor_assignment(matrix, initial_labels) for matrix in generic]
@@ -605,8 +606,8 @@ def verify_identities(
     identities = []
     for pos, (name, idx, vid, target, new) in enumerate(exchanges):
         holder = members[target]
-        if tamper is not None and pos == 0:
-            name, holder = f"{name}:corrupted", tamper(holder, new)
+        if corrupt and pos == 0:
+            name, holder = f"{name}:corrupted", corrupt_seed(holder, new)
         identities.append(_entry(name, _exchange_checks(members[idx], vid, value, value(holder, new))))
 
     # the labels below are k-subsets of [n], read straight from the tables
@@ -614,7 +615,7 @@ def verify_identities(
     if any((point.matrix.k, point.matrix.n) != (k, n) for point in points):
         raise DimensionError(f"cell points must be {k} x {n} matrices")
     tables = [point.matrix.scaled_minors for point in points]
-    positroid = positroid_members(necklace, n_cap)
+    positroid = positroid_members(necklace)
     for name, lhs, rhs in _minor_identities(necklace, positroid.members):
         # both sides carry scale ** 2: compare integers, show a failure as Fractions
         checks = (

@@ -442,16 +442,16 @@ def reference_exchange_checks(seed, vid, values, new_values):
         yield f"generic:{pidx}", here[vid] * new_value, rhs
 
 
-def reference_verify_identities(necklace, seed, points, generic, n_cap=12, tamper=None) -> dict:
+def reference_verify_identities(necklace, seed, points, generic, corrupt=False) -> dict:
     """``verify_identities`` by the per-seat route that shared values
     replaced: every variable of every member evaluated once per generic
-    matrix, and the tampered member appended to the class for the first
+    matrix, and the corrupted member appended to the class for the first
     exchange to read.  The cell-point entries, which both routes share, come
     from ``verify_identities`` on no generic matrix."""
     members, exchanges = numeric._exchange_identities(seed)
-    if tamper is not None:
+    if corrupt:
         name, idx, vid, target, new = exchanges[0]
-        members = [*members, tamper(members[target], new)]
+        members = [*members, numeric.corrupt_seed(members[target], new)]
         exchanges[0] = (f"{name}:corrupted", idx, vid, len(members) - 1, new)
     labels = [v.label for v in seed.quiver.vertices]
     assignments = [numeric.minor_assignment(matrix, labels) for matrix in generic]
@@ -460,7 +460,7 @@ def reference_verify_identities(necklace, seed, points, generic, n_cap=12, tampe
     for name, idx, vid, target, new in exchanges:
         checks = reference_exchange_checks(members[idx], vid, values[idx], [v[new] for v in values[target]])
         identities.append(numeric._entry(name, checks, str))
-    cells = numeric.verify_identities(necklace, seed, points, (), n_cap, tamper)["identities"]
+    cells = numeric.verify_identities(necklace, seed, points, (), corrupt)["identities"]
     identities += cells[len(exchanges):]
     return {"identities": identities, "passed": all(not e["failures"] for e in identities)}
 

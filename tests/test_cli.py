@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import positroids
-from positroids import PlabicGraph, bridge_graph_from_permutation, cli, cluster, face_labels
-from positroids.combinatorics import DecoratedPermutation
+from positroids import (
+    PlabicGraph,
+    bridge_graph_from_permutation,
+    cli,
+    cluster,
+    cm,
+    face_labels,
+    initial_seed,
+    numeric,
+    quiver_from_graph,
+)
+from positroids.combinatorics import DecoratedPermutation, necklace_from_permutation, positroid_members
 
 
 def run(capsys, *argv):
@@ -348,18 +359,52 @@ def test_huge_cycle_entries_are_refused_before_parsing(monkeypatch, capsys, comm
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_n_cap_bounds_every_subcommand(capsys, command):
+def test_n_cap_bounds_every_subcommand(monkeypatch, capsys, command):
+    # every handler enters the library through one of these two builders
+    for name in ("bridge_graph_from_permutation", "necklace_from_permutation"):
+        monkeypatch.setattr(cli, name, lambda *_: pytest.fail("reached the library before the cap check"))
     payload = json.dumps({"image": [2, 1] + list(range(3, 14)), "colors": {str(i): 1 for i in range(3, 14)}})
-    for spec in ("(1,13)", payload, "(12):" + ",".join("+" * 11)):
+    for spec, message in (
+        ("(1,13)", "entry 13 exceeds --n-cap 12"),
+        (payload, "n=13 exceeds --n-cap 12"),
+        ("(12):" + ",".join("+" * 11), "n=13 exceeds --n-cap 12"),
+    ):
         code, out, err = run(capsys, command, spec)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "--n-cap 12" in err
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    monkeypatch.undo()
     code, out, err = run(capsys, "plabic", "(1,13)", "--n-cap", "13", "--format", "json")
     assert code == 0 and not err
     assert json.loads(out)["boundary"] == 13
     # past the default cap every subcommand runs on n = 13, comma labels and all
     code, out, err = run(capsys, command, "(1,13)(2,12)", "--n-cap", "13")
     assert code == 0 and out and not err
+
+
+def test_the_library_takes_no_cap_and_matches_the_cli_past_it(capsys):
+    # the CLI's --n-cap is the only size guard: called directly, the library
+    # runs on n = 13 and gives what the CLI prints once the cap is raised
+    spec = "(1,13)(2,12)"
+    sigma = DecoratedPermutation.from_cycle_string(spec)
+    necklace = necklace_from_permutation(sigma)
+    graph = bridge_graph_from_permutation(sigma)
+
+    def cli_json(command, *flags):
+        code, out, err = run(capsys, command, spec, "--n-cap", "13", *flags)
+        assert code == 0 and not err
+        return json.loads(out)
+
+    positroid = positroid_members(necklace)
+    summary = cli_json("necklace", "--format", "json")
+    assert summary["positroid_size"] == len(positroid.members) > 0
+    assert summary["complement"] == sorted(s.to_json() for s in positroid.complement())
+    rows = cli_json("positroid", "--format", "json")
+    assert {tuple(row["set"]) for row in rows if row["inGPB"]} == {s.elements for s in cm.gp_b_rank_one_list(necklace)}
+    rng = random.Random(0)  # the CLI's default --rng-seed, drawn in the CLI's order
+    points = [numeric.sample_cell_point(graph, rng_seed=rng.randrange(2**63)) for _ in range(2)]
+    assert cli_json("sample", "--points", "2", "--format", "json") == [p.to_json() for p in points]
+    generic = [numeric.sample_generic_matrix(sigma.k, sigma.n, rng) for _ in range(2)]
+    report = numeric.verify_identities(necklace, initial_seed(quiver_from_graph(graph)), points, generic)
+    assert report["passed"] and cli_json("verify", "--points", "2") == report
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from positroids import (
     noncrossing,
     positroid_members,
 )
-from positroids.combinatorics import DimensionError, SizeCapError, ValidationError, in_positroid
+from positroids.combinatorics import DimensionError, ValidationError, in_positroid
 
 from conftest import (
     SNAPSHOTS,
@@ -68,12 +68,6 @@ def test_gp_list_golden(ex_135264):
 def test_gp_list_of_uniform_small_cell_is_everything():
     neck = necklace_from_permutation(uniform_perm(2, 4))
     assert gp_b_rank_one_list(neck) == positroid_members(neck).members
-
-
-def test_gp_list_respects_size_cap():
-    neck = necklace_from_permutation(uniform_perm(1, 13))
-    with pytest.raises(SizeCapError):
-        gp_b_rank_one_list(neck)
 
 
 def test_gp_membership_implies_cm_membership():

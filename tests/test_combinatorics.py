@@ -31,7 +31,6 @@ from positroids import (
     shifted_leq,
 )
 from positroids.combinatorics import (
-    SizeCapError,
     ValidationError,
     cyclic_pos,
     cyclically_ordered,
@@ -160,7 +159,7 @@ def test_cycle_string_grows_n_to_cover_trailing_colors():
 @settings(max_examples=60, deadline=None)
 def test_cycle_string_round_trips(seed, n):
     sigma = random_decorated(random.Random(seed), n)
-    assert DecoratedPermutation.from_cycle_string(sigma.to_cycle_string(), n) == sigma
+    assert DecoratedPermutation.from_cycle_string(sigma.to_cycle_string()) == sigma
 
 
 @given(st.integers(0, 10**6), st.integers(1, 8))
@@ -322,14 +321,6 @@ def test_gale_bounds_drop_the_trivial_counts():
 def test_uniform_cell_contains_every_subset():
     neck = necklace_from_permutation(uniform_perm(2, 5))
     assert len(positroid_members(neck).members) == 10
-
-
-def test_positroid_members_honours_size_cap():
-    big = uniform_perm(1, 13)
-    with pytest.raises(SizeCapError):
-        positroid_members(necklace_from_permutation(big), n_cap=12)
-    # explicit larger cap lets it through
-    assert len(positroid_members(necklace_from_permutation(big), n_cap=13).members) == 13
 
 
 # --- crossings ----------------------------------------------------------

@@ -188,7 +188,7 @@ def test_sampling_a_new_graph_analyses_no_faces_and_divides_no_minors(monkeypatc
 def test_integer_vanishing_check_names_the_fraction_loops_offender(monkeypatch, ex_135264, change):
     graph = ex_135264["graph"]
     table = pluecker_table(sample_cell_point(graph, rng_seed=5).matrix)
-    members = numeric._graph_positroid(graph, 12)
+    members = numeric._graph_positroid(graph)
     off = min(members) if change == "drop" else min(set(table) - members)
     wrong = members - {off} if change == "drop" else members | {off}
     expected = None
@@ -200,7 +200,7 @@ def test_integer_vanishing_check_names_the_fraction_loops_offender(monkeypatch, 
         if expected:
             break
     assert ("should vanish" if change == "drop" else "should be positive") in expected
-    monkeypatch.setattr(numeric, "_graph_positroid", lambda g, n_cap: wrong)
+    monkeypatch.setattr(numeric, "_graph_positroid", lambda g: wrong)
     with pytest.raises(ConstructionError) as caught:
         sample_cell_point(graph, rng_seed=5)
     assert str(caught.value) == expected
@@ -828,8 +828,8 @@ def test_shared_values_match_the_per_seat_reference_on_snapshot_cells(name, sigm
     report = verify_identities(*args)
     assert report == reference_verify_identities(*args)
     assert report["passed"]
-    corrupted = verify_identities(*args, tamper=corrupt_seed)
-    assert corrupted == reference_verify_identities(*args, tamper=corrupt_seed)
+    corrupted = verify_identities(*args, corrupt=True)
+    assert corrupted == reference_verify_identities(*args, corrupt=True)
     assert not corrupted["passed"]
 
 
@@ -871,23 +871,23 @@ def test_corrupting_a_variable_is_caught():
         points = tuple(sample_cell_point(g, rng_seed=s) for s in range(count))
         generic = (sample_generic_matrix(sigma.k, sigma.n, random.Random(1)),)
         seed = initial_seed(quiver_from_graph(g))
-        report = verify_identities(necklace_from_permutation(sigma), seed, points, generic, tamper=corrupt_seed)
+        report = verify_identities(necklace_from_permutation(sigma), seed, points, generic, corrupt=True)
         assert not report["passed"]
         bad = [e for e in report["identities"] if e["failures"]]
         assert len(bad) == 1 and bad[0]["name"].endswith(":corrupted"), spec
 
 
 def test_the_verify_path_builds_no_fraction_rows():
-    # sampling, generic draws and the sweep, honest or tampered, read only
+    # sampling, generic draws and the sweep, honest or corrupted, read only
     # the integer rows; the Fraction rows are built for printing
     sigma = uniform_perm(3, 6)
     g = bridge_graph_from_permutation(sigma)
     points = tuple(sample_cell_point(g, rng_seed=s) for s in range(3))
     generic = tuple(sample_generic_matrix(3, 6, random.Random(s)) for s in range(2))
     seed = initial_seed(quiver_from_graph(g))
-    for tamper in (None, corrupt_seed):
-        report = verify_identities(necklace_from_permutation(sigma), seed, points, generic, tamper=tamper)
-        assert report["passed"] is (tamper is None)
+    for corrupt in (False, True):
+        report = verify_identities(necklace_from_permutation(sigma), seed, points, generic, corrupt=corrupt)
+        assert report["passed"] is not corrupt
     assert all("rows" not in vars(m) for m in (*(p.matrix for p in points), *generic))
 
 

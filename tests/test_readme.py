@@ -48,5 +48,5 @@ def test_the_benchmark_and_scripts_find_every_name_they_read():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("positroids"):
                 wanted.update((node.module, alias.name) for alias in node.names)
-    assert {("positroids", "cli"), ("positroids", "mutation_class"), ("positroids.numeric", "corrupt_seed")} <= wanted
+    assert {("positroids", "cli"), ("positroids", "mutation_class"), ("positroids.numeric", "sample_generic_matrix")} <= wanted
     assert sorted((m, name) for m, name in wanted if not hasattr(importlib.import_module(m), name)) == []
