@@ -70,6 +70,13 @@ def test_gp_list_of_uniform_small_cell_is_everything():
     assert gp_b_rank_one_list(neck) == positroid_members(neck).members
 
 
+def test_gp_list_has_no_size_cap():
+    # the size cap is the CLI's alone: past it the library still lists GP_B
+    neck = necklace_from_permutation(uniform_perm(1, 13))
+    assert len(gp_b_rank_one_list(neck)) == 13
+    assert gp_b_rank_one_list(neck) == positroid_members(neck).members
+
+
 def test_gp_membership_implies_cm_membership():
     rng = random.Random(17)
     for _ in range(30):

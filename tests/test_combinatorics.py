@@ -323,6 +323,13 @@ def test_uniform_cell_contains_every_subset():
     assert len(positroid_members(neck).members) == 10
 
 
+def test_positroid_members_has_no_size_cap():
+    # the size cap is the CLI's alone: past it the library still enumerates
+    positroid = positroid_members(necklace_from_permutation(uniform_perm(1, 13)))
+    assert sorted(s.elements for s in positroid.members) == [(i,) for i in range(1, 14)]
+    assert list(positroid.complement()) == []
+
+
 # --- crossings ----------------------------------------------------------
 
 
