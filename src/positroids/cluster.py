@@ -287,10 +287,10 @@ class IceQuiver:
     def to_json(self) -> dict:
         return {
             "vertices": [
-                {"id": v.id, "frozen": v.frozen, "label": v.label.to_json() if v.label else None}
+                {"id": v.id, "frozen": v.frozen, "label": v.label.to_json() if v.label is not None else None}
                 for v in self.vertices
             ],
-            "n": next((v.label.n for v in self.vertices if v.label), 0),
+            "n": next((v.label.n for v in self.vertices if v.label is not None), 0),
             "arrows": [[s, t, m] for s, t, m in self.arrows],
         }
 
@@ -307,7 +307,7 @@ class IceQuiver:
         lines = ["digraph quiver {"]
         for v in sorted(self.vertices, key=lambda v: v.id):
             shape = "box" if v.frozen else "ellipse"
-            name = v.label.label() if v.label else f"v{v.id}"
+            name = v.label.label() if v.label is not None else f"v{v.id}"
             lines.append(f'  v{v.id} [shape={shape}, label="{name}"];')
         for s, t, m in self.arrows:
             attr = f' [label="{m}"]' if m > 1 else ""
@@ -449,7 +449,7 @@ def _mutate(seed: Seed, vid: int, step: tuple) -> Seed:
         for e, c in product.items():
             binomial[e] = binomial.get(e, 0) + c
     new_var = _unpack(syms, _kdiv({e: c for e, c in binomial.items() if c}, old))
-    new_label = seed_square_move(seed, vid) or _symbol_label(new_var, seed)
+    new_label = square_move_label(seed.quiver, vid) or _symbol_label(new_var, seed)
     # every other vertex and (id, variable) pair is shared with ``seed``
     vertices = tuple(
         replace(v, label=new_label) if v.id == vid else v for v in seed.quiver.vertices
@@ -542,22 +542,22 @@ def square_move_exchange(
     return lbd
 
 
-def seed_square_move(seed: Seed, vid: int) -> KSet | None:
+def square_move_label(quiver: IceQuiver, vid: int) -> KSet | None:
     """Label produced by mutation at ``vid`` when it is a square move.
 
     Requires the vertex and all four quiver neighbors to carry labels, with
     exactly two simple arrows in and two out matching the quadrilateral
     exchange pattern.  Returns None otherwise (the mutated variable then lies
-    outside the Pluecker family)."""
-    q = seed.quiver
-    v = q.vertex(vid)
+    outside the Pluecker family).  Seed mutation and the plabic square-move
+    closure both read a label from here."""
+    v = quiver.vertex(vid)
     if v.frozen or v.label is None:
         return None
-    ins = q.arrows_in(vid)
-    outs = q.arrows_out(vid)
+    ins = quiver.arrows_in(vid)
+    outs = quiver.arrows_out(vid)
     if len(ins) != 2 or len(outs) != 2 or any(m != 1 for _, m in (*ins, *outs)):
         return None
-    labs_in, labs_out = (tuple(q.vertex(w).label for w, _ in side) for side in (ins, outs))
+    labs_in, labs_out = (tuple(quiver.vertex(w).label for w, _ in side) for side in (ins, outs))
     if any(l is None for l in labs_in + labs_out):
         return None
     return square_move_exchange(v.label, labs_in, labs_out)  # type: ignore[arg-type]

@@ -32,13 +32,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from positroids.cluster import IceQuiver, QuiverVertex, closure, square_move_exchange
+from positroids.cluster import IceQuiver, QuiverVertex, closure, square_move_label
 from positroids.combinatorics import (
     DecoratedPermutation,
     GrassmannNecklace,
     KSet,
     ValidationError,
-    affine_inversions,
     alignments,
 )
 
@@ -433,131 +432,83 @@ def validate_reduced(g: PlabicGraph) -> bool:
 def bridge_graph_from_permutation(sigma: DecoratedPermutation) -> PlabicGraph:
     """Reduced plabic graph for a decorated permutation, built from bridges.
 
-    Peels one crossing at a time from the bounded affine lift: pick cyclically
-    adjacent non-fixed columns a, b with b <= f(a) < f(b) <= a + n whose value
-    swap raises the inversion count by exactly one, place a bridge there, and
-    repeat until only fixed columns remain.  Earlier bridges sit higher; each
-    wire ends in a cap colored white for a -1 column and black for +1.
+    Peels one crossing at a time from the bounded affine lift f: take the
+    first non-fixed column a whose next non-fixed column b (cyclically) has
+    b <= f(a) < f(b) <= a + n, swap the two values and place a bridge from a
+    white vertex on wire a to a black one on wire b; repeat until only fixed
+    columns remain.  The columns strictly between a and b are fixed, so their
+    lifted values lie outside (f(a), f(b)) and each swap adds exactly the one
+    inversion (a, b): no count is needed.
+
+    Vertex ids run wire by wire: the wire's bridge ends, earliest peel next
+    to the boundary, then one id for a cap.  Only a wire without bridges gets
+    its cap, a lollipop colored white for a -1 column and black for +1.  On
+    any other wire the top vertex, the one farthest from the boundary, keeps
+    just its bridge and the edge below it, and one pass in id order merges
+    those two edges into one.
+
+    >>> g = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string("(13)(24)"))
+    >>> g.colors
+    ((5, 'white'), (8, 'black'), (9, 'white'), (10, 'black'))
     """
     n = sigma.n
     f = [0] + list(sigma.affine_lift())
 
-    def trivial(x: int) -> bool:
+    def fixed(x: int) -> bool:
         return f[x] in (x, x + n)
 
-    bridges: list[tuple[int, int]] = []
-    while not all(trivial(x) for x in range(1, n + 1)):
-        before = affine_inversions(f[1:])
-        progressed = False
+    wires: dict[int, list[tuple[int, str]]] = {x: [] for x in range(1, n + 1)}
+    peels = 0
+    while not all(fixed(x) for x in range(1, n + 1)):
         for a in range(1, n + 1):
-            if trivial(a):
+            if fixed(a):
                 continue
             b = a % n + 1
-            while trivial(b):
+            while fixed(b):
                 b = b % n + 1
-            pb = b if b > a else b + n
-            va, vb = f[a], f[b] + (n if b < a else 0)
-            if not (pb <= va < vb <= a + n):
-                continue
-            f[a], f[b] = vb, va - (n if b < a else 0)
-            if affine_inversions(f[1:]) == before + 1:
-                bridges.append((a, b))
-                progressed = True
+            shift = n if b < a else 0
+            if b + shift <= f[a] < f[b] + shift <= a + n:
+                f[a], f[b] = f[b] + shift, f[a] - shift
+                wires[a].append((peels, WHITE))
+                wires[b].append((peels, BLACK))
+                peels += 1
                 break
-            f[a], f[b] = va, vb - (n if b < a else 0)
-        if not progressed:
+        else:
             raise ValidationError(f"no admissible bridge peel for {sigma}")
 
-    wires: dict[int, list[tuple[int, str]]] = {x: [] for x in range(1, n + 1)}
-    for t, (a, b) in enumerate(bridges):
-        wires[a].append((t, "a"))
-        wires[b].append((t, "b"))
-
-    next_id = n + 1
+    # chain edges wire by wire, then bridge t as edge ``chain + t``, white end first
+    chain = 2 * peels + sum(not w for w in wires.values())
     colors: dict[int, str] = {}
-    bridge_vertex: dict[tuple[int, str], int] = {}
-    cap: dict[int, int] = {}
+    edges: dict[int, tuple[int, int]] = {}
+    rot: dict[int, list[int]] = {}
+    ends = [[0, 0] for _ in range(peels)]
+    tops = []
+    v = n + 1
     for x in range(1, n + 1):
-        for t, role in wires[x]:
-            bridge_vertex[(t, role)] = next_id
-            colors[next_id] = WHITE if role == "a" else BLACK
-            next_id += 1
-        cap[x] = next_id
-        colors[next_id] = WHITE if f[x] == x + n else BLACK
-        next_id += 1
+        below, rot[x] = x, []
+        for t, color in wires[x]:
+            rot[below].append(len(edges))
+            rot[v] = [chain + t, len(edges)] if color == WHITE else [len(edges), chain + t]
+            edges[len(edges)] = (below, v)
+            colors[v], ends[t][color == BLACK] = color, v
+            below, v = v, v + 1
+        if wires[x]:
+            tops.append(below)
+        else:
+            rot[x], rot[v] = [len(edges)], [len(edges)]
+            edges[len(edges)] = (x, v)
+            colors[v] = WHITE if f[x] == x + n else BLACK
+        v += 1
+    for t, (white, black) in enumerate(ends):
+        edges[chain + t] = (white, black)
 
-    edges: list[tuple[int, int]] = []
-    up_edge: dict[int, int] = {}
-    down_edge: dict[int, int] = {}
-    leg: dict[int, int] = {}
-    for x in range(1, n + 1):
-        chain = [x] + [bridge_vertex[key] for key in [(t, r) for t, r in wires[x]]] + [cap[x]]
-        for u, v in zip(chain, chain[1:]):
-            eid = len(edges)
-            edges.append((u, v))
-            down_edge[u] = eid
-            up_edge[v] = eid
-            if u == x:
-                leg[x] = eid
-    bridge_edge: dict[int, int] = {}
-    for t in range(len(bridges)):
-        eid = len(edges)
-        edges.append((bridge_vertex[(t, "a")], bridge_vertex[(t, "b")]))
-        bridge_edge[t] = eid
-
-    rotation: dict[int, tuple[int, ...]] = {}
-    for x in range(1, n + 1):
-        rotation[x] = (leg[x],)
-        rotation[cap[x]] = (up_edge[cap[x]],)
-    for (t, role), v in bridge_vertex.items():
-        u, d, br = up_edge[v], down_edge[v], bridge_edge[t]
-        rotation[v] = (br, u, d) if role == "a" else (u, br, d)
-
-    return _cleanup(n, colors, edges, rotation)
-
-
-def _cleanup(n: int, colors: dict[int, str], edge_list: list, rotation: dict) -> PlabicGraph:
-    """Build the graph with boundary n from its parts, with bounce caps removed
-    and degree-2 vertices straightened; ``colors`` is updated in place.
-
-    A degree-1 internal vertex hanging off another internal vertex only makes
-    the strand through its neighbor take a detour down and back; deleting it
-    and then merging the edges of any resulting degree-2 vertex leaves trips,
-    faces and labels unchanged.  Caps attached directly to a boundary vertex
-    are genuine lollipops (decorated fixed points) and are kept.
-    """
-    edges: dict[int, tuple[int, int]] = dict(enumerate(edge_list))
-    rot: dict[int, list[int]] = {v: list(rotation[v]) for v in sorted(rotation)}
-
-    def far_end(eid: int, v: int) -> int:
-        u, w = edges[eid]
-        return w if u == v else u
-
-    changed = True
-    while changed:
-        changed = False
-        for v in list(rot):
-            if v not in rot or v <= n or len(rot[v]) != 1:
-                continue
-            eid = rot[v][0]
-            other = far_end(eid, v)
-            if other <= n:
-                continue
-            del rot[v], colors[v], edges[eid]
-            rot[other].remove(eid)
-            changed = True
-        for v in list(rot):
-            if v not in rot or v <= n or len(rot[v]) != 2:
-                continue
-            e1, e2 = rot[v]
-            a, b = far_end(e1, v), far_end(e2, v)
-            if a == b:
-                raise ValidationError("degree-2 straightening would create a loop")
-            edges[e1] = (a, b)
-            rot[b][rot[b].index(e2)] = e1
-            del rot[v], colors[v], edges[e2]
-            changed = True
-
+    # a top vertex's rotation is (e1, e2): e1 now joins its two far ends and e2 goes
+    for v in tops:
+        e1, e2 = rot.pop(v)
+        a, b = (sum(edges[e]) - v for e in (e1, e2))  # the end of each edge other than v
+        edges[e1] = (a, b)
+        rot[b][rot[b].index(e2)] = e1
+        del colors[v], edges[e2]
     return _assemble(n, colors, edges, rot)
 
 
@@ -699,25 +650,21 @@ def _quiver(labeling: FaceLabeling) -> IceQuiver:
     return IceQuiver(vertices, tuple(arrows))
 
 
-def graph_mutation_class(
-    g: PlabicGraph, limit: int | None = None
-) -> tuple[list[tuple[PlabicGraph, FaceLabeling]], bool]:
+def graph_mutation_class(g: PlabicGraph) -> tuple[list[tuple[PlabicGraph, FaceLabeling]], bool]:
     """:func:`~positroids.cluster.closure` of a reduced graph under square moves,
     deduplicated by the face label collection.  Returns (members, complete).
 
     A move is keyed before it is made, by the label Lbd that replaces the pivot's
-    Lac (:func:`~positroids.cluster.square_move_exchange` on its quiver
-    neighbours), so only an unseen collection is built; each member runs one
-    face analysis."""
+    Lac (:func:`~positroids.cluster.square_move_label` of its face in the quiver),
+    so only an unseen collection is built; each member runs one face analysis."""
 
     def moves(lab: FaceLabeling):
         q, collection = _quiver(lab), lab.collection()
         for face in movable_faces(lab):
-            ins, outs = (tuple(q.vertex(w).label for w, _ in s) for s in (q.arrows_in(face.id), q.arrows_out(face.id)))
-            new = square_move_exchange(face.label, ins, outs)
+            new = square_move_label(q, face.id)
             if new is None:
                 raise ReducednessError(f"face {face.label} is not a three-term exchange")
             yield collection - {face.label} | {new}, lambda p=face.label: face_labels(square_move(lab, p))
 
-    labelings, complete, _ = closure(face_labels(g), moves, FaceLabeling.collection, limit)
+    labelings, complete, _ = closure(face_labels(g), moves, FaceLabeling.collection)
     return [(lab.graph, lab) for lab in labelings], complete

@@ -34,7 +34,7 @@ from positroids import (
 )
 from positroids import numeric
 from positroids.cluster import closure
-from positroids.combinatorics import ValidationError, cyclically_ordered
+from positroids.combinatorics import ValidationError, affine_inversions, cyclically_ordered
 from positroids.plabic import (
     BLACK,
     WHITE,
@@ -42,6 +42,7 @@ from positroids.plabic import (
     FaceLabeling,
     ReducednessError,
     _Disk,
+    _assemble,
     _face_orbits,
     _strand_permutation,
     movable_faces,
@@ -285,7 +286,140 @@ def reference_mutation_class(seed, limit=None):
     return closure(seed, moves, fingerprint_key, limit)[:2]
 
 
-def reference_graph_mutation_class(g, limit=None):
+def reference_bridge_graph(sigma: DecoratedPermutation) -> PlabicGraph:
+    """Bridge graph by the route the shipped builder replaced: each peel is a
+    trial swap kept only if it raises the affine inversion count by one, and
+    every wire gets a cap that ``_reference_cleanup`` deletes again.
+
+    Peels one crossing at a time from the bounded affine lift: pick cyclically
+    adjacent non-fixed columns a, b with b <= f(a) < f(b) <= a + n whose value
+    swap raises the inversion count by exactly one, place a bridge there, and
+    repeat until only fixed columns remain.  Earlier bridges sit higher; each
+    wire ends in a cap colored white for a -1 column and black for +1.
+    """
+    n = sigma.n
+    f = [0] + list(sigma.affine_lift())
+
+    def trivial(x: int) -> bool:
+        return f[x] in (x, x + n)
+
+    bridges: list[tuple[int, int]] = []
+    while not all(trivial(x) for x in range(1, n + 1)):
+        before = affine_inversions(f[1:])
+        progressed = False
+        for a in range(1, n + 1):
+            if trivial(a):
+                continue
+            b = a % n + 1
+            while trivial(b):
+                b = b % n + 1
+            pb = b if b > a else b + n
+            va, vb = f[a], f[b] + (n if b < a else 0)
+            if not (pb <= va < vb <= a + n):
+                continue
+            f[a], f[b] = vb, va - (n if b < a else 0)
+            if affine_inversions(f[1:]) == before + 1:
+                bridges.append((a, b))
+                progressed = True
+                break
+            f[a], f[b] = va, vb - (n if b < a else 0)
+        if not progressed:
+            raise ValidationError(f"no admissible bridge peel for {sigma}")
+
+    wires: dict[int, list[tuple[int, str]]] = {x: [] for x in range(1, n + 1)}
+    for t, (a, b) in enumerate(bridges):
+        wires[a].append((t, "a"))
+        wires[b].append((t, "b"))
+
+    next_id = n + 1
+    colors: dict[int, str] = {}
+    bridge_vertex: dict[tuple[int, str], int] = {}
+    cap: dict[int, int] = {}
+    for x in range(1, n + 1):
+        for t, role in wires[x]:
+            bridge_vertex[(t, role)] = next_id
+            colors[next_id] = WHITE if role == "a" else BLACK
+            next_id += 1
+        cap[x] = next_id
+        colors[next_id] = WHITE if f[x] == x + n else BLACK
+        next_id += 1
+
+    edges: list[tuple[int, int]] = []
+    up_edge: dict[int, int] = {}
+    down_edge: dict[int, int] = {}
+    leg: dict[int, int] = {}
+    for x in range(1, n + 1):
+        chain = [x] + [bridge_vertex[key] for key in [(t, r) for t, r in wires[x]]] + [cap[x]]
+        for u, v in zip(chain, chain[1:]):
+            eid = len(edges)
+            edges.append((u, v))
+            down_edge[u] = eid
+            up_edge[v] = eid
+            if u == x:
+                leg[x] = eid
+    bridge_edge: dict[int, int] = {}
+    for t in range(len(bridges)):
+        eid = len(edges)
+        edges.append((bridge_vertex[(t, "a")], bridge_vertex[(t, "b")]))
+        bridge_edge[t] = eid
+
+    rotation: dict[int, tuple[int, ...]] = {}
+    for x in range(1, n + 1):
+        rotation[x] = (leg[x],)
+        rotation[cap[x]] = (up_edge[cap[x]],)
+    for (t, role), v in bridge_vertex.items():
+        u, d, br = up_edge[v], down_edge[v], bridge_edge[t]
+        rotation[v] = (br, u, d) if role == "a" else (u, br, d)
+
+    return _reference_cleanup(n, colors, edges, rotation)
+
+
+def _reference_cleanup(n: int, colors: dict[int, str], edge_list: list, rotation: dict) -> PlabicGraph:
+    """Build the graph with boundary n from its parts, with bounce caps removed
+    and degree-2 vertices straightened; ``colors`` is updated in place.
+
+    A degree-1 internal vertex hanging off another internal vertex only makes
+    the strand through its neighbor take a detour down and back; deleting it
+    and then merging the edges of any resulting degree-2 vertex leaves trips,
+    faces and labels unchanged.  Caps attached directly to a boundary vertex
+    are genuine lollipops (decorated fixed points) and are kept.
+    """
+    edges: dict[int, tuple[int, int]] = dict(enumerate(edge_list))
+    rot: dict[int, list[int]] = {v: list(rotation[v]) for v in sorted(rotation)}
+
+    def far_end(eid: int, v: int) -> int:
+        u, w = edges[eid]
+        return w if u == v else u
+
+    changed = True
+    while changed:
+        changed = False
+        for v in list(rot):
+            if v not in rot or v <= n or len(rot[v]) != 1:
+                continue
+            eid = rot[v][0]
+            other = far_end(eid, v)
+            if other <= n:
+                continue
+            del rot[v], colors[v], edges[eid]
+            rot[other].remove(eid)
+            changed = True
+        for v in list(rot):
+            if v not in rot or v <= n or len(rot[v]) != 2:
+                continue
+            e1, e2 = rot[v]
+            a, b = far_end(e1, v), far_end(e2, v)
+            if a == b:
+                raise ValidationError("degree-2 straightening would create a loop")
+            edges[e1] = (a, b)
+            rot[b][rot[b].index(e2)] = e1
+            del rot[v], colors[v], edges[e2]
+            changed = True
+
+    return _assemble(n, colors, edges, rot)
+
+
+def reference_graph_mutation_class(g):
     """Square-move closure by the route keyed moves replaced: every neighbour
     is built, validated and face-labelled, and then keyed by its collection."""
 
@@ -294,7 +428,7 @@ def reference_graph_mutation_class(g, limit=None):
             nxt = face_labels(square_move(lab, face.label))
             yield nxt.collection(), lambda nxt=nxt: nxt
 
-    labelings, complete, _ = closure(face_labels(g), moves, FaceLabeling.collection, limit)
+    labelings, complete, _ = closure(face_labels(g), moves, FaceLabeling.collection)
     return [(lab.graph, lab) for lab in labelings], complete
 
 

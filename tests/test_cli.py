@@ -268,6 +268,18 @@ def test_verify_and_sample_handle_k0_and_kn_cells(capsys, spec):
     (point,) = json.loads(out)
     k = spec.count("-")
     assert len(point["matrix"]) == len(point["sources"]) == k
+    # the one frozen vertex keeps its label, the empty set when k = 0
+    n = spec.count(",") + 1
+    name = "".join(map(str, range(1, n + 1))) if k else "-"
+    code, out, err = run(capsys, "seeds", spec, "--format", "json")
+    assert code == 0 and not err
+    (seed,) = json.loads(out)["seeds"]
+    assert seed["pure"] is True and seed["cluster"] == [f"D{name}"]
+    assert seed["seed"]["n"] == n
+    assert seed["seed"]["vertices"] == [{"id": 0, "frozen": True, "label": list(range(1, n + 1)) if k else []}]
+    code, out, err = run(capsys, "seeds", spec, "--format", "dot")
+    assert code == 0 and not err
+    assert f'v0 [shape=box, label="{name}"];' in out
 
 
 def test_out_flag_writes_the_file_instead_of_stdout(tmp_path, capsys):

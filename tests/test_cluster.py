@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroids import (
+    DecoratedPermutation,
     IceQuiver,
     KSet,
     LaurentPoly,
@@ -32,8 +33,8 @@ from positroids.cluster import (
     closure,
     exchange_graph,
     fz_mutate_quiver,
-    seed_square_move,
     square_move_exchange,
+    square_move_label,
 )
 from positroids.combinatorics import ValidationError, cyclically_ordered
 
@@ -434,6 +435,12 @@ def test_quiver_json_and_dot_are_stable():
     q = small_quiver()
     assert IceQuiver.from_json(q.to_json()) == q
     assert q.to_dot() == q.to_dot()
+    # the empty label of a Gr(0, n) quiver is a label, not a missing one
+    empty = quiver_from_graph(bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string("id:+,+")))
+    assert empty.to_json()["vertices"] == [{"id": 0, "frozen": True, "label": []}]
+    assert empty.to_json()["n"] == 2
+    assert IceQuiver.from_json(empty.to_json()) == empty
+    assert 'v0 [shape=box, label="-"];' in empty.to_dot()
 
 
 # --- seeds --------------------------------------------------------------
@@ -507,7 +514,7 @@ def mutate_seed_reference(seed, vid):
             bot = mul_reference(bot, var[w])
     new_var = (top + bot).divide_exact(var[vid])
     var[vid] = new_var
-    new_label = seed_square_move(seed, vid)
+    new_label = square_move_label(seed.quiver, vid)
     if new_label is None:
         new_label = cluster._symbol_label(new_var, seed)
     vertices = tuple(
@@ -823,7 +830,7 @@ def seeds_match_square_moves(seed, graph):
         raise ValidationError("graph does not realize the seed's collection")
     ok = True
     for vid in seed.quiver.mutable_ids():
-        new_label = seed_square_move(seed, vid)
+        new_label = square_move_label(seed.quiver, vid)
         if new_label is None:
             continue
         moved_graph = plabic.square_move(labeling, labels[vid])
@@ -841,7 +848,7 @@ def test_seed_square_move_matches_graph_moves():
     g = bridge_graph_from_permutation(uniform_perm(2, 4))
     seed = initial_seed(quiver_from_graph(g))
     (vid,) = seed.quiver.mutable_ids()
-    assert seed_square_move(seed, vid) == ks("13", 4)
+    assert square_move_label(seed.quiver, vid) == ks("13", 4)
     for kk, nn in [(2, 5), (2, 6)]:
         gg = bridge_graph_from_permutation(uniform_perm(kk, nn))
         assert seeds_match_square_moves(initial_seed(quiver_from_graph(gg)), gg)
@@ -850,4 +857,4 @@ def test_seed_square_move_matches_graph_moves():
 def test_hexagon_seed_has_no_square_move(ex_135264):
     seed = ex_135264["seed"]
     (vid,) = seed.quiver.mutable_ids()
-    assert seed_square_move(seed, vid) is None
+    assert square_move_label(seed.quiver, vid) is None

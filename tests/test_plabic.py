@@ -36,6 +36,7 @@ from conftest import (
     named_cells,
     random_decorated,
     recoloured_bridge_corpus,
+    reference_bridge_graph,
     reference_graph_mutation_class,
     reference_label_faces,
     reference_square_move,
@@ -84,7 +85,7 @@ def test_trips_start_and_end_on_the_boundary(ex_135264):
         assert t.target == sigma(t.source)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_every_small_cell_round_trips_exhaustively(n):
     for sigma in decorated_permutations(n):
         g = bridge_graph_from_permutation(sigma)
@@ -112,6 +113,15 @@ def test_trip_permutation_matches_the_face_analysis_for_n_up_to_6(monkeypatch):
     # the strands alone give the permutation and its decoration
     monkeypatch.setattr(plabic, "_label_faces", None)
     assert all(trip_permutation(g) == sigma for sigma, g in graphs)
+
+
+def test_bridge_graph_matches_the_trial_swap_and_cleanup_reference():
+    # every cell with n <= 6: peeling without a recount and capping only the
+    # lollipops builds the same graph, ids and edge order included
+    cells = [sigma for n in range(1, 7) for sigma in decorated_permutations(n)]
+    assert len(cells) == 2371
+    for sigma in cells:
+        assert bridge_graph_from_permutation(sigma).to_json() == reference_bridge_graph(sigma).to_json()
 
 
 def test_bridge_graph_validates_only_the_graph_it_returns(monkeypatch):
@@ -357,19 +367,14 @@ def test_dot_output_is_stable(ex_135264):
     assert "{2,4,6}" in g.to_dot(lab)
 
 
-def test_graph_mutation_class_counts_and_limit():
+def test_graph_mutation_class_counts():
     g = bridge_graph_from_permutation(uniform_perm(2, 4))
     members, complete = graph_mutation_class(g)
     assert complete and len(members) == 2
     assert all(validate_reduced(m) for m, _ in members)
-    # a limit keeps a prefix of the unlimited class, in the same order
     g = bridge_graph_from_permutation(uniform_perm(2, 6))
     full, complete = graph_mutation_class(g)
     assert complete and len(full) == 14
-    for limit in range(1, len(full) + 2):
-        members, complete = graph_mutation_class(g, limit=limit)
-        assert members == full[:limit]
-        assert complete == (limit >= len(full))
 
 
 def test_keyed_closure_matches_the_build_then_key_reference(monkeypatch):
@@ -419,6 +424,6 @@ def test_graph_mutation_class_analyses_each_member_once(monkeypatch, k, n, membe
 
 def test_a_movable_face_without_a_three_term_exchange_raises(monkeypatch):
     # no fallback builds the move to key it
-    monkeypatch.setattr(plabic, "square_move_exchange", lambda *args: None)
+    monkeypatch.setattr(plabic, "square_move_label", lambda *args: None)
     with pytest.raises(ReducednessError, match="three-term exchange"):
         graph_mutation_class(bridge_graph_from_permutation(uniform_perm(2, 4)))
