@@ -309,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.n_cap < 1:
+            raise ValidationError(f"--n-cap must be at least 1, got {args.n_cap}")
         sigma = parse_permutation(args.permutation, args.n_cap)
         return HANDLERS[args.command](sigma, args)
     except USAGE_ERRORS as exc:

@@ -1,13 +1,12 @@
 """Ice quivers, Laurent polynomials over an initial cluster, and seed mutation.
 
 Cluster variables are stored fully expanded as Laurent polynomials in the
-initial cluster's symbols (face labels of a plabic graph), with exact
-``Fraction`` coefficients at the boundary.  Products and divisions run in one
-integer kernel over int exponent tuples, with ``int`` coefficients until a
-quotient is not integral; by the Laurent phenomenon (Fomin-Zelevinsky) every
-variable that mutation reaches lies in Z[x^+-1].  Mutation divides by the
-departing variable with an explicit exactness check: a nonzero remainder
-raises, it is never truncated or approximated.
+initial cluster's symbols (face labels of a plabic graph), with ``int``
+coefficients: by the Laurent phenomenon (Fomin-Zelevinsky) every variable that
+mutation reaches lies in Z[x^+-1].  Products and divisions run in one integer
+kernel over int exponent tuples.  Mutation divides by the departing variable
+with an explicit exactness check: a nonzero remainder over Z raises, it is
+never truncated or approximated.
 
 Seeds are keyed by integer g-vectors (Nakanishi-Zelevinsky recursion), so the
 mutation class keys each neighbour first and builds only the unseen ones.
@@ -28,7 +27,7 @@ from functools import cached_property, partial
 from operator import add, itemgetter, lt, neg, sub
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
-from positroids.combinatorics import KSet, ValidationError, cyclically_ordered, three_term
+from positroids.combinatorics import KSet, ValidationError, masks_cross
 
 
 class LaurentDivisionError(ArithmeticError):
@@ -42,12 +41,12 @@ class PoleError(ZeroDivisionError):
 T = TypeVar("T")
 
 _Exp = frozenset  # frozenset[tuple[str, int]], omitting zero exponents
-_Packed = dict  # dict[tuple[int, ...], int | Fraction]: exponent vector -> nonzero coefficient
+_Packed = dict  # dict[tuple[int, ...], int]: exponent vector -> nonzero coefficient
 
 
 def _pack(*polys: LaurentPoly) -> tuple[tuple[str, ...], list[_Packed]]:
     """Index the symbols of ``polys`` once, sorted by name, and write each
-    polynomial over that index, with integral coefficients as ints."""
+    polynomial over that index."""
     syms = tuple(sorted({s for p in polys for e, _ in p.terms for s, _ in e}))
     pos = {s: i for i, s in enumerate(syms)}
     packed = [{} for _ in polys]
@@ -56,14 +55,14 @@ def _pack(*polys: LaurentPoly) -> tuple[tuple[str, ...], list[_Packed]]:
             vec = [0] * len(syms)
             for s, x in e:
                 vec[pos[s]] = x
-            out[tuple(vec)] = c.numerator if c.denominator == 1 else c
+            out[tuple(vec)] = c
     return syms, packed
 
 
 def _unpack(syms: tuple[str, ...], data: _Packed) -> LaurentPoly:
     # pairs over sorted symbols come out sorted: the order from_dict gives terms
     rows = sorted(([(s, x) for s, x in zip(syms, vec) if x], c) for vec, c in data.items())
-    return LaurentPoly(tuple((frozenset(pairs), Fraction(c)) for pairs, c in rows))
+    return LaurentPoly(tuple((frozenset(pairs), c) for pairs, c in rows))
 
 
 def _kmul(a: _Packed, b: _Packed) -> _Packed:
@@ -76,11 +75,12 @@ def _kmul(a: _Packed, b: _Packed) -> _Packed:
 
 
 def _kdiv(p: _Packed, q: _Packed) -> _Packed:
-    """Exact quotient p / q, or LaurentDivisionError.
+    """Exact quotient p / q in Z[x^+-1], or LaurentDivisionError.
 
     Long division in graded-lex order.  Shifted down by their componentwise
     minima, p and q are polynomials, so a quotient exponent must stay at or
-    above ``shift``.  Candidate leading terms wait in a heap under negated
+    above ``shift``; each quotient term is final when made, and the quotient
+    over Q is unique, so a term that is not integral means none over Z.  Candidate leading terms wait in a heap under negated
     keys; an entry whose term has cancelled since is skipped.
     """
     if not q:
@@ -101,12 +101,9 @@ def _kdiv(p: _Packed, q: _Packed) -> _Packed:
         if not c:
             continue
         t = tuple(map(sub, e, lead))
-        if any(map(lt, t, shift)):
+        tc, r = divmod(c, lead_c)
+        if r or any(map(lt, t, shift)):
             raise LaurentDivisionError("nonzero remainder")
-        if type(c) is type(lead_c) is int and not c % lead_c:
-            tc = c // lead_c  # exact, so an int quotient never becomes a float
-        else:
-            tc = Fraction(c) / lead_c
         quot[t] = tc
         for qe, qc in rest:
             f = tuple(map(add, t, qe))
@@ -123,26 +120,25 @@ def _kdiv(p: _Packed, q: _Packed) -> _Packed:
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Sparse Laurent polynomial: exponent map -> nonzero rational coefficient."""
+    """Sparse Laurent polynomial: exponent map -> nonzero integer coefficient."""
 
-    terms: tuple[tuple[_Exp, Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, data: Mapping[_Exp, Fraction]) -> LaurentPoly:
-        pruned = {e: c for e, c in data.items() if c != 0}
-        return cls(tuple(sorted(pruned.items(), key=lambda t: sorted(t[0]))))
+    terms: tuple[tuple[_Exp, int], ...]
 
     @classmethod
-    def monomial(cls, exps: Mapping[str, int], coef: Fraction | int = 1) -> LaurentPoly:
-        return cls.from_dict({frozenset((s, e) for s, e in exps.items() if e): Fraction(coef)})
+    def from_dict(cls, data: Mapping[_Exp, int]) -> LaurentPoly:
+        return cls(tuple(sorted(((e, c) for e, c in data.items() if c), key=lambda t: sorted(t[0]))))
+
+    @classmethod
+    def monomial(cls, exps: Mapping[str, int], coef: int = 1) -> LaurentPoly:
+        return cls.from_dict({frozenset((s, e) for s, e in exps.items() if e): coef})
 
     @classmethod
     def symbol(cls, name: str) -> LaurentPoly:
         return cls.monomial({name: 1})
 
     @classmethod
-    def const(cls, value: Fraction | int) -> LaurentPoly:
-        return cls.from_dict({frozenset(): Fraction(value)})
+    def const(cls, value: int) -> LaurentPoly:
+        return cls.from_dict({frozenset(): value})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -150,7 +146,7 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.terms)
         for e, c in other.terms:
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly.from_dict(out)
 
     def __neg__(self) -> LaurentPoly:
@@ -200,10 +196,14 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> LaurentPoly:
-        out: dict[_Exp, Fraction] = {}
+        out: dict[_Exp, int] = {}
         for t in data["terms"]:
-            e = frozenset((s, int(x)) for s, x in t["exp"].items() if int(x))
-            out[e] = out.get(e, Fraction(0)) + Fraction(t["coef"])
+            exp, coef = t["exp"], t["coef"]
+            bad_coef = type(coef) is not str or not coef.removeprefix("-").isdecimal()
+            if bad_coef or any(type(x) is not int for x in exp.values()):  # JSON true or 2.5 is no exponent
+                raise ValidationError(f"exponents must be integers and coef an integer string, got {t!r}")
+            e = frozenset((s, x) for s, x in exp.items() if x)
+            out[e] = out.get(e, 0) + int(coef)
         return cls.from_dict(out)
 
     def __str__(self) -> str:
@@ -513,33 +513,28 @@ def square_move_exchange(
 
     ``ins`` and ``outs`` are the labels of the two incoming and two outgoing
     quiver neighbors of the pivot.  The pattern is a three-term relation
-    (:func:`three_term`): a common (k-2)-set L and boundary letters a, b, c, d
-    in cyclic order with pivot = Lac, where ``ins`` and ``outs`` are the two
-    products {Lab, Lcd} and {Lad, Lbc}; the move replaces the pivot by Lbd.
+    (``three_term``), tested on bit masks: a common (k-2)-set L and boundary
+    letters a, b, c, d in cyclic order with pivot = Lac, where ``ins`` and
+    ``outs`` are the two products {Lab, Lcd} and {Lad, Lbc}; the move replaces
+    the pivot by Lbd.
     Collection membership of the four neighbor sets alone is not enough: a
     hexagonal face can have all four sets present without any square move
     existing, which is why the quiver neighborhood is required here.
+
+    >>> lab = lambda text: KSet.from_label(text, 4)
+    >>> square_move_exchange(lab("24"), (lab("12"), lab("34")), (lab("23"), lab("14"))).label()
+    '13'
     """
-    n = pivot.n
-    sides = (*ins, *outs)
-    common = set(pivot.elements)
-    for s in sides:
-        common &= set(s.elements)
-    ac = set(pivot.elements) - common
-    bd = set()
-    for s in sides:
-        bd |= set(s.elements) - common - ac
-    if len(ac) != 2 or len(bd) != 2:
+    p = pivot.mask
+    (i, j), (o, r) = pairs = [(x.mask, y.mask) for x, y in (ins, outs)]
+    low = p & i & j & o & r
+    ac, bd = p & ~low, (i | j | o | r) & ~p
+    if ac.bit_count() != 2 or bd.bit_count() != 2 or not masks_cross(ac, bd) or {i, j} == {o, r}:
         return None
-    a, c = sorted(ac)
-    x, y = sorted(bd)
-    b, d = (x, y) if cyclically_ordered(a, x, c, y, n) else (y, x)
-    if not cyclically_ordered(a, b, c, d, n):
-        return None
-    (_, lbd), *products = three_term(sorted(common), a, b, c, d, n)
-    if {frozenset(ins), frozenset(outs)} != set(map(frozenset, products)):
-        return None
-    return lbd
+    for x, y in pairs:  # L plus two of a, b, c, d each, together L plus all four; not Lac with Lbd
+        if x | y != low | ac | bd or x & y != low or (x & ~low).bit_count() != 2 or p in (x, y):
+            return None
+    return KSet.from_mask(low | bd, pivot.n)
 
 
 def square_move_label(quiver: IceQuiver, vid: int) -> KSet | None:

@@ -92,6 +92,11 @@ class KSet:
         """Bit j set for each element j."""
         return sum(1 << j for j in self.elements)
 
+    @classmethod
+    def from_mask(cls, mask: int, n: int) -> KSet:
+        """The j in [n] with bit j of ``mask`` set: the inverse of :attr:`mask`."""
+        return cls(tuple(j for j in range(1, n + 1) if mask >> j & 1), n)
+
     def label(self) -> str:
         """Compact text form: "124" for n <= 9, comma separated above."""
         if self.n <= 9:

@@ -349,11 +349,8 @@ def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeli
                     raise ReducednessError(f"trip {t.source} assigns both sides to one face")
         offset |= t_offset
 
-    labels = {
-        fid: tuple(j for j in range(1, n + 1) if (mask[fid] ^ offset) >> j & 1)
-        for fid in interior
-    }
-    sizes = {len(s) for s in labels.values()}
+    labels = {fid: KSet.from_mask(mask[fid] ^ offset, n) for fid in interior}
+    sizes = {s.k for s in labels.values()}
     if len(sizes) > 1:
         raise ReducednessError(f"face label sizes disagree: {sorted(sizes)}")
 
@@ -362,9 +359,7 @@ def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeli
     for i in range(1, n + 1):
         marks[dart_face[strands[i - 2].darts[0]]].append(i)
 
-    faces = tuple(
-        Face(fid, KSet(labels[fid], n), tuple(marks[fid]), orbits[fid]) for fid in interior
-    )
+    faces = tuple(Face(fid, labels[fid], tuple(marks[fid]), orbits[fid]) for fid in interior)
     return FaceLabeling(g, faces, _strand_permutation(disk, strands))
 
 

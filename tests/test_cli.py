@@ -383,6 +383,11 @@ def test_n_cap_bounds_every_subcommand(monkeypatch, capsys, command):
     ):
         code, out, err = run(capsys, command, spec)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+    # a cap below 1 is refused as such before the spec is read: "(12)" has no
+    # digit runs, so its largest entry would read as 0
+    for cap in ("-1", "0"):
+        code, out, err = run(capsys, command, "(12)", "--n-cap", cap)
+        assert (code, out, err) == (2, "", f"error: --n-cap must be at least 1, got {cap}\n")
     monkeypatch.undo()
     code, out, err = run(capsys, "plabic", "(1,13)", "--n-cap", "13", "--format", "json")
     assert code == 0 and not err

@@ -57,7 +57,7 @@ def sym(name):
     return LaurentPoly.symbol(name)
 
 
-def random_laurent(rng, nonzero=False, denominators=4):
+def random_laurent(rng, nonzero=False):
     terms = {}
     for _ in range(rng.randint(1 if nonzero else 0, 3)):
         e = frozenset(
@@ -66,7 +66,7 @@ def random_laurent(rng, nonzero=False, denominators=4):
             if rng.random() < 0.9
         )
         e = frozenset((s, x) for s, x in e if x)
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(rng.randint(-5, 5), rng.randint(1, denominators))
+        terms[e] = terms.get(e, 0) + rng.randint(-5, 5)
     poly = LaurentPoly.from_dict(terms)
     if nonzero and not poly:
         return LaurentPoly.const(1)
@@ -80,7 +80,7 @@ def test_laurent_basic_arithmetic():
     x, y = sym("x"), sym("y")
     p = (x + y) * (x - y)
     assert p == x * x - y * y
-    assert str(LaurentPoly.monomial({"x": -1, "y": 2}, Fraction(3, 2))) == "3/2*[x]^-1*[y]^2"
+    assert str(LaurentPoly.monomial({"x": -1, "y": 2}, -3)) == "-3*[x]^-1*[y]^2"
     assert str(LaurentPoly.const(0)) == "0"
     assert not (p - p)
     assert len(LaurentPoly.const(5).terms) == 1
@@ -190,7 +190,7 @@ def divide_exact_reference(self, divisor):
         if any(x < 0 for x in diff.values()):
             raise LaurentDivisionError("nonzero remainder")
         t_exp = frozenset((s, x) for s, x in diff.items() if x)
-        t_coef = rem[lead] / qlead_c
+        t_coef = Fraction(rem[lead]) / qlead_c  # over Q: the quotient may not be integral
         quot[t_exp] = quot.get(t_exp, Fraction(0)) + t_coef
         for qe, qc in qdict.items():
             e = exp_mul_reference(t_exp, qe)
@@ -210,47 +210,60 @@ def division_outcome(divide, p, q):
         return "LaurentDivisionError"
 
 
+def integral_division_outcome(p, q):
+    """The Q-reference quotient when it lies in Z[x^+-1].  The quotient over Q
+    is unique, so one with a fractional coefficient means none over Z."""
+    got = division_outcome(divide_exact_reference, p, q)
+    if isinstance(got, LaurentPoly) and any(Fraction(c).denominator != 1 for _, c in got.terms):
+        return "LaurentDivisionError"
+    return got
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_the_reference_division_and_product(seed):
     rng = random.Random(seed)
-    a, b, noise = random_laurent(rng), random_laurent(rng, nonzero=True), random_laurent(rng)
-    whole_a = random_laurent(rng, denominators=1)
-    whole_b = random_laurent(rng, nonzero=True, denominators=1)
+    a, b, c, noise = random_laurent(rng), random_laurent(rng, nonzero=True), random_laurent(rng), random_laurent(rng)
     one_term = LaurentPoly.monomial(
         {s: rng.randint(-2, 2) for s in rng.sample("wxyz", rng.randint(0, 3))},
-        Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3)),
+        rng.choice((-1, 1)) * rng.randint(1, 6),
     )
     cases = [
         (a * b, b),
         (a * one_term, one_term),
-        (a, one_term),
+        (a, one_term),  # a unit over Q, over Z only when its coefficient divides a's
         (a * b + noise, b),  # divisible only when the noise happens to be
         (a, b),
-        (whole_a * whole_b, whole_b),
-        (whole_a * whole_b, whole_b * LaurentPoly.const(rng.randint(2, 5))),  # inexact int quotients
-        (whole_a * whole_b + whole_b, whole_b),
+        (a * b, b * LaurentPoly.const(rng.randint(2, 5))),  # Q-quotients that are not integral
+        (a * b + c * b, b),
         (a, LaurentPoly(())),
     ]
     for p, q in cases:
         assert p * q == mul_reference(p, q)
         got = division_outcome(LaurentPoly.divide_exact, p, q)
-        assert got == division_outcome(divide_exact_reference, p, q)
+        assert got == integral_division_outcome(p, q)
         for poly in (got, p * q):
             if isinstance(poly, LaurentPoly):
-                assert all(type(c) is Fraction for _, c in poly.terms)
+                assert all(type(c) is int for _, c in poly.terms)
 
 
-def test_kernel_coefficients_print_as_fractions():
+def test_kernel_coefficients_are_ints_and_fractional_quotients_raise():
     x = sym("x")
     six_x = LaurentPoly.monomial({"x": 1}, 6)
     assert str(LaurentPoly.const(6).divide_exact(LaurentPoly.const(2))) == "3"
     assert str(six_x.divide_exact(LaurentPoly.const(2))) == "3*[x]"
-    assert str(LaurentPoly.const(3).divide_exact(LaurentPoly.const(2))) == "3/2"
     assert str((x + x + x) * LaurentPoly.const(1)) == "3*[x]"
-    q = (six_x + LaurentPoly.const(4)).divide_exact(LaurentPoly.monomial({"x": 2}, 4))
-    assert str(q) == "1*[x]^-2 + 3/2*[x]^-1"
-    assert all(type(c) is Fraction for _, c in q.terms)
+    q = (six_x + LaurentPoly.const(4)).divide_exact(LaurentPoly.monomial({"x": 2}, -2))
+    assert str(q) == "-2*[x]^-2 + -3*[x]^-1"
+    assert all(type(c) is int for _, c in q.terms)
+    # exact over Q, so unique there, and not integral: no quotient over Z
+    for p, d, over_q in (
+        (LaurentPoly.const(3), LaurentPoly.const(2), "3/2"),
+        (six_x + LaurentPoly.const(4), LaurentPoly.monomial({"x": 2}, 4), "1*[x]^-2 + 3/2*[x]^-1"),
+    ):
+        assert str(divide_exact_reference(p, d)) == over_q
+        with pytest.raises(LaurentDivisionError):
+            p.divide_exact(d)
 
 
 def test_evaluate_pole():
@@ -269,11 +282,31 @@ def test_single_symbol_detection():
 
 
 def test_laurent_json_round_trip():
-    p = LaurentPoly.monomial({"124": 1, "256": -2}, Fraction(3, 2)) + sym("346")
+    p = LaurentPoly.monomial({"124": 1, "256": -2}, -3) + sym("346")
     data = p.to_json()
     assert all(set(t) == {"exp", "coef"} for t in data["terms"])
     assert all(isinstance(t["coef"], str) for t in data["terms"])
     assert LaurentPoly.from_json(data) == p
+    assert all(type(c) is int for _, c in LaurentPoly.from_json(data).terms)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"exp": {"x": 2.5}, "coef": "1"},  # int() would read 1*[x]^2
+        {"exp": {"x": "a"}, "coef": "1"},
+        {"exp": {"x": True}, "coef": "1"},
+        {"exp": {"x": 2.0}, "coef": "1"},
+        {"exp": {"x": 1}, "coef": "3/2"},
+        {"exp": {"x": 1}, "coef": "a"},
+        {"exp": {"x": 1}, "coef": "--1"},
+        {"exp": {"x": 1}, "coef": 1},
+        {"exp": {"x": 1}, "coef": 1.5},
+    ],
+)
+def test_laurent_json_refuses_what_is_not_an_integer(term):
+    with pytest.raises(ValidationError):
+        LaurentPoly.from_json({"terms": [term]})
 
 
 # --- ice quivers --------------------------------------------------------
@@ -537,7 +570,7 @@ def test_mutation_class_matches_the_reference_division(monkeypatch, k, n):
     for got, expected in zip(shipped, reference):
         assert got.key() == expected.key()
         assert got.to_json() == expected.to_json()
-        assert all(type(c) is Fraction for _, poly in got.variables for _, c in poly.terms)
+        assert all(type(c) is int for _, poly in got.variables for _, c in poly.terms)
 
 
 def test_closure_calls_moves_once_per_member_in_member_order():
@@ -606,6 +639,15 @@ def test_exchange_graph_is_an_involution_on_snapshot_cells(name, sigma):
             assert t != i and neighbours[t].count(i) == 1
     # one exchange relation per (seed, mutable vertex): rank x seeds in all
     assert sum(map(len, neighbours)) == len(start.quiver.mutable_ids()) * len(members)
+
+
+@pytest.mark.parametrize("name, sigma", list(named_cells()), ids=[name for name, _ in named_cells()])
+def test_every_variable_of_a_snapshot_class_has_positive_int_coefficients(name, sigma):
+    # the Laurent phenomenon over Z (Fomin-Zelevinsky) with positivity (Lee-Schiffler)
+    members, complete = mutation_class(initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma))))
+    assert complete and len(members) == SNAPSHOTS["seed_closures"][name]
+    coefficients = [c for seed in members for _, poly in seed.variables for _, c in poly.terms]
+    assert coefficients and all(type(c) is int and c > 0 for c in coefficients)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

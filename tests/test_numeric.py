@@ -308,7 +308,7 @@ def test_minor_assignment_feeds_laurent_evaluation():
     m = RationalMatrix.of([[1, 0, 1], [0, 1, 1]])
     table = minor_assignment(m, [ks("12", 3), ks("13", 3)])
     assert table == {"12": Fraction(1), "13": Fraction(1)}
-    poly = LaurentPoly.monomial({"12": 2, "13": -1}, Fraction(5))
+    poly = LaurentPoly.monomial({"12": 2, "13": -1}, 5)
     assert poly.evaluate(table) == 5
 
 
@@ -889,6 +889,21 @@ def test_the_verify_path_builds_no_fraction_rows():
         report = verify_identities(necklace_from_permutation(sigma), seed, points, generic, corrupt=corrupt)
         assert report["passed"] is not corrupt
     assert all("rows" not in vars(m) for m in (*(p.matrix for p in points), *generic))
+
+
+def test_verify_hashes_no_fraction(monkeypatch):
+    # cluster variables carry int coefficients, so keying the shared value
+    # table by variable hashes no Fraction
+    sigma = uniform_perm(3, 6)
+    g = bridge_graph_from_permutation(sigma)
+    points = tuple(sample_cell_point(g, rng_seed=s) for s in range(3))
+    generic = tuple(sample_generic_matrix(3, 6, random.Random(s)) for s in range(2))
+    seed = initial_seed(quiver_from_graph(g))
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or fraction_hash(x))
+    assert verify_identities(necklace_from_permutation(sigma), seed, points, generic)["passed"]
+    assert calls == []
 
 
 def test_corrupting_keeps_the_tropical_data(ex_135264):
