@@ -3,11 +3,12 @@
 Draws random decorated permutations, samples points of each cell, and runs the
 full verification (exchange relations on generic matrices, restricted two-term
 identities, which include the rank-two resolutions, and vanishing profiles).
-Everything is exact rational arithmetic; any failure prints the offending
-identity and the values.
+Everything is exact: exchange relations compare ints, the cell identities
+integer minors over a common scale; any failure prints the offending identity
+and the values.
 
 Pass --corrupt to flip on the negative control and confirm the sweep actually
-bites: every run must then report at least one failure.
+bites: every run must then fail exactly one entry, the one named ...:corrupted.
 
 Usage: python3 scripts/identity_soak.py --cells 10 --points 8 --max-n 7
 """
@@ -61,8 +62,11 @@ def soak(args: argparse.Namespace) -> int:
         n_idents = len(report["identities"])
         status = "ok" if report["passed"] else "FAILED"
         if args.corrupt:
-            # the control must fail; a pass here means the sweep went blind
-            status = "control-ok" if not report["passed"] else "CONTROL-MISSED"
+            # the control must fail its one entry and only it: a pass means the
+            # sweep went blind, a second failure that a value is shared too widely
+            failed = [e["name"] for e in report["identities"] if e["failures"]]
+            exact = len(failed) == 1 and failed[0].endswith(":corrupted")
+            status = "control-ok" if exact else "CONTROL-MISSED"
         if "FAIL" in status or "MISSED" in status:
             bad += 1
             for entry in report["identities"]:

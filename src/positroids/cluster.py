@@ -197,13 +197,16 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data: dict) -> LaurentPoly:
         out: dict[_Exp, int] = {}
-        for t in data["terms"]:
-            exp, coef = t["exp"], t["coef"]
-            bad_coef = type(coef) is not str or not coef.removeprefix("-").isdecimal()
-            if bad_coef or any(type(x) is not int for x in exp.values()):  # JSON true or 2.5 is no exponent
-                raise ValidationError(f"exponents must be integers and coef an integer string, got {t!r}")
-            e = frozenset((s, x) for s, x in exp.items() if x)
-            out[e] = out.get(e, 0) + int(coef)
+        try:
+            for t in data["terms"]:
+                exp, coef = t["exp"], t["coef"]
+                bad_coef = type(coef) is not str or not coef.removeprefix("-").isdecimal()
+                if bad_coef or any(type(x) is not int for x in exp.values()):  # JSON true or 2.5 is no exponent
+                    raise ValidationError(f"exponents must be integers and coef an integer string, got {t!r}")
+                e = frozenset((s, x) for s, x in exp.items() if x)
+                out[e] = out.get(e, 0) + int(coef)
+        except (AttributeError, KeyError, TypeError):
+            raise ValidationError(f"malformed Laurent polynomial JSON: {data!r}") from None
         return cls.from_dict(out)
 
     def __str__(self) -> str:
@@ -296,12 +299,15 @@ class IceQuiver:
 
     @classmethod
     def from_json(cls, data: dict) -> IceQuiver:
-        n = data.get("n", 0)
-        verts = tuple(
-            QuiverVertex(v["id"], v["frozen"], KSet.of(v["label"], n) if v.get("label") is not None else None)
-            for v in data["vertices"]
-        )
-        return cls(verts, tuple((s, t, m) for s, t, m in data["arrows"]))
+        try:
+            n = data.get("n", 0)
+            verts = tuple(
+                QuiverVertex(v["id"], v["frozen"], KSet.of(v["label"], n) if v.get("label") is not None else None)
+                for v in data["vertices"]
+            )
+            return cls(verts, tuple((s, t, m) for s, t, m in data["arrows"]))
+        except (AttributeError, KeyError, TypeError):
+            raise ValidationError(f"malformed quiver JSON: {data!r}") from None
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]

@@ -525,20 +525,12 @@ def _product(dets: Mapping[tuple[int, ...], int], pair: tuple[KSet, KSet]) -> in
 
 def _exchange_checks(
     seed: Seed, vid: int, value: Callable[[Seed, int], Sequence[Fraction]], new_values: Sequence[Fraction]
-) -> Iterator[tuple[str, tuple[int, int], tuple[int, int]]]:
-    # x * x' against the two monomials of the exchange binomial, per matrix, as
-    # (numerator, common denominator) pairs; at an integer matrix each is over 1
+) -> Iterator[tuple[str, Fraction, Fraction]]:
+    """(name, x * x', M1 + M2) per matrix, M1 and M2 the monomials of the exchange binomial at ``vid``."""
     arrows = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
     sides = [[(value(seed, w), mult) for w, mult in side] for side in arrows]
     for pidx, (x, new_value) in enumerate(zip(value(seed, vid), new_values)):
-        lhs, rhs, den = x.numerator * new_value.numerator, 0, x.denominator * new_value.denominator
-        for side in sides:
-            p = q = 1  # the monomial p / q
-            for values, mult in side:
-                p *= values[pidx].numerator ** mult
-                q *= values[pidx].denominator ** mult
-            lhs, rhs, den = lhs * q, rhs * q + p * den, den * q
-        yield f"generic:{pidx}", (lhs, den), (rhs, den)
+        yield f"generic:{pidx}", x * new_value, sum(math.prod(v[pidx] ** m for v, m in side) for side in sides)
 
 
 def _entry(name: str, checks: Iterable[tuple[str, object, object]], show=lambda side: str(Fraction(*side))) -> dict:
@@ -581,26 +573,36 @@ def verify_identities(
     a negative control: the first exchange reads x' from :func:`corrupt_seed`
     of the member holding it, so the broken value still goes through the
     shared table; that entry gains ":corrupted" and must fail.
+    Exchange relations are checked on ints: at the minors of a generic matrix's
+    integer rows, its ``scaled_minors``, every cluster variable, in Z[x_ij], is
+    an int.  A rational matrix is so checked at that rescaling; the relations
+    are homogeneous in the Pluecker coordinates, so the verdict is the same.
     ValidationError: ``corrupt`` on a cell with no exchange relation, or a
     class past ``SEEDS_LIMIT``.
     """
     initial_labels = [v.label for v in seed.quiver.vertices]
     if any(lab is None for lab in initial_labels):
         raise ValidationError("seed must be fully labeled")
+    n, k = necklace.n, necklace.k
+    if any((m.k, m.n) != (k, n) for m in (*generic, *(point.matrix for point in points))):
+        raise DimensionError(f"generic matrices and cell points must be {k} x {n} matrices")
     members, exchanges = _exchange_identities(seed)
     if corrupt and not exchanges:
         raise ValidationError("the negative control needs an exchange relation; this cell has none")
 
-    assignments = [minor_assignment(matrix, initial_labels) for matrix in generic]
-    shared: dict[KSet | LaurentPoly, list[Fraction]] = {}
+    minors = [matrix.scaled_minors[0] for matrix in generic]
+    assignments = [{lab.label(): dets.get(lab.elements, 0) for lab in initial_labels} for dets in minors]
+    shared: dict[KSet | LaurentPoly, list[int | Fraction]] = {}
 
-    def value(member: Seed, vid: int) -> list[Fraction]:
-        # a label reads its minors, an unlabeled variable its Laurent expansion
+    def value(member: Seed, vid: int) -> list[int | Fraction]:
+        # a label reads its minors, an unlabeled variable its Laurent expansion, an int when integral
         label = member.quiver.vertex(vid).label
         key = label if label is not None else member.variable(vid)
         if key not in shared:
-            pairs = zip(generic, assignments)
-            shared[key] = [minor(m, label) if label is not None else key.evaluate(a) for m, a in pairs]
+            if label is not None:
+                shared[key] = [dets.get(label.elements, 0) for dets in minors]
+            else:
+                shared[key] = [v.numerator if v.denominator == 1 else v for v in map(key.evaluate, assignments)]
         return shared[key]
 
     identities = []
@@ -608,12 +610,9 @@ def verify_identities(
         holder = members[target]
         if corrupt and pos == 0:
             name, holder = f"{name}:corrupted", corrupt_seed(holder, new)
-        identities.append(_entry(name, _exchange_checks(members[idx], vid, value, value(holder, new))))
+        identities.append(_entry(name, _exchange_checks(members[idx], vid, value, value(holder, new)), show=str))
 
     # the labels below are k-subsets of [n], read straight from the tables
-    n, k = necklace.n, necklace.k
-    if any((point.matrix.k, point.matrix.n) != (k, n) for point in points):
-        raise DimensionError(f"cell points must be {k} x {n} matrices")
     tables = [point.matrix.scaled_minors for point in points]
     positroid = positroid_members(necklace)
     for name, lhs, rhs in _minor_identities(necklace, positroid.members):

@@ -129,12 +129,15 @@ class PlabicGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> PlabicGraph:
-        return cls.of(
-            data["boundary"],
-            {v["id"]: v["color"] for v in data["vertices"]},
-            [(u, v) for u, v in data["edges"]],
-            {int(v): r for v, r in data["rotation"].items()},
-        )
+        try:
+            return cls.of(
+                data["boundary"],
+                {v["id"]: v["color"] for v in data["vertices"]},
+                [(u, v) for u, v in data["edges"]],
+                {int(v): r for v, r in data["rotation"].items()},
+            )
+        except (AttributeError, KeyError, TypeError):
+            raise ValidationError(f"malformed plabic graph JSON: {data!r}") from None
 
     def to_dot(self, labeling: "FaceLabeling | None" = None) -> str:
         lines = ["graph plabic {"]

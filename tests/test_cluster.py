@@ -309,6 +309,23 @@ def test_laurent_json_refuses_what_is_not_an_integer(term):
         LaurentPoly.from_json({"terms": [term]})
 
 
+@pytest.mark.parametrize(
+    "reader, data",
+    [
+        (LaurentPoly.from_json, {"terms": [{"exp": [1], "coef": "1"}]}),
+        (LaurentPoly.from_json, {"terms": [{"coef": "1"}]}),
+        (LaurentPoly.from_json, {}),
+        (LaurentPoly.from_json, {"terms": 5}),
+        (IceQuiver.from_json, {"vertices": [{"id": 0}], "arrows": []}),
+        (plabic.PlabicGraph.from_json, {"boundary": 1}),
+    ],
+    ids=["exp-list", "no-exp", "no-terms", "terms-int", "no-frozen", "no-vertices"],
+)
+def test_json_readers_refuse_bad_shapes(reader, data):
+    with pytest.raises(ValidationError, match="malformed"):
+        reader(data)
+
+
 # --- ice quivers --------------------------------------------------------
 
 

@@ -540,6 +540,49 @@ def test_exchange_checks_raise_each_neighbour_to_its_multiplicity():
     assert sorted(vid for member, vid in reads if member is seed) == [0, 1, 2]
 
 
+def test_exchange_checks_compare_ints(monkeypatch):
+    seen = []
+    checks = numeric._exchange_checks
+    monkeypatch.setattr(numeric, "_exchange_checks", lambda *args: (seen.append(c) or c for c in checks(*args)))
+    sigma = uniform_perm(3, 6)
+    g = bridge_graph_from_permutation(sigma)
+    generic = tuple(sample_generic_matrix(3, 6, random.Random(s)) for s in range(2))
+    seed = initial_seed(quiver_from_graph(g))
+    for corrupt in (False, True):
+        report = verify_identities(necklace_from_permutation(sigma), seed, (sample_cell_point(g),), generic, corrupt)
+        assert report["passed"] is not corrupt
+    assert len(seen) == 2 * 200 * 2
+    assert all(type(lhs) is int and type(rhs) is int for _, lhs, rhs in seen)
+
+
+@pytest.mark.parametrize("name, sigma", list(named_cells()), ids=[name for name, _ in named_cells()])
+def test_cluster_variables_are_ints_at_integer_matrices(name, sigma):
+    # the cluster algebra lies in Z[x_ij]: Laurent coefficients are integers
+    # and a maximal minor's coefficients are +-1, so Gauss's lemma applies
+    seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
+    members, complete, _ = cluster.exchange_graph(seed, cluster.SEEDS_LIMIT)
+    assert complete and len(members) == SNAPSHOTS["seed_closures"][name]
+    variables = {poly for member in members for _, poly in member.variables}
+    labels = [v.label for v in seed.quiver.vertices]
+    for s in range(3):
+        assignment = minor_assignment(sample_generic_matrix(sigma.k, sigma.n, random.Random(s)), labels)
+        assert all(poly.evaluate(assignment).denominator == 1 for poly in variables)
+
+
+def test_a_rational_generic_matrix_is_checked_at_its_integer_rows():
+    # exchange relations are homogeneous in the minors, so rescaling a row
+    # keeps every verdict
+    sigma = uniform_perm(3, 6)
+    g = bridge_graph_from_permutation(sigma)
+    draw = sample_generic_matrix(3, 6, random.Random(4))
+    third = RationalMatrix.of([[Fraction(x, 3) for x in draw.numerators[0]], *draw.numerators[1:]])
+    assert third.denominators == (3, 1, 1)
+    args = (necklace_from_permutation(sigma), initial_seed(quiver_from_graph(g)), (sample_cell_point(g),), (third,))
+    assert verify_identities(*args)["passed"]
+    bad = [e["name"] for e in verify_identities(*args, corrupt=True)["identities"] if e["failures"]]
+    assert len(bad) == 1 and bad[0].endswith(":corrupted")
+
+
 def test_generic_matrices_have_no_vanishing_minors():
     m = sample_generic_matrix(3, 6, random.Random(2))
     for combo in itertools.combinations(range(1, 7), 3):
