@@ -8,8 +8,8 @@ kernel over int exponent tuples.  Mutation divides by the departing variable
 with an explicit exactness check: a nonzero remainder over Z raises, it is
 never truncated or approximated.
 
-Seeds are keyed by integer g-vectors (Nakanishi-Zelevinsky recursion), so the
-mutation class keys each neighbour first and builds only the unseen ones.
+Seeds are keyed by integer g-vectors (Nakanishi-Zelevinsky recursion): the mutation
+class keys a neighbour by its one new column and divides once per g-vector.
 
 Quivers carry a frozen flag and an optional k-subset label per vertex.  Arrows
 between two frozen vertices are recorded but flagged, and every comparison made
@@ -23,7 +23,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import add, itemgetter, lt, neg, sub
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
@@ -265,16 +265,17 @@ class IceQuiver:
         object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
 
     @cached_property
-    def _index(self) -> tuple[dict[int, QuiverVertex], tuple[tuple[int, int, int], ...]]:
-        """(id -> vertex, the arrows sorted by target).  ``arrows`` is sorted by
-        source, so a vertex's out- and in-arrows are runs found by bisection."""
-        return {v.id: v for v in self.vertices}, tuple(sorted(self.arrows, key=_TARGET))
+    def _index(self) -> tuple[dict[int, QuiverVertex], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+        """(id -> vertex, the arrows sorted by target, the mutable ids).  ``arrows`` is
+        sorted by source, so a vertex's out- and in-arrows are runs found by bisection."""
+        mutable = tuple(v.id for v in self.vertices if not v.frozen)
+        return {v.id: v for v in self.vertices}, tuple(sorted(self.arrows, key=_TARGET)), mutable
 
     def vertex(self, vid: int) -> QuiverVertex:
         return self._index[0][vid]
 
     def mutable_ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices if not v.frozen)
+        return self._index[2]
 
     def core_arrows(self) -> frozenset[tuple[int, int, int]]:
         """Arrows with at least one mutable endpoint (the Q-circle part)."""
@@ -305,6 +306,8 @@ class IceQuiver:
                 QuiverVertex(v["id"], v["frozen"], KSet.of(v["label"], n) if v.get("label") is not None else None)
                 for v in data["vertices"]
             )
+            if any(len(arrow) != 3 for arrow in data["arrows"]):  # unpacking would raise a bare ValueError
+                raise ValidationError(f"malformed quiver JSON: {data!r}")
             return cls(verts, tuple((s, t, m) for s, t, m in data["arrows"]))
         except (AttributeError, KeyError, TypeError):
             raise ValidationError(f"malformed quiver JSON: {data!r}") from None
@@ -410,51 +413,61 @@ def _symbol_label(poly: LaurentPoly, seed: Seed) -> KSet | None:
     return None
 
 
-def _tropical_step(seed: Seed, vid: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """C- and G-matrix columns after mutation at mutable ``vid``, by the
-    Nakanishi-Zelevinsky recursion C' = C(J_k + [εB]₊^{k•}), G' = G(J_k + [-εB]₊^{•k})
-    with ε the sign of the sign-coherent c-vector k; [εb_kj]₊ = [-εb_jk]₊ > 0
-    only for the mutable j on arrows k -> j if ε = +1, j -> k if ε = -1."""
+def _g_column(seed: Seed, vid: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """(k, side, g'_k) for mutation at ``vid``, the k-th mutable vertex.  ``side`` holds (j, m)
+    for the mutable j on arrows k -> j if the sign-coherent c-vector c_k is positive,
+    j -> k if negative; g'_k = -g_k + Σ m·g_j over it is the one G-column that changes."""
     if seed.quiver.vertex(vid).frozen:
         raise ValidationError(f"cannot mutate frozen vertex {vid}")
-    pos = {w: j for j, w in enumerate(seed.quiver.mutable_ids())}
-    k = pos[vid]
+    ids, gs = seed.quiver.mutable_ids(), seed.g_vectors
+    c = seed.c_vectors[k := ids.index(vid)]
+    if min(c) < 0 < max(c):
+        raise ValidationError(f"c-vector {c} of vertex {vid} is not sign-coherent")
+    arrows = seed.quiver.arrows_out(vid) if max(c) > 0 else seed.quiver.arrows_in(vid)
+    side = tuple((ids.index(w), m) for w, m in arrows if w in ids)
+    return k, side, tuple(map(sum, zip(map(neg, gs[k]), *([m * x for x in gs[j]] for j, m in side))))
+
+
+def _tropical_step(seed: Seed, vid: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """C- and G-matrix columns after mutation at mutable ``vid``, by the Nakanishi-Zelevinsky
+    recursion C' = C(J_k + [εB]₊^{k•}), G' = G(J_k + [-εB]₊^{•k}), ε the sign of c_k: G changes
+    in the :func:`_g_column`, C in column k (negated) and in each column j of its side (+ m·c_k)."""
+    k, side, g = _g_column(seed, vid)
     cs, gs = list(seed.c_vectors), list(seed.g_vectors)
-    if min(cs[k]) < 0 < max(cs[k]):
-        raise ValidationError(f"c-vector {cs[k]} of vertex {vid} is not sign-coherent")
-    g_k = tuple(map(neg, gs[k]))
-    for w, m in seed.quiver.arrows_out(vid) if max(cs[k]) > 0 else seed.quiver.arrows_in(vid):
-        if w in pos:
-            cs[pos[w]] = tuple(a + m * b for a, b in zip(cs[pos[w]], cs[k]))
-            g_k = tuple(a + m * b for a, b in zip(g_k, gs[pos[w]]))
-    cs[k], gs[k] = tuple(map(neg, cs[k])), g_k
+    for j, m in side:
+        cs[j] = tuple(a + m * b for a, b in zip(cs[j], cs[k]))
+    cs[k], gs[k] = tuple(map(neg, cs[k])), g
     return tuple(cs), tuple(gs)
 
 
 def mutate_seed(seed: Seed, vid: int) -> Seed:
     """Mutation at a mutable vertex: exchange polynomial divided exactly by the
-    departing variable, C- and G-matrices by one :func:`_tropical_step`, which
-    ``_mutate`` takes as given.  The vertex keeps a label only when the
+    departing variable, on every call, and C- and G-matrices by one
+    :func:`_tropical_step`.  The vertex keeps a label only when the
     mutation is a square move in the quiver; otherwise it becomes unlabeled."""
-    return _mutate(seed, vid, _tropical_step(seed, vid))
+    return _mutate(seed, vid, _tropical_step(seed, vid), {})
 
 
-def _mutate(seed: Seed, vid: int, step: tuple) -> Seed:
+def _mutate(seed: Seed, vid: int, step: tuple, expansions: dict[tuple[int, ...], LaurentPoly]) -> Seed:
+    # ``expansions`` maps g-vectors to variables: divide only for a g-vector it lacks
     arrows = _mutated_arrows(seed.quiver, vid)
-    var = dict(seed.variables)
-    sides = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
-    ids = [w for side in sides for w, _ in side]
-    syms, (old, *near) = _pack(var[vid], *(var[w] for w in ids))
-    packed = dict(zip(ids, near))
-    binomial: _Packed = {}
-    for side in sides:
-        product = {(0,) * len(syms): 1}
-        for w, m in side:
-            for _ in range(m):
-                product = _kmul(product, packed[w])
-        for e, c in product.items():
-            binomial[e] = binomial.get(e, 0) + c
-    new_var = _unpack(syms, _kdiv({e: c for e, c in binomial.items() if c}, old))
+    g = step[1][seed.quiver.mutable_ids().index(vid)]
+    if g not in expansions:
+        var = dict(seed.variables)
+        sides = (seed.quiver.arrows_in(vid), seed.quiver.arrows_out(vid))
+        ids = [w for side in sides for w, _ in side]
+        syms, (old, *near) = _pack(var[vid], *(var[w] for w in ids))
+        packed = dict(zip(ids, near))
+        binomial: _Packed = {}
+        for side in sides:
+            product = {(0,) * len(syms): 1}
+            for w, m in side:
+                for _ in range(m):
+                    product = _kmul(product, packed[w])
+            for e, c in product.items():
+                binomial[e] = binomial.get(e, 0) + c
+        expansions[g] = _unpack(syms, _kdiv({e: c for e, c in binomial.items() if c}, old))
+    new_var = expansions[g]
     new_label = square_move_label(seed.quiver, vid) or _symbol_label(new_var, seed)
     # every other vertex and (id, variable) pair is shared with ``seed``
     vertices = tuple(
@@ -497,12 +510,16 @@ SEEDS_LIMIT = 1000
 
 def exchange_graph(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool, list[list[int]]]:
     """:func:`closure` of a seed under mutation at each of its ``mutable_ids``, in order, keyed
-    by one :func:`_tropical_step` per neighbour; only a new key is built, from that step."""
+    by the g-vectors with the one :func:`_g_column` replaced; only a new key is built, by a full
+    :func:`_tropical_step`.  Distinct cluster variables have distinct g-vectors (Fomin-Zelevinsky
+    IV), so the class keeps one expansion per g-vector, which its seeds share."""
+    expansions = {g: seed.variable(v) for g, v in zip(seed.g_vectors, seed.quiver.mutable_ids())}
 
     def moves(s: Seed):
         for v in s.quiver.mutable_ids():
-            step = _tropical_step(s, v)
-            yield frozenset(step[1]), partial(_mutate, s, v, step)
+            k, _, g = _g_column(s, v)
+            key = frozenset((*s.g_vectors[:k], g, *s.g_vectors[k + 1 :]))
+            yield key, lambda v=v: _mutate(s, v, _tropical_step(s, v), expansions)
 
     return closure(seed, moves, Seed.key, limit)
 

@@ -130,6 +130,11 @@ class PlabicGraph:
     @classmethod
     def from_json(cls, data: dict) -> PlabicGraph:
         try:
+            # unpacking an edge and int() of a key would raise a bare ValueError
+            if any(len(e) != 2 for e in data["edges"]) or not all(
+                str(v).removeprefix("-").isdecimal() for v in data["rotation"]
+            ):
+                raise ValidationError(f"malformed plabic graph JSON: {data!r}")
             return cls.of(
                 data["boundary"],
                 {v["id"]: v["color"] for v in data["vertices"]},

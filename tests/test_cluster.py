@@ -317,13 +317,22 @@ def test_laurent_json_refuses_what_is_not_an_integer(term):
         (LaurentPoly.from_json, {}),
         (LaurentPoly.from_json, {"terms": 5}),
         (IceQuiver.from_json, {"vertices": [{"id": 0}], "arrows": []}),
+        (IceQuiver.from_json, {"vertices": [], "arrows": [[1, 2]]}),
         (plabic.PlabicGraph.from_json, {"boundary": 1}),
+        (plabic.PlabicGraph.from_json, {"boundary": 2, "vertices": [], "edges": [[1, 2, 3]], "rotation": {}}),
+        (plabic.PlabicGraph.from_json, {"boundary": 1, "vertices": [], "edges": [], "rotation": {"a": [0]}}),
     ],
-    ids=["exp-list", "no-exp", "no-terms", "terms-int", "no-frozen", "no-vertices"],
+    ids=["exp-list", "no-exp", "no-terms", "terms-int", "no-frozen", "arrow-pair", "no-vertices", "edge-triple", "rotation-key"],
 )
 def test_json_readers_refuse_bad_shapes(reader, data):
     with pytest.raises(ValidationError, match="malformed"):
         reader(data)
+
+
+def test_json_readers_keep_the_constructors_own_errors():
+    # a payload of the right shape that breaks an invariant is not re-worded as malformed
+    with pytest.raises(ValidationError, match="unknown vertex"):
+        IceQuiver.from_json({"vertices": [], "arrows": [[1, 2, 1]]})
 
 
 # --- ice quivers --------------------------------------------------------
@@ -580,7 +589,7 @@ def test_mutation_class_matches_the_reference_division(monkeypatch, k, n):
     start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(k, n))))
     shipped, complete = mutation_class(start)
     monkeypatch.setattr(LaurentPoly, "divide_exact", divide_exact_reference)
-    monkeypatch.setattr(cluster, "_mutate", lambda seed, vid, step: mutate_seed_reference(seed, vid))
+    monkeypatch.setattr(cluster, "_mutate", lambda seed, vid, step, expansions: mutate_seed_reference(seed, vid))
     reference, reference_complete = mutation_class(start)
     assert complete and reference_complete
     assert len(shipped) == len(reference) == {7: 42, 6: 50}[n]
@@ -712,31 +721,77 @@ def test_a_c_vector_that_is_not_sign_coherent_is_refused():
         mutation_class(bad)
 
 
-def test_mutation_class_divides_only_for_unseen_keys(monkeypatch):
-    # Gr(3,7): 833 seeds with 6 mutable vertices each; building every
-    # neighbour divided 833 * 6 = 4998 times, building only the neighbours
-    # with an unseen key divides once per seed past the first
-    divisions = []
+@pytest.mark.parametrize("k, n, divisions", [(3, 7, 36), (2, 7, 10), (2, 8, 15), (3, 6, 12)])
+def test_mutation_class_divides_only_for_unseen_keys(monkeypatch, k, n, divisions):
+    # one division per g-vector the start seed does not hold: the cluster
+    # variables are positive roots plus rank, 42 on Gr(3,7) (E6), 14, 20 and
+    # 16 on Gr(2,7), Gr(2,8) and Gr(3,6) (A4, A5, D4), less the rank; building
+    # every new seed by its own division took 832 on Gr(3,7)
+    calls = []
     kdiv = cluster._kdiv
-    monkeypatch.setattr(cluster, "_kdiv", lambda p, q: divisions.append(q) or kdiv(p, q))
-    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(3, 7))))
+    monkeypatch.setattr(cluster, "_kdiv", lambda p, q: calls.append(q) or kdiv(p, q))
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(k, n))))
     seeds, complete = mutation_class(start)
-    assert complete and len(seeds) == 833
-    assert len(divisions) == 832
+    assert complete and len(seeds) == {(3, 7): 833, (2, 7): 42, (2, 8): 132, (3, 6): 50}[k, n]
+    assert len(calls) == divisions
 
 
 def test_mutation_class_takes_one_tropical_step_per_key(monkeypatch):
-    # Gr(3,7): one step keys each of the 833 * 6 neighbours, and a new
-    # neighbour is built from that step rather than a second one
-    steps = []
-    step = cluster._tropical_step
+    # Gr(3,7): one g-vector column keys each of the 833 * 6 neighbours, and
+    # only the 832 new ones take a full step, which reads its column the same way
+    columns, steps = [], []
+    column, step = cluster._g_column, cluster._tropical_step
+    monkeypatch.setattr(cluster, "_g_column", lambda seed, vid: columns.append(vid) or column(seed, vid))
     monkeypatch.setattr(cluster, "_tropical_step", lambda seed, vid: steps.append(vid) or step(seed, vid))
     start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(3, 7))))
     seeds, complete = mutation_class(start)
     assert complete and len(seeds) == 833
-    assert len(steps) == 833 * 6 == 4998
+    assert len(steps) == 832
+    assert len(columns) - len(steps) == 833 * 6 == 4998
     once = mutate_seed(start, start.quiver.mutable_ids()[0])
-    assert len(steps) == 4999 and once.key() == seeds[1].key()
+    assert len(steps) == 833 and once.key() == seeds[1].key()
+
+
+def test_mutation_class_shares_one_expansion_per_variable():
+    # E6: 42 mutable cluster variables and 7 frozen ones, each one object
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(3, 7))))
+    seeds, complete = mutation_class(start)
+    assert complete and len(seeds) == 833
+    assert len({id(poly) for seed in seeds for _, poly in seed.variables}) == 42 + 7
+
+
+# (positive roots, rank) of each snapshot cell's cluster type
+CLUSTER_TYPES = {
+    "uniform(2,4)": (1, 1),  # A1
+    "uniform(2,5)": (3, 2),  # A2
+    "uniform(2,6)": (6, 3),  # A3
+    "uniform(2,7)": (10, 4),  # A4
+    "uniform(2,8)": (15, 5),  # A5
+    "uniform(3,6)": (12, 4),  # D4
+    "uniform(3,7)": (36, 6),  # E6
+    "(135)(264)": (1, 1),  # A1
+    "disc(3,4,1,2,7,6,5)|6:+": (1, 1),  # A1
+    "disc(3,4,1,2,7,8,5,6)": (2, 2),  # A1 x A1
+}
+
+
+@pytest.mark.parametrize("name, sigma", list(named_cells()), ids=[name for name, _ in named_cells()])
+def test_g_vectors_name_the_variables_of_the_reference_class(name, sigma):
+    # the certificate for one expansion per g-vector: on the route that divides
+    # for every seed, mutable g-vector -> polynomial is a bijection, onto as many
+    # cluster variables as the type has positive roots plus rank
+    start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
+    seeds, complete = reference_mutation_class(start)
+    assert complete and len(seeds) == SNAPSHOTS["seed_closures"][name]
+    roots, rank = CLUSTER_TYPES[name]
+    assert len(start.quiver.mutable_ids()) == rank
+    polys, gs = {}, {}
+    for seed in seeds:
+        for g, vid in zip(seed.g_vectors, seed.quiver.mutable_ids()):
+            polys.setdefault(g, set()).add(seed.variable(vid))
+            gs.setdefault(seed.variable(vid), set()).add(g)
+    assert all(len(p) == 1 for p in polys.values()) and all(len(g) == 1 for g in gs.values())
+    assert len(polys) == len(gs) == roots + rank
 
 
 # --- square-move detection on seeds ------------------------------------

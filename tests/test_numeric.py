@@ -811,9 +811,9 @@ def test_exchange_sweep_mutates_once_per_new_seed(monkeypatch):
     calls = []
     mutate = cluster._mutate
 
-    def counting(seed, vid, step):
+    def counting(seed, vid, step, expansions):
         calls.append(vid)
-        return mutate(seed, vid, step)
+        return mutate(seed, vid, step, expansions)
 
     monkeypatch.setattr(cluster, "_mutate", counting)
     sigma = uniform_perm(3, 6)
