@@ -94,11 +94,23 @@ def render_json(data) -> str:
     return json.dumps(data, indent=2)
 
 
-def pretty_variable(seed: Seed, vid: int) -> str:
-    label = seed.quiver.vertex(vid).label
-    if label is not None:
-        return f"D{label.label()}"
-    return str(seed.variable(vid)).replace("[", "D").replace("]", "")
+def pretty_cluster(seed: Seed, rendered: dict[int, str]) -> list[str]:
+    """The seed's variables as text, one per vertex: D<label> at a labelled
+    seat, else the Laurent expansion with [..] read as D...  ``rendered`` maps
+    an expansion's id to its text: a mutation class shares one expansion
+    object per variable among its seeds, which stay alive while the command
+    runs, so each is rendered once."""
+    variables = dict(seed.variables)
+    out = []
+    for v in seed.quiver.vertices:
+        if v.label is not None:
+            out.append(f"D{v.label.label()}")
+            continue
+        poly = variables[v.id]
+        if id(poly) not in rendered:
+            rendered[id(poly)] = str(poly).replace("[", "D").replace("]", "")
+        out.append(rendered[id(poly)])
+    return out
 
 
 def cmd_necklace(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
@@ -191,6 +203,7 @@ def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
         emit(seed.quiver.to_dot(), args)
         return 0
     seeds, complete = mutation_class(seed, limit=args.limit)
+    rendered: dict[int, str] = {}
     if args.fmt == "json":
         data = {
             "complete": complete,
@@ -198,9 +211,7 @@ def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
             "seeds": [
                 {
                     "pure": member.is_pure_pluecker(),
-                    "cluster": [
-                        pretty_variable(member, v.id) for v in member.quiver.vertices
-                    ],
+                    "cluster": pretty_cluster(member, rendered),
                     "seed": member.to_json(),
                 }
                 for member in seeds
@@ -211,8 +222,7 @@ def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     lines = [f"{len(seeds)} seeds" + ("" if complete else " (partial: --limit reached)")]
     for idx, member in enumerate(seeds):
         tag = "pure" if member.is_pure_pluecker() else "mixed"
-        cluster = "  ".join(pretty_variable(member, v.id) for v in member.quiver.vertices)
-        lines.append(f"seed {idx} [{tag}]  {cluster}")
+        lines.append(f"seed {idx} [{tag}]  {'  '.join(pretty_cluster(member, rendered))}")
     emit("\n".join(lines), args)
     return 0
 

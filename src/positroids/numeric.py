@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -53,8 +52,8 @@ __all__ = [
 ]
 
 
-# Graphs whose orientation and positroid stay cached.  Callers sample one
-# graph at a time, so a small bound keeps every hit and long runs stay flat.
+# Graphs kept cached (network, positroid), and shapes (n, k) (three-term table).  Callers
+# sample one graph at a time, so a small bound keeps every hit and long runs stay flat.
 GRAPH_CACHE_SIZE = 16
 
 # The default edge weights a / b with 1 <= a, b <= 9, drawn by index.
@@ -118,25 +117,26 @@ def _scaled_table(matrix: RationalMatrix) -> tuple[dict[tuple[int, ...], int], i
     """(dets, scale): the nonzero maximal minors times ``scale`` as ints, keyed
     by sorted column tuple.  The minors are read from the integer rows, and
     ``scale`` > 0 is the product of the row denominators, so signs and zeros
-    are kept.  The nonzero minors of the first r rows come from those of the
-    first r - 1 by Laplace expansion along row r: about sum_r r * C(n, r)
-    integer products."""
-    level: dict[tuple[int, ...], int] = {(): 1}
+    are kept.  The nonzero minors of the first r rows, keyed by column bit mask,
+    come from those of the first r - 1 by Laplace expansion along row r: about
+    sum_r r * C(n, r) integer products; keys become column tuples at the end."""
+    level: dict[int, int] = {0: 1}
     for row in matrix.numerators:
-        entries = [(j, a) for j, a in enumerate(row, 1) if a]
-        grown: dict[tuple[int, ...], int] = {}
+        entries = [(1 << j, a) for j, a in enumerate(row, 1) if a]
+        grown: dict[int, int] = {}
         for cols, det in level.items():
-            size = len(cols)
-            for j, a in entries:
-                p = bisect(cols, j)
-                if p and cols[p - 1] == j:
-                    continue
-                key = cols[:p] + (j,) + cols[p:]
-                # cofactor sign: (-1) ** (number of columns in cols after j)
-                term = -a * det if (size - p) & 1 else a * det
-                grown[key] = grown.get(key, 0) + term
+            for bit, a in entries:
+                if not cols & bit:  # cofactor sign: (-1) ** (number of columns in cols after bit's)
+                    term = -a * det if (cols & -bit).bit_count() & 1 else a * det
+                    grown[cols | bit] = grown.get(cols | bit, 0) + term
         level = {cols: det for cols, det in grown.items() if det}
-    return level, math.prod(matrix.denominators)
+    for cols in level.keys() - _COLUMNS.keys():
+        _COLUMNS[cols] = tuple(j for j in range(cols.bit_length()) if cols >> j & 1)
+    return {_COLUMNS[cols]: det for cols, det in level.items()}, math.prod(matrix.denominators)
+
+
+# column bit mask -> sorted column tuple, filled as tables meet masks (at most 2 ** n of them)
+_COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
 def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
@@ -186,12 +186,15 @@ def minor_assignment(matrix: RationalMatrix, labels: Sequence[KSet]) -> dict[str
 
 
 class _Network(NamedTuple):
-    """A graph's perfect orientation as sorted (edge id, (tail, head)) pairs,
-    the topological order that accepted it and its boundary sources."""
+    """A graph's perfect orientation as sorted (edge id, (tail, head)) pairs, its
+    boundary sources and the path-sum plan over the topological order that accepted
+    it: ``arcs[i]``, the (head position, edge id) arcs out of position i; ``rows``,
+    per source its position and (column index, position, sign bit) per sink."""
 
     orientation: tuple[tuple[int, tuple[int, int]], ...]
-    order: tuple[int, ...]
     sources: KSet
+    arcs: tuple[tuple[tuple[int, int], ...], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
 
 
 def _oriented(graph: PlabicGraph) -> _Network:
@@ -289,8 +292,7 @@ def _network(graph: PlabicGraph) -> _Network | None:
             order = _topological_order(rot, directed.values())
             if order is None:
                 return None
-            sources = KSet.of([b for b in range(1, n + 1) if directed[rot[b][0]][0] == b], n)
-            return _Network(tuple(sorted(directed.items())), tuple(order), sources)
+            return _plan(sorted(directed.items()), order, [b for b in range(1, n + 1) if directed[rot[b][0]][0] == b], n)
         v = min(free, key=lambda x: len(domains[x]))
         for eid in sorted(domains[v]):
             trail: list[tuple[str, int, int]] = []
@@ -305,6 +307,22 @@ def _network(graph: PlabicGraph) -> _Network | None:
         if len(incident[v]) == 1 and not force(v, incident[v][0], trail0):
             return None
     return search()
+
+
+def _plan(orientation: list[tuple[int, tuple[int, int]]], order: list[int], sources: list[int], n: int) -> _Network:
+    position = {v: i for i, v in enumerate(order)}
+    arcs: list[list[tuple[int, int]]] = [[] for _ in order]
+    for eid, (tail, head) in orientation:
+        arcs[position[tail]].append((position[head], eid))
+    # before[j - 1] sources are smaller than j; sink j's sign in the row of the i-th
+    # source s, (-1) ** (number of sources strictly between s and j), has parity i + before[j - 1] + (s < j)
+    before = list(itertools.accumulate((j in sources for j in range(1, n + 1)), initial=0))
+    sinks = [j for j in range(1, n + 1) if j not in sources]
+    rows = tuple(
+        (position[s], tuple((j - 1, position[j], (i + before[j - 1] + (s < j)) & 1) for j in sinks))
+        for i, s in enumerate(sources)
+    )
+    return _Network(tuple(orientation), KSet(tuple(sources), n), tuple(map(tuple, arcs)), rows)
 
 
 def _topological_order(
@@ -370,38 +388,31 @@ def _graph_positroid(graph: PlabicGraph) -> frozenset[tuple[int, ...]]:
 
 
 def _measurement_matrix(graph: PlabicGraph, weights: Mapping[int, Fraction]) -> RationalMatrix:
-    n = graph.boundary
-    orientation, order, sources = _oriented(graph)
-    outs: dict[int, list[tuple[int, int, int]]] = {v: [] for v in order}  # (head, weight as p, q)
-    for eid, (tail, head) in orientation:
-        outs[tail].append((head, weights[eid].numerator, weights[eid].denominator))
-    # before[j - 1] is the number of sources smaller than j
-    before = list(itertools.accumulate((j in sources for j in range(1, n + 1)), initial=0))
-
-    rows = []  # (integer row, its denominator)
-    for i, s in enumerate(sources.elements):
-        # reach[v] is the weighted path sum from s to v as an unreduced
-        # (numerator, denominator) pair of ints, kept for reached vertices only
-        reach = {s: (1, 1)}
-        for v in order:
-            if v in reach:
-                a, b = reach[v]
-                for w, p, q in outs[v]:
-                    c, d = reach.get(w, (0, b * q))
-                    reach[w] = (c + a * p, d) if d == b * q else (c * b * q + a * p * d, d * b * q)
-        row = []
-        for j in range(1, n + 1):
-            if j in sources:
-                row.append((int(j == s), 1))
-                continue
-            num, den = reach.get(j, (0, 1))
-            g = math.gcd(num, den)
-            # the sign is (-1) ** (number of sources strictly between s and j)
-            between = before[j - 1] - i - 1 if s < j else i - before[j - 1]
-            row.append((-num // g if between & 1 else num // g, den // g))
-        lcm = math.lcm(*(den for _, den in row))
-        rows.append((tuple(num * (lcm // den) for num, den in row), lcm))
-    return RationalMatrix(tuple(r for r, _ in rows), tuple(d for _, d in rows), n)
+    network = _oriented(graph)
+    arcs = [[(w, weights[eid].numerator, weights[eid].denominator) for w, eid in out] for out in network.arcs]
+    numerators, denominators = [], []
+    for s, (start, sinks) in zip(network.sources, network.rows):
+        # nums[v] / dens[v]: the path sum from s to position v, an unreduced pair, 0 / 1 until reached
+        nums, dens = [0] * len(arcs), [1] * len(arcs)
+        nums[start] = 1
+        for v in range(start, len(arcs)):
+            if a := nums[v]:  # weights are positive: a reached vertex has a positive sum
+                b = dens[v]
+                for w, p, q in arcs[v]:
+                    d = dens[w]
+                    if d == b * q:
+                        nums[w] += a * p
+                    else:
+                        nums[w], dens[w] = nums[w] * b * q + a * p * d, d * b * q
+        row, row_dens = [0] * graph.boundary, [1] * graph.boundary
+        row[s - 1] = 1
+        for j, v, negated in sinks:
+            g = math.gcd(nums[v], dens[v])
+            row[j], row_dens[j] = -nums[v] // g if negated else nums[v] // g, dens[v] // g
+        lcm = math.lcm(*row_dens)
+        numerators.append(tuple(num * (lcm // den) for num, den in zip(row, row_dens)))
+        denominators.append(lcm)
+    return RationalMatrix(tuple(numerators), tuple(denominators), graph.boundary)
 
 
 def sample_cell_point(
@@ -420,8 +431,8 @@ def sample_cell_point(
     when the point's minors are read.
     """
     if weights is None:
-        rng = random.Random(rng_seed)
-        weights = {eid: _WEIGHTS[rng.randint(1, 9), rng.randint(1, 9)] for eid in range(len(graph.edges))}
+        draws = _randints(random.Random(rng_seed), 2 * len(graph.edges), 1, 9)
+        weights = {eid: _WEIGHTS[pair] for eid, pair in enumerate(zip(draws[::2], draws[1::2]))}
     else:
         weights = dict(weights)
         if set(weights) != set(range(len(graph.edges))):
@@ -461,10 +472,22 @@ def gauge_rescale(point: CellPoint, vertex: int, factor: Fraction) -> CellPoint:
     return CellPoint(matrix, tuple(sorted(weights.items())), point.graph)
 
 
+def _randints(rng: random.Random, count: int, low: int, high: int) -> list[int]:
+    """``[rng.randint(low, high) for _ in range(count)]`` in one frame: each is
+    ``getrandbits`` of the width's bit length, redrawn while past the width."""
+    width = high - low + 1
+    bits, size, out = rng.getrandbits, width.bit_length(), []
+    while len(out) < count:
+        if (r := bits(size)) < width:
+            out.append(low + r)
+    return out
+
+
 def sample_generic_matrix(k: int, n: int, rng: random.Random) -> RationalMatrix:
     """Random integer matrix whose integer table holds every maximal minor."""
     while True:
-        m = RationalMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(k)), (1,) * k, n)
+        entries = _randints(rng, k * n, -9, 9)
+        m = RationalMatrix(tuple(tuple(entries[i * n : i * n + n]) for i in range(k)), (1,) * k, n)
         if len(m.scaled_minors[0]) == math.comb(n, k):
             return m
 
@@ -504,19 +527,27 @@ def _minor_identities(
     one of the two reroutings lies in the positroid, so the relation through
     label * J keeps two of its three products.
     """
-    n, k = necklace.n, necklace.k
-    out = []
-    ground = range(1, n + 1)
-    if k >= 2:  # otherwise no quadruple fits around a (k-2)-core
-        for core in itertools.combinations(ground, k - 2):
-            rest = [x for x in ground if x not in core]
-            for quad in itertools.combinations(rest, 4):
-                pairs = three_term(core, *quad, n)
-                alive = [p for p in pairs if p[0] in members and p[1] in members]
-                if 0 < len(alive) < len(pairs):
-                    name = "=".join(f"{x.label()}*{y.label()}" for x, y in alive)
-                    out.append((f"restricted:{name}", alive[0], tuple(alive[1:])))
+    n, columns, out = necklace.n, {s.elements for s in members}, []
+    for relation in _three_term_table(n, necklace.k):
+        alive = [(KSet(x, n), KSet(y, n)) for x, y in relation if x in columns and y in columns]
+        if 0 < len(alive) < len(relation):
+            name = "=".join(f"{x.label()}*{y.label()}" for x, y in alive)
+            out.append((f"restricted:{name}", alive[0], tuple(alive[1:])))
     return out
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _three_term_table(n: int, k: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
+    """Every three-term relation through a (k-2)-core of [n]: its three products
+    in :func:`three_term` order, each a pair of column tuples."""
+    if k < 2:  # no quadruple fits around a (k-2)-core
+        return ()
+    ground = range(1, n + 1)
+    return tuple(
+        tuple((x.elements, y.elements) for x, y in three_term(core, *quad, n))
+        for core in itertools.combinations(ground, k - 2)
+        for quad in itertools.combinations([x for x in ground if x not in core], 4)
+    )
 
 
 def _product(dets: Mapping[tuple[int, ...], int], pair: tuple[KSet, KSet]) -> int:
@@ -623,13 +654,11 @@ def verify_identities(
         )
         identities.append(_entry(name, checks))
 
-    expected = positroid.complement()
-    every = list(k_subsets(n, k))
-    profiles = (
-        (f"cell:{pidx}", {s for s in every if s.elements not in dets}, expected)
-        for pidx, (dets, _) in enumerate(tables)
-    )
+    # the zero sets as column tuples; a KSet is built only to show a failure
+    every = set(itertools.combinations(range(1, n + 1), k))
+    expected = every.difference(s.elements for s in positroid.members)
+    profiles = ((f"cell:{pidx}", every.difference(dets), expected) for pidx, (dets, _) in enumerate(tables))
     identities.append(
-        _entry("vanishing-profile", profiles, show=lambda sets: sorted(s.label() for s in sets))
+        _entry("vanishing-profile", profiles, show=lambda sets: sorted(KSet(c, n).label() for c in sets))
     )
     return {"identities": identities, "passed": all(not e["failures"] for e in identities)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -162,6 +163,17 @@ def test_seeds_refuses_a_limit_below_one(capsys, limit):
     assert err == f"error: --limit must be at least 1, got {limit}\n"
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_seeds_renders_each_shared_expansion_once(capsys, monkeypatch, fmt):
+    # the 2,056 unlabelled seats of the E6 class hold 30 expansion objects
+    rendered = []
+    to_text = cluster.LaurentPoly.__str__
+    monkeypatch.setattr(cluster.LaurentPoly, "__str__", lambda poly: rendered.append(id(poly)) or to_text(poly))
+    code, out, _ = run(capsys, "seeds", "(1473625)", "--format", fmt)
+    assert code == 0 and out.startswith("833 seeds\n" if fmt == "table" else "{")
+    assert len(rendered) == len(set(rendered)) == 30
+
+
 def test_seeds_stops_an_infinite_class_at_the_default_limit(capsys):
     args = cli.build_parser().parse_args(["seeds", "(14)(25)(36)"])
     assert args.limit == cluster.SEEDS_LIMIT == 1000
@@ -217,6 +229,43 @@ def test_verify_on_an_infinite_type_cell_exits_2(capsys):
     code, out, err = run(capsys, "verify", "(15)(26)(37)(48)")
     assert code == 2 and out == ""
     assert err == "error: mutation class exceeded the limit 1000\n"
+
+
+@pytest.mark.parametrize(
+    "spec, counts",
+    [
+        ("(135)(264)", (2, 24, 1)),
+        ("(14)(25)(36)", (200, 0, 1)),
+        ("(1357)(2468)", (660, 0, 1)),
+        ("(12453)", (0, 5, 1)),
+        ("(14)(263):-", (2, 3, 1)),
+    ],
+)
+def test_verify_reports_each_kind_of_entry_a_fixed_number_of_times(capsys, spec, counts):
+    # exchange relations, restricted three-term relations (a top cell keeps
+    # every product, so has none) and one vanishing profile
+    code, out, _ = run(capsys, "verify", spec, "--points", "5")
+    assert code == 0
+    kinds = [e["name"].split(":")[0] for e in json.loads(out)["identities"]]
+    assert tuple(kinds.count(kind) for kind in ("exchange", "restricted", "vanishing-profile")) == counts
+    assert len(kinds) == sum(counts)
+
+
+GOLDEN_SHA256 = {
+    ("sample", "(1357)(2468)", "--points", "3", "--rng-seed", "7", "--format", "json"):
+        "2f1d4a5971d05dcffdcd715c412fe6b77595d9e5cbfa438062346046b034e552",
+    ("verify", "(14)(25)(36)"): "9ff84a54c85f367442f7131dacf8454cb057402ea066bdcd6aa573eb5685fcd9",
+    ("verify", "(135)(264)", "--points", "9", "--rng-seed", "5"):
+        "e60649d3023171f74135a947cb806ee5b5fa303e94ba174035852a4d9e4e2767",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256))
+def test_sampled_outputs_keep_their_bytes(capsys, argv):
+    # the same sums are pinned in CI on every supported Python
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
 
 
 def test_verify_passes_on_the_833_seeds_of_the_gr37_top_cell(capsys):

@@ -44,6 +44,7 @@ from positroids.numeric import (
 
 from conftest import (
     SNAPSHOTS,
+    decorated_permutations,
     k2_permutations,
     ks,
     labels_of,
@@ -206,6 +207,22 @@ def test_integer_vanishing_check_names_the_fraction_loops_offender(monkeypatch, 
     assert str(caught.value) == expected
 
 
+@pytest.mark.parametrize("spec", ["(135)(264)", "(14)(263):-"])
+def test_the_vanishing_check_refuses_negative_minors(monkeypatch, spec):
+    # negating one row flips every maximal minor and keeps the zero pattern,
+    # so only the sign test can catch it
+    measure = numeric._measurement_matrix
+
+    def negated(graph, weights):
+        m = measure(graph, weights)
+        return dataclasses.replace(m, numerators=(tuple(-a for a in m.numerators[0]), *m.numerators[1:]))
+
+    graph = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string(spec))
+    monkeypatch.setattr(numeric, "_measurement_matrix", negated)
+    with pytest.raises(ConstructionError, match=r"^minor \{[\d,]+\} should be positive, got -\d"):
+        sample_cell_point(graph, rng_seed=5)
+
+
 def test_no_successful_path_divides_a_whole_table(monkeypatch, ex_135264):
     # pluecker_table divides every minor; sampling, minor reads, generic draws
     # and the sweep divide only the entries they read
@@ -236,6 +253,25 @@ def test_generic_draws_match_the_full_table_reference(n):
         rng, reference_rng = random.Random(seed), random.Random(seed)
         assert sample_generic_matrix(k, n, rng) == reference_generic_matrix(k, n, reference_rng)
         assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("low, high", [(1, 9), (-9, 9)])
+def test_randints_replay_randint(low, high):
+    for seed in range(200):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        count = seed % 41
+        assert numeric._randints(rng, count, low, high) == [reference_rng.randint(low, high) for _ in range(count)]
+        assert rng.getstate() == reference_rng.getstate()
+
+
+def test_cell_point_weights_match_the_randint_reference():
+    rng = random.Random(71)
+    for _ in range(30):
+        graph = bridge_graph_from_permutation(random_decorated(rng, rng.randint(2, 7)))
+        rng_seed = rng.randrange(2**63)
+        draw = random.Random(rng_seed)
+        reference = [Fraction(draw.randint(1, 9), draw.randint(1, 9)) for _ in graph.edges]
+        assert sample_cell_point(graph, rng_seed=rng_seed).weights == tuple(enumerate(reference))
 
 
 def test_matrix_json_round_trip():
@@ -502,17 +538,16 @@ def fraction_measurement_rows(point):
 
 
 def test_integer_measurement_matches_the_fraction_loop():
-    graphs = 0
-    for n in range(2, 8):
-        for sigma in k2_permutations(n):
-            graph = bridge_graph_from_permutation(sigma)
-            for rng_seed in (0, 17):
-                point = sample_cell_point(graph, rng_seed=rng_seed)
-                assert point.matrix.scaled_minors == reference_scaled_table(point.matrix)
-                assert point.matrix.rows == fraction_measurement_rows(point)
-                assert RationalMatrix.of(point.matrix.rows) == point.matrix
-            graphs += 1
-    assert graphs == 2256
+    # every cell with n <= 6, of every rank, and the rank-two cells with n = 7
+    cells = [sigma for n in range(1, 7) for sigma in decorated_permutations(n)] + list(k2_permutations(7))
+    for sigma in cells:
+        graph = bridge_graph_from_permutation(sigma)
+        for rng_seed in (0, 17):
+            point = sample_cell_point(graph, rng_seed=rng_seed)
+            assert point.matrix.scaled_minors == reference_scaled_table(point.matrix)
+            assert point.matrix.rows == fraction_measurement_rows(point)
+            assert RationalMatrix.of(point.matrix.rows, sigma.n) == point.matrix
+    assert len(cells) == 2371 + 1611
     graph = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string("(1357)(2468)"))
     point = sample_cell_point(graph, rng_seed=3)
     for vertex in point.graph.internal_ids()[:4]:
