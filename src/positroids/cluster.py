@@ -568,14 +568,15 @@ def square_move_label(quiver: IceQuiver, vid: int) -> KSet | None:
     exchange pattern.  Returns None otherwise (the mutated variable then lies
     outside the Pluecker family).  Seed mutation and the plabic square-move
     closure both read a label from here."""
-    v = quiver.vertex(vid)
+    vertex, by_target, _ = quiver._index
+    v = vertex[vid]
     if v.frozen or v.label is None:
         return None
-    ins = quiver.arrows_in(vid)
-    outs = quiver.arrows_out(vid)
-    if len(ins) != 2 or len(outs) != 2 or any(m != 1 for _, m in (*ins, *outs)):
+    ins, outs = _run(by_target, _TARGET, vid), _run(quiver.arrows, _SOURCE, vid)
+    if len(ins) != 2 or len(outs) != 2:
         return None
-    labs_in, labs_out = (tuple(quiver.vertex(w).label for w, _ in side) for side in (ins, outs))
-    if any(l is None for l in labs_in + labs_out):
+    (a, _, ma), (b, _, mb), (_, c, mc), (_, d, md) = *ins, *outs
+    labs = vertex[a].label, vertex[b].label, vertex[c].label, vertex[d].label
+    if (ma, mb, mc, md) != (1, 1, 1, 1) or any(lab is None for lab in labs):
         return None
-    return square_move_exchange(v.label, labs_in, labs_out)  # type: ignore[arg-type]
+    return square_move_exchange(v.label, labs[:2], labs[2:])  # type: ignore[arg-type]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -87,14 +87,16 @@ class KSet:
         """Elements listed in the shifted order <_i."""
         return tuple(sorted(self.elements, key=lambda j: cyclic_pos(i, j, self.n)))
 
-    @property
+    @cached_property
     def mask(self) -> int:
         """Bit j set for each element j."""
         return sum(1 << j for j in self.elements)
 
     @classmethod
+    @lru_cache(maxsize=1 << 12)
     def from_mask(cls, mask: int, n: int) -> KSet:
-        """The j in [n] with bit j of ``mask`` set: the inverse of :attr:`mask`."""
+        """The j in [n] with bit j of ``mask`` set: the inverse of :attr:`mask`.
+        Interned by a bounded memo, so equal masks share one object."""
         return cls(tuple(j for j in range(1, n + 1) if mask >> j & 1), n)
 
     def label(self) -> str:

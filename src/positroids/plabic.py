@@ -28,8 +28,8 @@ darts then fix which value of its bit means "left".
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from operator import ne
 from typing import Mapping
 
 from positroids.cluster import IceQuiver, QuiverVertex, closure, square_move_label
@@ -76,8 +76,8 @@ class PlabicGraph:
         return cls(
             boundary,
             tuple(sorted(colors.items())),
-            tuple((u, v) for u, v in edges),
-            tuple(sorted((v, tuple(r)) for v, r in rotation.items())),
+            tuple(map(tuple, edges)),
+            tuple(sorted(zip(rotation, map(tuple, rotation.values())))),
         )
 
     @property
@@ -101,19 +101,20 @@ class PlabicGraph:
         if any(c not in (WHITE, BLACK) for c in colors.values()):
             raise ValidationError("vertex colors must be 'white' or 'black'")
         rot = self.rotation_map
-        vertices = set(range(1, n + 1)) | set(colors)
-        if set(rot) != vertices:
+        vertices = set(range(1, n + 1)) | colors.keys()
+        if rot.keys() != vertices:
             raise ValidationError("rotation must cover exactly boundary plus internal vertices")
         incident: dict[int, list[int]] = {v: [] for v in vertices}
-        for eid, (u, v) in enumerate(self.edges):
-            if u == v:
-                raise ValidationError(f"loop edge at vertex {u}")
-            if u not in vertices or v not in vertices:
-                raise ValidationError(f"edge {eid} touches an unknown vertex")
-            incident[u].append(eid)
-            incident[v].append(eid)
-        for v in vertices:
-            if sorted(rot[v]) != sorted(incident[v]):
+        try:
+            for eid, (u, v) in enumerate(self.edges):
+                if u == v:
+                    raise ValidationError(f"loop edge at vertex {u}")
+                incident[u].append(eid)
+                incident[v].append(eid)
+        except KeyError:
+            raise ValidationError(f"edge {eid} touches an unknown vertex") from None
+        for v in vertices:  # each incident list is in increasing edge order
+            if sorted(rot[v]) != incident[v]:
                 raise ValidationError(f"rotation at vertex {v} does not list its incident edges")
         for i in range(1, n + 1):
             if len(rot[i]) != 1:
@@ -211,26 +212,40 @@ class FaceLabeling:
 
 
 class _Disk:
-    """Augmented dart structures: graph edges plus the boundary arcs."""
+    """Augmented dart structures: graph edges plus the boundary arcs.
+
+    One pass over the rotations fills two lists indexed by dart, by the rules
+    above: ``fnext[d]`` is the next dart around the face left of d, and
+    ``tnext[d]`` the next dart of d's trip, -1 where d reaches the boundary.
+    ``legs[i - 1]`` is the dart leaving boundary vertex i along its leg."""
 
     def __init__(self, g: PlabicGraph):
-        self.n = g.boundary
+        n = self.n = g.boundary
         self.m = len(g.edges)
-        self.ends: list[tuple[int, int]] = list(g.edges)
-        self.arc_of: dict[int, int] = {}
-        rot = {v: tuple(r) for v, r in g.rotation}
-        if self.n >= 2:
-            for i in range(1, self.n + 1):
-                eid = len(self.ends)
-                self.ends.append((i, i % self.n + 1))
-                self.arc_of[i] = eid
-            for i in range(1, self.n + 1):
-                prev = self.arc_of[self.n if i == 1 else i - 1]
-                rot[i] = (self.arc_of[i], prev, rot[i][0])
-        self.rot = rot
-        self.pos = {v: {e: k for k, e in enumerate(r)} for v, r in rot.items()}
+        arcs = range(self.m, self.m + n) if n >= 2 else range(0)
+        self.ends: list[tuple[int, int]] = [*g.edges, *((i, i % n + 1) for i in range(1, len(arcs) + 1))]
+        self.arc_of: dict[int, int] = dict(zip(range(1, n + 1), arcs))
         self.colors = g.color_map
         self.deg = {v: len(r) for v, r in g.rotation}
+        self.fnext = fnext = [0] * (2 * len(self.ends))
+        self.tnext = tnext = [-1] * len(fnext)
+        self.legs = [0] * n
+        tails = [u for u, _ in self.ends]
+        for v, r in g.rotation:
+            if v <= n and arcs:
+                r = (arcs[v - 1], arcs[v - 2], *r)  # arc v -> v+1, arc v-1 -> v, the leg
+            black = v > n and self.colors[v] == BLACK
+            p = 2 * r[-1] + (tails[r[-1]] != v)
+            for e in r:  # p and d leave v along consecutive edges
+                d = 2 * e + (tails[e] != v)
+                fnext[d ^ 1] = p
+                if black:
+                    tnext[p ^ 1] = d
+                elif v > n:
+                    tnext[d ^ 1] = p
+                p = d
+            if v <= n:
+                self.legs[v - 1] = p
 
     def head(self, d: int) -> int:
         return self.ends[d >> 1][1 - (d & 1)]
@@ -243,19 +258,6 @@ class _Disk:
             return 2 * eid + 1
         raise ValueError(f"vertex {tail} is not an end of edge {eid}")
 
-    def face_next(self, d: int) -> int:
-        v = self.head(d)
-        r = self.rot[v]
-        return self.dart(r[self.pos[v][d >> 1] - 1], v)
-
-    def trip_next(self, d: int) -> int | None:
-        v = self.head(d)
-        if v <= self.n:
-            return None
-        r = self.rot[v]
-        step = 1 if self.colors[v] == BLACK else -1
-        return self.dart(r[(self.pos[v][d >> 1] + step) % len(r)], v)
-
 
 def trips(g: PlabicGraph) -> list[Trip]:
     """The n boundary-to-boundary strands, one starting at each boundary vertex."""
@@ -263,38 +265,32 @@ def trips(g: PlabicGraph) -> list[Trip]:
 
 
 def _trips(disk: _Disk) -> list[Trip]:
-    # trip_next is injective and never returns a dart leaving the boundary, so
+    # tnext is injective and never returns a dart leaving the boundary, so
     # each strand runs without repeats until it reaches the boundary
-    out = []
-    for i in range(1, disk.n + 1):
-        darts = [disk.dart(disk.rot[i][-1], i)]  # the leg, last in the rotation
-        nxt = disk.trip_next(darts[-1])
-        while nxt is not None:
-            darts.append(nxt)
-            nxt = disk.trip_next(nxt)
+    out, tnext = [], disk.tnext
+    for i, d in enumerate(disk.legs, 1):
+        darts = [d]
+        while (d := tnext[d]) >= 0:
+            darts.append(d)
         out.append(Trip(i, disk.head(darts[-1]), tuple(darts)))
     return out
 
 
-def _face_orbit(disk: _Disk, d0: int) -> tuple[int, ...]:
-    """Darts of the face left of d0, starting at the face's smallest dart."""
-    orbit = [d0]
-    d = disk.face_next(d0)
-    while d != d0:
-        orbit.append(d)
-        d = disk.face_next(d)
-    k = orbit.index(min(orbit))
-    return tuple(orbit[k:] + orbit[:k])
-
-
-def _face_orbits(disk: _Disk) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+def _face_orbits(disk: _Disk) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The darts of each face, from its smallest, and the face of each dart.
+    Each orbit starts at the smallest dart not yet placed, its smallest."""
+    fnext = disk.fnext
     faces: list[tuple[int, ...]] = []
-    dart_face: dict[int, int] = {}
-    for d0 in range(2 * len(disk.ends)):
-        if d0 not in dart_face:
-            orbit = _face_orbit(disk, d0)
-            dart_face.update((d, len(faces)) for d in orbit)
-            faces.append(orbit)
+    dart_face = [-1] * len(fnext)
+    for d0 in range(len(fnext)):
+        if dart_face[d0] < 0:
+            orbit, d, fid = [d0], fnext[d0], len(faces)
+            dart_face[d0] = fid
+            while d != d0:
+                orbit.append(d)
+                dart_face[d] = fid
+                d = fnext[d]
+            faces.append(tuple(orbit))
     return faces, dart_face
 
 
@@ -309,8 +305,7 @@ def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeli
 
     # faces across each graph edge, as (edge id, neighbouring face)
     adjacent: list[list[tuple[int, int]]] = [[] for _ in orbits]
-    for eid in range(disk.m):
-        fa, fb = dart_face[2 * eid], dart_face[2 * eid + 1]
+    for eid, fa, fb in zip(range(disk.m), dart_face[0 : 2 * disk.m : 2], dart_face[1 : 2 * disk.m : 2]):
         if fa != fb:
             adjacent[fa].append((eid, fb))
             adjacent[fb].append((eid, fa))
@@ -319,16 +314,17 @@ def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeli
     # traverses once; no edge has more than two darts, so XOR over darts suffices
     flips = [0] * disk.m
     for t in strands:
+        bit = 1 << t.target
         for d in t.darts:
-            flips[d >> 1] ^= 1 << t.target
+            flips[d >> 1] ^= bit
     # masks relative to the first interior face, so each strand's bit may be inverted
     mask: list[int | None] = [None] * len(orbits)
     mask[interior[0]] = 0
-    queue = deque([interior[0]])
-    while queue:
-        fid = queue.popleft()
+    queue = [interior[0]]
+    for fid in queue:  # breadth first: faces appended here are visited in turn
+        here = mask[fid]
         for eid, other in adjacent[fid]:
-            want = mask[fid] ^ flips[eid]
+            want = here ^ flips[eid]
             if mask[other] is None:
                 mask[other] = want
                 queue.append(other)
@@ -337,37 +333,41 @@ def _label_faces(g: PlabicGraph, disk: _Disk, strands: list[Trip]) -> FaceLabeli
     if any(mask[fid] is None for fid in interior):
         raise ValidationError("face side propagation did not reach every face")
 
-    # each strand's darts fix which value of its bit means "on its left"
+    # each strand's darts fix which value of its bit means "on its left".  A cap
+    # edge ends in an internal leaf, whose color picks the side of its one face.
+    # Elsewhere the strand's left faces agree across white vertices and its right
+    # faces across black ones, so all sides agree with its first dart's when each
+    # edge it runs along parts two faces by its bit.
+    caps = {r[0]: disk.colors[v] == WHITE for v, r in g.rotation if v > n and len(r) == 1}
+    cross = [mask[a] ^ mask[b] for a, b in zip(dart_face[0 : 2 * disk.m : 2], dart_face[1 : 2 * disk.m : 2])]
+    for eid in caps:
+        cross[eid] = -1
+
+    def side(d: int, bit: int) -> int:
+        return (mask[dart_face[d]] & bit) ^ (bit if caps.get(d >> 1, True) else 0)
+
     offset = 0
     for t in strands:
-        bit, t_offset = 1 << t.target, None
-        for d in t.darts:
-            # a cap edge ends in an internal leaf, whose color picks the side
-            u, v = disk.ends[d >> 1]
-            leaf = u if u > n and disk.deg[u] == 1 else v
-            if leaf > n and disk.deg[leaf] == 1:
-                sides = ((dart_face[d], disk.colors[leaf] == WHITE),)
-            else:
-                sides = ((dart_face[d], True), (dart_face[d ^ 1], False))
-            for fid, left in sides:
-                want = (mask[fid] & bit) ^ (bit if left else 0)
-                if t_offset is None:
-                    t_offset = want
-                elif t_offset != want:
-                    raise ReducednessError(f"trip {t.source} assigns both sides to one face")
-        offset |= t_offset
+        bit = 1 << t.target
+        want = side(t.darts[0], bit)
+        if not all(cross[d >> 1] & bit for d in t.darts) or caps and any(
+            side(d, bit) != want for d in t.darts if d >> 1 in caps
+        ):
+            raise ReducednessError(f"trip {t.source} assigns both sides to one face")
+        offset |= want
 
-    labels = {fid: KSet.from_mask(mask[fid] ^ offset, n) for fid in interior}
-    sizes = {s.k for s in labels.values()}
+    labels = [KSet.from_mask(mask[fid] ^ offset, n) for fid in interior]
+    sizes = {s.k for s in labels}
     if len(sizes) > 1:
         raise ReducednessError(f"face label sizes disagree: {sorted(sizes)}")
 
-    # the face on arc (i-1 -> i) is left of the leg leaving i-1, where strands[i - 2] starts
-    marks: dict[int, list[int]] = {fid: [] for fid in interior}
+    # the face on arc (i-1 -> i) is left of the leg leaving i-1
+    marks: dict[int, tuple[int, ...]] = {}
     for i in range(1, n + 1):
-        marks[dart_face[strands[i - 2].darts[0]]].append(i)
+        fid = dart_face[disk.legs[i - 2]]
+        marks[fid] = (*marks.get(fid, ()), i)
 
-    faces = tuple(Face(fid, labels[fid], tuple(marks[fid]), orbits[fid]) for fid in interior)
+    faces = tuple(Face(fid, s, marks.get(fid, ()), orbits[fid]) for fid, s in zip(interior, labels))
     return FaceLabeling(g, faces, _strand_permutation(disk, strands))
 
 
@@ -517,20 +517,21 @@ def bridge_graph_from_permutation(sigma: DecoratedPermutation) -> PlabicGraph:
 
 def _assemble(n: int, colors: dict, edges: dict[int, tuple[int, int]], rot: dict) -> PlabicGraph:
     """The graph with boundary n from its parts, edge ids renumbered in order."""
-    remap = {eid: k for k, eid in enumerate(sorted(edges))}
-    rotation = {v: tuple(remap[e] for e in r) for v, r in rot.items()}
-    return PlabicGraph.of(n, colors, [edges[eid] for eid in sorted(edges)], rotation)
+    order = sorted(edges)
+    if order != list(range(len(order))):
+        remap = {eid: k for k, eid in enumerate(order)}
+        rot = {v: tuple(map(remap.__getitem__, r)) for v, r in rot.items()}
+    return PlabicGraph.of(n, colors, [edges[eid] for eid in order], rot)
 
 
 def _corner_runs(g: PlabicGraph, colors: Mapping[int, str], face: Face) -> int | None:
     """Number of cyclic color runs among the face's corners, or None when the
     face revisits a vertex or touches the boundary."""
     corners = [g.edges[d >> 1][1 - (d & 1)] for d in face.darts]
-    if any(v <= g.boundary for v in corners) or len(set(corners)) != len(corners):
+    if min(corners) <= g.boundary or len(set(corners)) != len(corners):
         return None
     cols = [colors[v] for v in corners]
-    changes = sum(cols[i] != cols[i - 1] for i in range(len(cols)))
-    return changes if changes else 1
+    return sum(map(ne, cols, cols[-1:] + cols[:-1])) or 1
 
 
 def square_move(labeling: FaceLabeling, pivot: KSet) -> PlabicGraph:
@@ -540,28 +541,29 @@ def square_move(labeling: FaceLabeling, pivot: KSet) -> PlabicGraph:
     are contracted, and any remaining corner of degree above three is split so
     that its on-face part is trivalent.  The result must be a quadrilateral
     with alternating corner colors, whose four corners are then flipped.
+    """
+    face = labeling.face_with_label(pivot)
+    if face.frozen:
+        raise ValidationError(f"face {pivot} touches the boundary")
+    if _corner_runs(labeling.graph, labeling.graph.color_map, face) != 4:
+        raise ValidationError(f"face {pivot} does not normalize to a quadrilateral")
+    return _square_move(labeling.graph, face)
+
+
+def _square_move(g: PlabicGraph, face: Face) -> PlabicGraph:
+    """:func:`square_move` at a face of g that :func:`movable_faces` returns.
 
     All of this edits one copy of the graph's parts, which are built into a
     graph once; no face analysis runs.  The face is followed by its own darts:
     a contraction drops one, and the walk restarts at the smallest.
     """
-    g = labeling.graph
-    face = labeling.face_with_label(pivot)
-    if face.frozen:
-        raise ValidationError(f"face {pivot} touches the boundary")
-    colors = g.color_map
-    if _corner_runs(g, colors, face) != 4:
-        raise ValidationError(f"face {pivot} does not normalize to a quadrilateral")
-    edges = dict(enumerate(g.edges))
-    rot = {v: list(r) for v, r in g.rotation}
-
-    def head(d: int) -> int:
-        return edges[d >> 1][1 - (d & 1)]
+    colors, edges, rot = g.color_map, dict(enumerate(g.edges)), dict(g.rotation)
 
     darts = list(face.darts)
     while True:
-        cols = [colors[head(d)] for d in darts]
-        same = next((i for i in range(len(cols)) if cols[i] == cols[i - 1]), None)
+        corners = [edges[d >> 1][1 - (d & 1)] for d in darts]
+        cols = [colors[v] for v in corners]
+        same = next((i for i, c in enumerate(cols) if c == cols[i - 1]), None)
         if same is None:
             break
         # merge v into u, splicing v's rotation into u's in place of the edge
@@ -580,7 +582,6 @@ def square_move(labeling: FaceLabeling, pivot: KSet) -> PlabicGraph:
         first = darts.index(min(darts))
         darts = darts[first:] + darts[:first]
 
-    corners = [head(d) for d in darts]
     for spot, corner in enumerate(corners):
         if len(rot[corner]) > 3:
             # detach all but the corner's two face edges onto a new vertex of its color
@@ -594,7 +595,7 @@ def square_move(labeling: FaceLabeling, pivot: KSet) -> PlabicGraph:
                 edges[k] = (new if a == corner else a, new if b == corner else b)
             edges[new_eid] = (corner, new)
             colors[new] = colors[corner]
-            rot[corner], rot[new] = [e_out, e_in, new_eid], rest + [new_eid]
+            rot[corner], rot[new] = (e_out, e_in, new_eid), (*rest, new_eid)
     for v in corners:
         colors[v] = WHITE if colors[v] == BLACK else BLACK
     return _assemble(g.boundary, colors, edges, rot)
@@ -624,15 +625,18 @@ def quiver_from_graph(g: PlabicGraph) -> IceQuiver:
 def _quiver(labeling: FaceLabeling) -> IceQuiver:
     """:func:`quiver_from_graph` of ``labeling.graph``, read from its labeling."""
     g, faces = labeling.graph, labeling.faces
-    dart_face = {d: f.id for f in faces for d in f.darts}
-    colors, deg = g.color_map, {v: len(r) for v, r in g.rotation}
+    dart_face = [0] * (2 * (len(g.edges) + g.boundary))  # no graph edge borders the outer face
+    for f in faces:
+        for d in f.darts:
+            dart_face[d] = f.id
+    rot = g.rotation_map
+    is_white = {v: c == WHITE for v, c in g.colors if len(rot[v]) > 1}  # internal ends, not leaves
     raw: dict[tuple[int, int], int] = {}
     for eid, (u, v) in enumerate(g.edges):
-        if min(u, v) <= g.boundary or 1 in (deg[u], deg[v]) or colors[u] == colors[v]:
+        if u not in is_white or v not in is_white or is_white[u] == is_white[v]:
             continue
-        d_wb = 2 * eid + (colors[u] != WHITE)  # the dart leaving the white end
-        src = dart_face[d_wb ^ 1]
-        dst = dart_face[d_wb]
+        d_wb = 2 * eid + is_white[v]  # the dart leaving the white end
+        src, dst = dart_face[d_wb ^ 1], dart_face[d_wb]
         if src == dst:
             raise ReducednessError("quiver loop: one face on both sides of an edge")
         raw[(src, dst)] = raw.get((src, dst), 0) + 1
@@ -667,7 +671,7 @@ def graph_mutation_class(g: PlabicGraph) -> tuple[list[tuple[PlabicGraph, FaceLa
             new = square_move_label(q, face.id)
             if new is None:
                 raise ReducednessError(f"face {face.label} is not a three-term exchange")
-            yield collection - {face.label} | {new}, lambda p=face.label: face_labels(square_move(lab, p))
+            yield collection - {face.label} | {new}, lambda face=face: face_labels(_square_move(lab.graph, face))
 
     labelings, complete, _ = closure(face_labels(g), moves, FaceLabeling.collection)
     return [(lab.graph, lab) for lab in labelings], complete

@@ -819,6 +819,10 @@ def test_square_move_exchange_golden():
         )
         is None
     )
+    # one pair on both sides is no exchange, in either order
+    pair = (ks("12", 4), ks("34", 4))
+    assert square_move_exchange(ks("13", 4), pair, pair) is None
+    assert square_move_exchange(ks("13", 4), pair, pair[::-1]) is None
 
 
 def square_move_exchange_reference(pivot, ins, outs):

@@ -109,6 +109,9 @@ def test_tilting_fails_without_maximality_or_the_necklace(ex_135264):
     assert not is_cluster_tilting_collection(full - {ks("124", 6)}, neck)
     # a crossing pair can never tilt
     assert not is_cluster_tilting_collection(full | {ks("245", 6)}, neck)
+    # noncrossing, but it omits the necklace set 13, which 24 crosses
+    neck = necklace_from_permutation(DecoratedPermutation.from_cycle_string("(12)(34)"))
+    assert not is_cluster_tilting_collection({ks("14", 4), ks("23", 4), ks("24", 4)}, neck)
 
 
 def test_maximal_collection_counts_match_snapshots(ex_135264):

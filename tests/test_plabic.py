@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 
 from positroids import (
     DecoratedPermutation,
+    KSet,
     PlabicGraph,
     alignments,
     bridge_graph_from_permutation,
@@ -25,7 +27,7 @@ from positroids import (
 from positroids import plabic
 from positroids.cluster import closure
 from positroids.combinatorics import ValidationError
-from positroids.plabic import ReducednessError, _Disk, movable_faces
+from positroids.plabic import BLACK, WHITE, ReducednessError, _Disk, movable_faces
 
 from conftest import (
     SNAPSHOTS,
@@ -146,6 +148,36 @@ def labelling_outcome(g):
     return labelled, reduced
 
 
+def reference_successors(g, disk):
+    """The face and trip successor of every dart, by the rules of the module
+    docstring: arriving at v along e, the face goes on along the predecessor
+    of e at v, and the trip along its successor at a black v and its
+    predecessor at a white one; no trip goes on from a boundary vertex, whose
+    rotation is the arc to i + 1, the arc from i - 1 and the leg."""
+    n, rot, colors = g.boundary, dict(g.rotation), g.color_map
+    if n >= 2:
+        rot.update({i: (disk.arc_of[i], disk.arc_of[(i - 2) % n + 1], rot[i][0]) for i in range(1, n + 1)})
+    fnext, tnext = {}, {}
+    for v, r in rot.items():
+        for k, e in enumerate(r):
+            arriving = disk.dart(e, v) ^ 1
+            fnext[arriving] = disk.dart(r[k - 1], v)
+            step = 1 if v > n and colors[v] == BLACK else -1
+            tnext[arriving] = disk.dart(r[(k + step) % len(r)], v) if v > n else -1
+    return [fnext[d] for d in range(len(fnext))], [tnext[d] for d in range(len(tnext))]
+
+
+def test_successor_lists_follow_the_rotation_rules():
+    # unreduced and refused graphs too, and every member of the Gr(3,7) class
+    graphs = list(recoloured_bridge_corpus(6, 3, seed=12))
+    graphs += [m for m, _ in graph_mutation_class(bridge_graph_from_permutation(uniform_perm(3, 7)))[0]]
+    for g in graphs:
+        disk = _Disk(g)
+        assert [disk.fnext, disk.tnext] == list(reference_successors(g, disk))
+        assert disk.legs == [disk.dart(r[0], i) for i, r in g.rotation[: g.boundary]]
+    assert len(graphs) == 9484 + 259
+
+
 def test_face_masks_match_the_per_strand_reference(monkeypatch):
     graphs = list(recoloured_bridge_corpus(6, 3, seed=12))
     for k, n in ((2, 7), (3, 6)):
@@ -157,6 +189,32 @@ def test_face_masks_match_the_per_strand_reference(monkeypatch):
     kinds = Counter((isinstance(lab, tuple), reduced) for lab, reduced in fast)
     assert kinds[(True, True)] and kinds[(True, False)] and kinds[(False, False)]
     assert {lab for lab, _ in fast if not isinstance(lab, tuple)} == {ReducednessError}
+
+
+def hang_leaves(g, rng):
+    """g with one or two leaves of random colors hung on internal vertices,
+    each at a random place in its vertex's rotation."""
+    colors, edges, rot = g.color_map, list(g.edges), {v: list(r) for v, r in g.rotation}
+    for _ in range(rng.randint(1, 2)):
+        v, leaf = rng.choice(sorted(colors)), max(colors) + 1
+        colors[leaf] = rng.choice((WHITE, BLACK))
+        edges.append((v, leaf))
+        rot[v].insert(rng.randrange(len(rot[v]) + 1), len(edges) - 1)
+        rot[leaf] = [len(edges) - 1]
+    return PlabicGraph.of(g.boundary, colors, edges, rot)
+
+
+def test_face_masks_match_the_reference_with_leaves_on_internal_vertices(monkeypatch):
+    # a leaf's color picks its strand's side of the face around it, which must
+    # agree with the side the strand's other edges give that face
+    rng = random.Random(29)
+    cells = [bridge_graph_from_permutation(sigma) for n in range(2, 6) for sigma in decorated_permutations(n)]
+    graphs = [hang_leaves(g, rng) for g in cells if g.colors]
+    fast = [labelling_outcome(g) for g in graphs]
+    monkeypatch.setattr(plabic, "_label_faces", reference_label_faces)
+    assert fast == [labelling_outcome(g) for g in graphs]
+    kinds = Counter((isinstance(lab, tuple), reduced) for lab, reduced in fast)
+    assert kinds[(True, True)] and kinds[(False, False)]
 
 
 @pytest.mark.parametrize("color", ["white", "black"])
@@ -192,6 +250,9 @@ def test_graph_validation_rejects_bad_structure():
     with pytest.raises(ValidationError):
         # rotation at 5 out of sync with its incident edges
         PlabicGraph.of(2, {5: "white"}, [(1, 5), (2, 5)], {1: [0], 2: [1], 5: [0]})
+    with pytest.raises(ValidationError, match="rotation at vertex 5"):
+        # as many edges as it has, but one of them twice
+        PlabicGraph.of(2, {5: "white"}, [(1, 5), (2, 5)], {1: [0], 2: [1], 5: [0, 0]})
 
 
 @pytest.mark.parametrize("color", ["white", "black"])
@@ -420,6 +481,35 @@ def test_graph_mutation_class_analyses_each_member_once(monkeypatch, k, n, membe
     graphs = [m for m, _ in found]
     assert analysed == disks == graphs
     assert len(validated) == members - 1 and all(v is m for v, m in zip(validated, graphs[1:]))
+
+
+@pytest.mark.parametrize(
+    "cell, members, digest",
+    [
+        ("(1473625)", 259, "129a1c769aa2e3f91e9a831fe2cf24c3cab6eb7ae72a13d4412a45393ffb46f3"),
+        ("(1357)(2468)", 132, "e332e2f7048f1a24e24100d08f6f240df4de4ba503f17d915dbfd9b1b5add049"),
+    ],
+)
+def test_closure_members_keep_their_bytes(cell, members, digest):
+    # every member graph, and each face's id, label, marks and darts, in member order
+    found, complete = graph_mutation_class(bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string(cell)))
+    faces = [[[f.id, f.label.label(), list(f.boundary_marks), list(f.darts)] for f in lab.faces] for _, lab in found]
+    text = json.dumps([[g.to_json(), fs] for (g, _), fs in zip(found, faces)])
+    assert complete and len(found) == members
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_face_labels_are_interned_by_a_bounded_memo():
+    found = graph_mutation_class(bridge_graph_from_permutation(uniform_perm(3, 7)))[0]
+    labels = [f.label for _, lab in found for f in lab.faces]
+    assert len(labels) == 259 * 13 and len({id(s) for s in labels}) == len(set(labels)) == 35
+    KSet.from_mask.cache_clear()
+    seen = set()
+    for n in range(1, 8):
+        for sigma in decorated_permutations(n):
+            seen.update(f.label for f in face_labels(bridge_graph_from_permutation(sigma)).faces)
+    memo = KSet.from_mask.cache_info()
+    assert memo.maxsize is not None and memo.currsize == len(seen) == 254 <= memo.maxsize
 
 
 def test_a_movable_face_without_a_three_term_exchange_raises(monkeypatch):
