@@ -52,19 +52,24 @@ def cyclically_ordered(a: int, b: int, c: int, d: int, n: int) -> bool:
 
 @dataclass(frozen=True, order=True)
 class KSet:
-    """A k-element subset of [n], stored sorted in the natural order."""
+    """A k-element subset of [n], stored sorted in the natural order.  Its
+    hash, that of ``(elements, n)``, is computed once, at construction."""
 
     elements: tuple[int, ...]
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n:
-            raise ValidationError(f"ground set size must be nonnegative, got {self.n}")
+        if type(self.n) is not int or self.n < 0:  # JSON true and 2.0 compare equal to 1 and 2
+            raise ValidationError(f"ground set size must be a nonnegative integer, got {self.n!r}")
         prev = 0
         for e in self.elements:
-            if not prev < e <= self.n:
+            if type(e) is not int or not prev < e <= self.n:
                 raise ValidationError(f"{self.elements} is not a strictly increasing subset of [{self.n}]")
             prev = e
+        object.__setattr__(self, "_hash", hash((self.elements, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, elements: Iterable[int], n: int) -> KSet:
@@ -93,11 +98,13 @@ class KSet:
         return sum(1 << j for j in self.elements)
 
     @classmethod
-    @lru_cache(maxsize=1 << 12)
+    @lru_cache(maxsize=1 << 12, typed=True)
     def from_mask(cls, mask: int, n: int) -> KSet:
         """The j in [n] with bit j of ``mask`` set: the inverse of :attr:`mask`.
         Interned by a bounded memo, so equal masks share one object."""
-        return cls(tuple(j for j in range(1, n + 1) if mask >> j & 1), n)
+        if type(mask) is not int or mask < 0 or mask & 1:  # bits past n fail in the constructor
+            raise ValidationError(f"mask {mask!r} has a bit outside [{n}]")
+        return cls(tuple(j for j in range(1, mask.bit_length()) if mask >> j & 1), n)
 
     def label(self) -> str:
         """Compact text form: "124" for n <= 9, comma separated above."""
@@ -142,10 +149,10 @@ def three_term(
     >>> [tuple(s.label() for s in pair) for pair in three_term([5], 1, 2, 3, 4, 6)]
     [('135', '245'), ('125', '345'), ('145', '235')]
     """
-    base = list(core)
+    base = sum(1 << x for x in core)
 
     def with_letters(x: int, y: int) -> KSet:
-        return KSet.of(base + [x, y], n)
+        return KSet.from_mask(base | 1 << x | 1 << y, n)
 
     return (
         (with_letters(a, c), with_letters(b, d)),
@@ -338,6 +345,7 @@ class GrassmannNecklace:
 
     sets: tuple[KSet, ...]
     sense: str = field(default="forward", compare=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)  # the sets' bit masks
 
     def __post_init__(self) -> None:
         n = len(self.sets)
@@ -345,19 +353,18 @@ class GrassmannNecklace:
             raise ValidationError("empty necklace")
         if any(s.n != n for s in self.sets):
             raise DimensionError("necklace sets must live on [n] with n = necklace length")
-        k = self.sets[0].k
-        if any(s.k != k for s in self.sets):
+        masks = tuple(s.mask for s in self.sets)
+        if len({m.bit_count() for m in masks}) > 1:
             raise DimensionError("necklace sets must share a common size k")
-        for i in range(1, n + 1):
-            cur, nxt = self.sets[i - 1], self.sets[i % n]
-            if self.sense == "forward":
-                if i not in cur:
-                    ok = nxt == cur
-                else:
-                    ok = len(set(nxt.elements) - (set(cur.elements) - {i})) == 1
+        object.__setattr__(self, "masks", masks)
+        forward = self.sense == "forward"
+        for i, cur, nxt in zip(range(1, n + 1), masks, masks[1:] + masks[:1]):
+            bit = 1 << i
+            if forward:
+                ok = (nxt & ~(cur & ~bit)).bit_count() == 1 if cur & bit else nxt == cur
             else:
                 # reverse condition: I_{i+1} is I_i with one element replaced by i
-                ok = set(nxt.elements) - {i} <= set(cur.elements)
+                ok = not nxt & ~bit & ~cur
             if not ok:
                 raise ValidationError(f"necklace condition fails between I_{i} and I_{i % n + 1}")
 
@@ -377,25 +384,19 @@ class GrassmannNecklace:
         return iter(self.sets)
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(s.mask for s in self.sets)
-
-    @cached_property
     def gale_bounds(self) -> tuple[tuple[int, int], ...]:
         """Pairs (m, c): m has bit j for each j in a cyclic interval [i, i+t),
         c = |I_i n [i, i+t)|, and J is a member when |J n [i, i+t)| <= c for all.
         Only the last interval of each run outside I_i is kept, at most k per i;
         the others follow from a neighbour or reach min(t, k), bounding nothing."""
-        n, k, bounds = self.n, self.k, []
-        for i, base in enumerate(self.sets, 1):
-            order = [(i + t - 1) % n + 1 for t in range(n)]  # [n] under <_i
-            mask = count = 0
-            for t, j in enumerate(order[:-1], 1):
-                mask |= 1 << j
-                if j in base:
-                    count += 1
-                elif order[t] in base and count < min(t, k):
-                    bounds.append((mask, count))
+        n, bounds, full = self.n, [], (1 << self.n) - 1
+        for i, base in enumerate(self.masks, 1):
+            rot = (base >> i | base << n - i) & full  # bit t: whether I_i holds i + t, cyclically
+            ends = rot & ~(rot << 1) & full - 1  # the t > 0 with i + t - 1 outside I_i, i + t in it
+            while ends:
+                low = (ends & -ends) - 1  # [i, i+t), read back onto [n] below
+                bounds.append(((low << i | low >> n - i) & full << 1, (rot & low).bit_count()))
+                ends &= ends - 1
         return tuple(bounds)
 
     def to_json(self) -> list[list[int]]:
@@ -434,14 +435,14 @@ def necklace_from_permutation(sigma: DecoratedPermutation) -> GrassmannNecklace:
     ['124', '234', '346', '456', '256', '126']
     """
     n = sigma.n
-    # I_1 = {j : sigma^-1(j) > j} plus the loops; I_i loses i to sigma(i)
-    current = {j for i, j in enumerate(sigma.image, 1) if i > j}
-    current |= {i for i, c in sigma.colors if c == -1}
+    # I_1 = {j : sigma^-1(j) > j} plus the loops, as a bit mask; I_i loses i to sigma(i)
+    current = sum(1 << j for i, j in enumerate(sigma.image, 1) if i > j)
+    current |= sum(1 << i for i, c in sigma.colors if c == -1)
     sets = []
     for i in range(1, n + 1):
-        sets.append(KSet.of(current, n))
-        if i in current:
-            current = current - {i} | {sigma(i)}
+        sets.append(KSet.from_mask(current, n))
+        if current >> i & 1:
+            current = current & ~(1 << i) | 1 << sigma(i)
     return GrassmannNecklace(tuple(sets))
 
 
@@ -494,15 +495,23 @@ def in_positroid(necklace: GrassmannNecklace, candidate: KSet) -> bool:
 def positroid_members(necklace: GrassmannNecklace) -> Positroid:
     """Materialize every member of the positroid, for any n: all C(n, k)
     k-subsets pass through the Gale bounds, so use :func:`in_positroid` for
-    single queries on large ground sets."""
-    n, k = necklace.n, necklace.k
-    ground = range(1, n + 1)
-    masks = map(sum, itertools.combinations([1 << j for j in ground], k))  # in step with the k-subsets
-    alive = list(zip(masks, itertools.combinations(ground, k)))
+    single queries on large ground sets.  The members are kept for the last
+    POSITROID_CACHE_SIZE necklaces, keyed by their sets alone; the result
+    wraps the necklace passed in."""
+    return Positroid(necklace, _member_sets(necklace))
+
+
+POSITROID_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=POSITROID_CACHE_SIZE)
+def _member_sets(necklace: GrassmannNecklace) -> frozenset[KSet]:
+    n = necklace.n
+    # the k-subsets' masks, in lexicographic order, each member interned
+    alive = list(map(sum, itertools.combinations([1 << j for j in range(1, n + 1)], necklace.k)))
     for m, c in necklace.gale_bounds:
-        alive = [x for x in alive if (x[0] & m).bit_count() <= c]
-    members = frozenset(KSet(combo, n) for _, combo in alive)
-    return Positroid(necklace, members)
+        alive = [x for x in alive if (x & m).bit_count() <= c]
+    return frozenset(KSet.from_mask(x, n) for x in alive)
 
 
 def noncrossing(a: KSet, b: KSet) -> bool:

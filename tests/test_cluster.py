@@ -335,6 +335,13 @@ def test_json_readers_keep_the_constructors_own_errors():
         IceQuiver.from_json({"vertices": [], "arrows": [[1, 2, 1]]})
 
 
+@pytest.mark.parametrize("label", [[1.5, 2], [True, 2], [1.0, 2]])
+def test_quiver_json_refuses_labels_that_are_not_ints(label):
+    # a label of non-ints would raise a bare TypeError on reading its mask, or pass for {1,2}
+    with pytest.raises(ValidationError, match="not a strictly increasing subset"):
+        IceQuiver.from_json({"vertices": [{"id": 0, "frozen": True, "label": label}], "n": 3, "arrows": []})
+
+
 # --- ice quivers --------------------------------------------------------
 
 

@@ -89,6 +89,34 @@ def test_kset_json_is_sorted_int_list():
     assert s.to_json() == [1, 5]
 
 
+def test_kset_rejects_elements_that_are_not_ints():
+    # 1.0 and True compare equal to 1, so a set holding them would pass for {1,2}
+    for elements, n in (([1.5], 3), ([True, 2], 3), ([1.0, 2], 3), ([1], 3.0), ([], True)):
+        with pytest.raises(ValidationError):
+            KSet.of(elements, n)
+    with pytest.raises(ValidationError):
+        GrassmannNecklace.from_json([[1.5, 2], [2, 3], [1, 3]])
+
+
+def test_from_mask_rejects_bits_outside_the_ground_set():
+    for mask in (1 << 9, 1, -1, -2, 2.0, True):
+        with pytest.raises(ValidationError):
+            KSet.from_mask(mask, 4)
+    with pytest.raises(ValidationError):
+        KSet.from_mask(2, 4.0)
+    s = KSet.from_mask(0b10110, 4)
+    assert s == KSet.of([1, 2, 4], 4) and s.mask == 0b10110 and s is KSet.from_mask(0b10110, 4)
+
+
+def test_kset_hash_is_that_of_its_fields_for_n_up_to_7():
+    # hashed once at construction, to the value the dataclass would compute
+    for n in range(8):
+        for k in range(n + 1):
+            for combo in itertools.combinations(range(1, n + 1), k):
+                for s in (KSet(combo, n), KSet.from_mask(sum(1 << j for j in combo), n)):
+                    assert hash(s) == hash((s.elements, s.n)) and s.elements == combo
+
+
 # --- cyclic order helpers ----------------------------------------------
 
 
@@ -250,6 +278,36 @@ def test_necklace_json_round_trip_both_senses():
     assert back == rev
 
 
+def reference_necklace_condition(sets: tuple[KSet, ...], sense: str) -> bool:
+    """The necklace condition on element sets, as stated in the class docstring."""
+    n = len(sets)
+    for i in range(1, n + 1):
+        cur, nxt = set(sets[i - 1].elements), set(sets[i % n].elements)
+        if sense == "reverse":
+            ok = nxt - {i} <= cur  # I_{i+1} is I_i with one element replaced by i
+        else:
+            ok = len(nxt - (cur - {i})) == 1 if i in cur else nxt == cur
+        if not ok:
+            return False
+    return True
+
+
+def test_necklace_condition_on_masks_matches_the_set_rules_for_n_up_to_4():
+    accepted = 0
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for sets in itertools.product(k_subsets(n, k), repeat=n):
+                for sense in ("forward", "reverse"):
+                    try:
+                        GrassmannNecklace(sets, sense)
+                        ok = True
+                    except ValidationError:
+                        ok = False
+                    assert ok == reference_necklace_condition(sets, sense), (sets, sense)
+                    accepted += ok
+    assert accepted > 0
+
+
 def test_necklace_rejects_mixed_sizes():
     from positroids.combinatorics import DimensionError
 
@@ -318,9 +376,68 @@ def test_gale_bounds_drop_the_trivial_counts():
         assert count < min(mask.bit_count(), neck.k)
 
 
+def reference_gale_bounds(necklace: GrassmannNecklace) -> tuple[tuple[int, int], ...]:
+    """The bounds by walking each shifted order: after each j outside I_i whose
+    successor lies in I_i, the interval so far and its count of I_i."""
+    n, bounds = necklace.n, []
+    for i, base in enumerate(necklace.sets, 1):
+        order = [(i + t - 1) % n + 1 for t in range(n)]  # [n] under <_i
+        mask = count = 0
+        for t, j in enumerate(order[:-1], 1):
+            mask |= 1 << j
+            if j in base:
+                count += 1
+            elif order[t] in base and count < min(t, necklace.k):
+                bounds.append((mask, count))
+    return tuple(bounds)
+
+
+def test_gale_bounds_match_the_shifted_order_walk_for_n_up_to_7():
+    for n in range(1, 8):
+        for sigma in decorated_permutations(n):
+            for neck in (necklace_from_permutation(sigma), reverse_necklace(sigma)):
+                assert neck.gale_bounds == reference_gale_bounds(neck), neck
+
+
 def test_uniform_cell_contains_every_subset():
     neck = necklace_from_permutation(uniform_perm(2, 5))
     assert len(positroid_members(neck).members) == 10
+
+
+def test_positroid_members_match_the_gale_filter_for_n_up_to_6():
+    # the memo against the filter it caches, and both against single queries
+    for n in range(1, 7):
+        for sigma in decorated_permutations(n):
+            neck = necklace_from_permutation(sigma)
+            members = positroid_members(neck).members
+            assert members == {s for s in k_subsets(n, neck.k) if in_positroid(neck, s)}, sigma
+            assert members == combinatorics._member_sets.__wrapped__(neck)
+
+
+def test_a_positroid_wraps_the_necklace_it_was_given():
+    # the memo's key compares the sets alone: a necklace of either sense with
+    # cached sets reads the members, and the result keeps the caller's object
+    sigma = DecoratedPermutation.from_cycle_string("id:-,+,-")
+    fwd, rev = necklace_from_permutation(sigma), reverse_necklace(sigma)
+    assert fwd == rev and fwd.sense != rev.sense
+    first, second = positroid_members(fwd), positroid_members(rev)
+    assert second.necklace is rev and second.members is first.members
+    rev = reverse_necklace(DecoratedPermutation.from_cycle_string("(135)(264)"))
+    same = GrassmannNecklace(rev.sets, sense="reverse")
+    first, second = positroid_members(rev), positroid_members(same)
+    assert second.necklace is same and second.members is first.members
+
+
+def test_positroid_memo_stays_bounded():
+    combinatorics._member_sets.cache_clear()
+    necklaces = {necklace_from_permutation(sigma) for sigma in decorated_permutations(5)}
+    assert len(necklaces) > 2 * combinatorics.POSITROID_CACHE_SIZE
+    for neck in necklaces:
+        positroid_members(neck)
+        positroid_members(neck)  # the second call reads the memo
+        assert combinatorics._member_sets.cache_info().currsize <= combinatorics.POSITROID_CACHE_SIZE
+    memo = combinatorics._member_sets.cache_info()
+    assert memo.currsize == combinatorics.POSITROID_CACHE_SIZE and (memo.hits, memo.misses) == (len(necklaces),) * 2
 
 
 def test_positroid_members_has_no_size_cap():

@@ -31,7 +31,7 @@ from positroids import (
     sample_cell_point,
     verify_identities,
 )
-from positroids import cluster, numeric, plabic
+from positroids import cluster, combinatorics, numeric, plabic
 from positroids.cm import k2_generator_decomposition
 from positroids.combinatorics import DimensionError, ValidationError, three_term
 from positroids.numeric import (
@@ -441,6 +441,21 @@ def test_graph_caches_stay_bounded():
         assert [cache.cache_info().hits for cache in caches] == [h + 1 for h in hits]
         assert all(cache.cache_info().currsize <= numeric.GRAPH_CACHE_SIZE for cache in caches)
     assert all(cache.cache_info().currsize == numeric.GRAPH_CACHE_SIZE for cache in caches)
+
+
+def test_sampling_and_verify_reuse_the_callers_positroid():
+    # the vanishing check and verify read the members the caller built: no second Gale filter
+    sigma = DecoratedPermutation.from_cycle_string("(135)(264)")
+    numeric._graph_positroid.cache_clear()
+    necklace = necklace_from_permutation(sigma)
+    positroid_members(necklace)
+    filters = combinatorics._member_sets.cache_info().misses
+    graph = bridge_graph_from_permutation(sigma)
+    points = [sample_cell_point(graph, rng_seed=draw) for draw in range(3)]
+    assert numeric._graph_positroid.cache_info().misses == 1
+    generic = [sample_generic_matrix(3, 6, random.Random(0))]
+    assert verify_identities(necklace, initial_seed(quiver_from_graph(graph)), points, generic)["passed"]
+    assert combinatorics._member_sets.cache_info().misses == filters
 
 
 def test_resampling_a_graph_reuses_its_network(ex_135264, monkeypatch):
