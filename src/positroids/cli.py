@@ -17,7 +17,7 @@ import sys
 from functools import cache
 
 from . import cm, numeric
-from .cluster import SEEDS_LIMIT, Seed, initial_seed, mutation_class
+from .cluster import SEEDS_LIMIT, ExchangeGraph, Seed, exchange_graph, initial_seed
 from .combinatorics import (
     DecoratedPermutation,
     DimensionError,
@@ -94,22 +94,19 @@ def render_json(data) -> str:
     return json.dumps(data, indent=2)
 
 
-def pretty_cluster(seed: Seed, rendered: dict[int, str]) -> list[str]:
+def pretty_cluster(seed: Seed, graph: ExchangeGraph, rendered: dict[tuple[int, ...], str]) -> list[str]:
     """The seed's variables as text, one per vertex: D<label> at a labelled
-    seat, else the Laurent expansion with [..] read as D...  ``rendered`` maps
-    an expansion's id to its text: a mutation class shares one expansion
-    object per variable among its seeds, which stay alive while the command
-    runs, so each is rendered once."""
-    variables = dict(seed.variables)
-    out = []
+    seat, else the expansion of its g-vector in ``graph``, with [..] read as
+    D...  ``rendered`` keeps the text per g-vector, so each is rendered once."""
+    out, ids = [], seed.quiver.mutable_ids()
     for v in seed.quiver.vertices:
         if v.label is not None:
             out.append(f"D{v.label.label()}")
             continue
-        poly = variables[v.id]
-        if id(poly) not in rendered:
-            rendered[id(poly)] = str(poly).replace("[", "D").replace("]", "")
-        out.append(rendered[id(poly)])
+        g = seed.g_vectors[ids.index(v.id)]
+        if g not in rendered:
+            rendered[g] = str(graph.expansions[g]).replace("[", "D").replace("]", "")
+        out.append(rendered[g])
     return out
 
 
@@ -202,8 +199,8 @@ def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     if args.fmt == "dot":
         emit(seed.quiver.to_dot(), args)
         return 0
-    seeds, complete = mutation_class(seed, limit=args.limit)
-    rendered: dict[int, str] = {}
+    graph = seeds, complete, _, _ = exchange_graph(seed, limit=args.limit)
+    rendered: dict[tuple[int, ...], str] = {}
     if args.fmt == "json":
         data = {
             "complete": complete,
@@ -211,7 +208,7 @@ def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
             "seeds": [
                 {
                     "pure": member.is_pure_pluecker(),
-                    "cluster": pretty_cluster(member, rendered),
+                    "cluster": pretty_cluster(member, graph, rendered),
                     "seed": member.to_json(),
                 }
                 for member in seeds
@@ -222,7 +219,7 @@ def cmd_seeds(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     lines = [f"{len(seeds)} seeds" + ("" if complete else " (partial: --limit reached)")]
     for idx, member in enumerate(seeds):
         tag = "pure" if member.is_pure_pluecker() else "mixed"
-        lines.append(f"seed {idx} [{tag}]  {'  '.join(pretty_cluster(member, rendered))}")
+        lines.append(f"seed {idx} [{tag}]  {'  '.join(pretty_cluster(member, graph, rendered))}")
     emit("\n".join(lines), args)
     return 0
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import add, itemgetter, lt, neg, sub
-from typing import Callable, Hashable, Iterable, Mapping, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
 from positroids.combinatorics import KSet, ValidationError, masks_cross
 
@@ -508,11 +508,22 @@ def closure(
 SEEDS_LIMIT = 1000
 
 
-def exchange_graph(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool, list[list[int]]]:
+class ExchangeGraph(NamedTuple):
+    """A seed's mutation class: :func:`closure`'s members, completeness and neighbour
+    lists, and ``expansions``, in the order met, the one Laurent expansion per
+    mutable g-vector, the object that every seat with that g-vector holds."""
+
+    members: list[Seed]
+    complete: bool
+    neighbours: list[list[int]]
+    expansions: dict[tuple[int, ...], LaurentPoly]
+
+
+def exchange_graph(seed: Seed, limit: int | None = None) -> ExchangeGraph:
     """:func:`closure` of a seed under mutation at each of its ``mutable_ids``, in order, keyed
     by the g-vectors with the one :func:`_g_column` replaced; only a new key is built, by a full
     :func:`_tropical_step`.  Distinct cluster variables have distinct g-vectors (Fomin-Zelevinsky
-    IV), so the class keeps one expansion per g-vector, which its seeds share."""
+    IV), so the g-vector names a variable: the class divides once per g-vector."""
     expansions = {g: seed.variable(v) for g, v in zip(seed.g_vectors, seed.quiver.mutable_ids())}
 
     def moves(s: Seed):
@@ -521,11 +532,12 @@ def exchange_graph(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bo
             key = frozenset((*s.g_vectors[:k], g, *s.g_vectors[k + 1 :]))
             yield key, lambda v=v: _mutate(s, v, _tropical_step(s, v), expansions)
 
-    return closure(seed, moves, Seed.key, limit)
+    return ExchangeGraph(*closure(seed, moves, Seed.key, limit), expansions)
 
 
 def mutation_class(seed: Seed, limit: int | None = None) -> tuple[list[Seed], bool]:
-    """(members, complete) of :func:`exchange_graph`, without its neighbour lists."""
+    """(members, complete) of :func:`exchange_graph`; its readers that need the
+    neighbours or the expansions take the graph itself."""
     return exchange_graph(seed, limit)[:2]
 
 

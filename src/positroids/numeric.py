@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .cluster import SEEDS_LIMIT, LaurentPoly, Seed, exchange_graph
+from .cluster import SEEDS_LIMIT, ExchangeGraph, Seed, exchange_graph
 from .combinatorics import (
     DimensionError,
     GrassmannNecklace,
@@ -47,7 +47,6 @@ __all__ = [
     "sample_cell_point",
     "sample_generic_matrix",
     "gauge_rescale",
-    "corrupt_seed",
     "verify_identities",
 ]
 
@@ -496,10 +495,10 @@ def sample_generic_matrix(k: int, n: int, rng: random.Random) -> RationalMatrix:
 # identity verification
 
 
-def _exchange_identities(seed: Seed) -> tuple[list[Seed], list[tuple[str, int, int, int, int]]]:
-    # the mutation class, and (name, member, pivot, neighbour, vertex of x') per (member,
+def _exchange_identities(seed: Seed) -> tuple[ExchangeGraph, list[tuple[str, int, int, int, int]]]:
+    # the exchange graph, and (name, member, pivot, neighbour, vertex of x') per (member,
     # mutable vertex); mutation is an involution, so x' sits at the one vertex whose move leads back
-    members, complete, neighbours = exchange_graph(seed, SEEDS_LIMIT)
+    graph = members, complete, neighbours, _ = exchange_graph(seed, SEEDS_LIMIT)
     if not complete:
         raise ValidationError(f"mutation class exceeded the limit {SEEDS_LIMIT}")
     out = []
@@ -509,7 +508,7 @@ def _exchange_identities(seed: Seed) -> tuple[list[Seed], list[tuple[str, int, i
             pivot = member.quiver.vertex(vid).label
             name = pivot.label() if pivot is not None else f"v{vid}"
             out.append((f"exchange:{name}@{idx}", idx, vid, target, new))
-    return members, out
+    return graph, out
 
 
 def _minor_identities(
@@ -575,16 +574,6 @@ def _entry(name: str, checks: Iterable[tuple[str, object, object]], show=lambda 
     return entry
 
 
-def corrupt_seed(seed: Seed, vid: int) -> Seed:
-    """The negative control that ``verify_identities(..., corrupt=True)``
-    applies: ``seed`` with 1 added to the variable at ``vid`` and that
-    vertex's label dropped, since the direct-minor route would otherwise
-    bypass the broken variable."""
-    variables = tuple((v, poly + LaurentPoly.const(1) if v == vid else poly) for v, poly in seed.variables)
-    vertices = tuple(replace(v, label=None) if v.id == vid else v for v in seed.quiver.vertices)
-    return replace(seed, quiver=replace(seed.quiver, vertices=vertices), variables=variables)
-
-
 def verify_identities(
     necklace: GrassmannNecklace,
     seed: Seed,
@@ -596,14 +585,14 @@ def verify_identities(
 
     Checks, in order: every exchange relation of every seed that
     :func:`exchange_graph` returns on every generic matrix (labels evaluated
-    as minors, unlabeled variables through their Laurent expansions, which
-    ties the two routes); the restricted two-term identities on every cell
-    point, which include the k=2 generator decompositions; and the exact
-    vanishing profile of every cell point.  Seats with one label, or one
-    unlabeled Laurent polynomial, share one list of values.  ``corrupt`` is
-    a negative control: the first exchange reads x' from :func:`corrupt_seed`
-    of the member holding it, so the broken value still goes through the
-    shared table; that entry gains ":corrupted" and must fail.
+    as minors, unlabeled variables through the graph's Laurent expansions,
+    which ties the two routes); the restricted two-term identities on every
+    cell point, which include the k=2 generator decompositions; and the exact
+    vanishing profile of every cell point.  Seats with one label, or unlabeled
+    seats with one g-vector, which names the variable, share one list of
+    values.  ``corrupt`` is a negative control: the first exchange reads its
+    x' values plus 1, outside the shared table, so no other entry sees them;
+    that entry gains ":corrupted" and must fail.
     Exchange relations are checked on ints: at the minors of a generic matrix's
     integer rows, its ``scaled_minors``, every cluster variable, in Z[x_ij], is
     an int.  A rational matrix is so checked at that rescaling; the relations
@@ -617,31 +606,33 @@ def verify_identities(
     n, k = necklace.n, necklace.k
     if any((m.k, m.n) != (k, n) for m in (*generic, *(point.matrix for point in points))):
         raise DimensionError(f"generic matrices and cell points must be {k} x {n} matrices")
-    members, exchanges = _exchange_identities(seed)
+    graph, exchanges = _exchange_identities(seed)
+    members = graph.members
     if corrupt and not exchanges:
         raise ValidationError("the negative control needs an exchange relation; this cell has none")
 
     minors = [matrix.scaled_minors[0] for matrix in generic]
     assignments = [{lab.label(): dets.get(lab.elements, 0) for lab in initial_labels} for dets in minors]
-    shared: dict[KSet | LaurentPoly, list[int | Fraction]] = {}
+    shared: dict[KSet | tuple[int, ...], list[int | Fraction]] = {}
 
     def value(member: Seed, vid: int) -> list[int | Fraction]:
-        # a label reads its minors, an unlabeled variable its Laurent expansion, an int when integral
+        # a label reads its minors, an unlabeled seat its g-vector's expansion, an int when integral
         label = member.quiver.vertex(vid).label
-        key = label if label is not None else member.variable(vid)
+        key = label if label is not None else member.g_vectors[member.quiver.mutable_ids().index(vid)]
         if key not in shared:
             if label is not None:
                 shared[key] = [dets.get(label.elements, 0) for dets in minors]
             else:
-                shared[key] = [v.numerator if v.denominator == 1 else v for v in map(key.evaluate, assignments)]
+                values = map(graph.expansions[key].evaluate, assignments)
+                shared[key] = [v.numerator if v.denominator == 1 else v for v in values]
         return shared[key]
 
     identities = []
     for pos, (name, idx, vid, target, new) in enumerate(exchanges):
-        holder = members[target]
+        new_values = value(members[target], new)
         if corrupt and pos == 0:
-            name, holder = f"{name}:corrupted", corrupt_seed(holder, new)
-        identities.append(_entry(name, _exchange_checks(members[idx], vid, value, value(holder, new)), show=str))
+            name, new_values = f"{name}:corrupted", [v + 1 for v in new_values]
+        identities.append(_entry(name, _exchange_checks(members[idx], vid, value, new_values), show=str))
 
     # the labels below are k-subsets of [n], read straight from the tables
     tables = [point.matrix.scaled_minors for point in points]

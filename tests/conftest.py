@@ -7,6 +7,7 @@ against that file so regressions show up as diffs, not silent drift.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -23,6 +24,7 @@ from positroids import (
     DecoratedPermutation,
     GrassmannNecklace,
     KSet,
+    LaurentPoly,
     PlabicGraph,
     bridge_graph_from_permutation,
     connected_components,
@@ -576,16 +578,27 @@ def reference_exchange_checks(seed, vid, values, new_values):
         yield f"generic:{pidx}", here[vid] * new_value, rhs
 
 
+def corrupt_seed(seed, vid: int):
+    """``seed`` with 1 added to the variable at ``vid`` and that vertex's label
+    dropped, so that a route reading labels as minors still reads the broken
+    variable; its C- and G-matrices are kept."""
+    variables = tuple((v, poly + LaurentPoly.const(1) if v == vid else poly) for v, poly in seed.variables)
+    vertices = tuple(dataclasses.replace(v, label=None) if v.id == vid else v for v in seed.quiver.vertices)
+    quiver = dataclasses.replace(seed.quiver, vertices=vertices)
+    return dataclasses.replace(seed, quiver=quiver, variables=variables)
+
+
 def reference_verify_identities(necklace, seed, points, generic, corrupt=False) -> dict:
     """``verify_identities`` by the per-seat route that shared values
     replaced: every variable of every member evaluated once per generic
     matrix, and the corrupted member appended to the class for the first
     exchange to read.  The cell-point entries, which both routes share, come
     from ``verify_identities`` on no generic matrix."""
-    members, exchanges = numeric._exchange_identities(seed)
+    graph, exchanges = numeric._exchange_identities(seed)
+    members = graph.members
     if corrupt:
         name, idx, vid, target, new = exchanges[0]
-        members = [*members, numeric.corrupt_seed(members[target], new)]
+        members = [*members, corrupt_seed(members[target], new)]
         exchanges[0] = (f"{name}:corrupted", idx, vid, len(members) - 1, new)
     labels = [v.label for v in seed.quiver.vertices]
     assignments = [numeric.minor_assignment(matrix, labels) for matrix in generic]

@@ -664,7 +664,7 @@ def test_exchange_graph_is_an_involution_on_snapshot_cells(name, sigma):
     # mutating twice at one vertex returns the seed, so each move of member i
     # reaches another member t, and exactly one move of t leads back to i
     start = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
-    members, complete, neighbours = exchange_graph(start)
+    members, complete, neighbours, _ = exchange_graph(start)
     assert complete and len(members) == len(neighbours) == SNAPSHOTS["seed_closures"][name]
     for i, row in enumerate(neighbours):
         assert len(row) == len(members[i].quiver.mutable_ids())
@@ -799,6 +799,8 @@ def test_g_vectors_name_the_variables_of_the_reference_class(name, sigma):
             gs.setdefault(seed.variable(vid), set()).add(g)
     assert all(len(p) == 1 for p in polys.values()) and all(len(g) == 1 for g in gs.values())
     assert len(polys) == len(gs) == roots + rank
+    # the class's shared table is that map, entry for entry in the order met
+    assert list(exchange_graph(start).expansions.items()) == [(g, p) for g, (p,) in polys.items()]
 
 
 # --- square-move detection on seeds ------------------------------------

@@ -36,7 +36,6 @@ from positroids.cm import k2_generator_decomposition
 from positroids.combinatorics import DimensionError, ValidationError, three_term
 from positroids.numeric import (
     ConstructionError,
-    corrupt_seed,
     minor_assignment,
     pluecker_table,
     sample_generic_matrix,
@@ -44,6 +43,7 @@ from positroids.numeric import (
 
 from conftest import (
     SNAPSHOTS,
+    corrupt_seed,
     decorated_permutations,
     k2_permutations,
     ks,
@@ -610,7 +610,7 @@ def test_cluster_variables_are_ints_at_integer_matrices(name, sigma):
     # the cluster algebra lies in Z[x_ij]: Laurent coefficients are integers
     # and a maximal minor's coefficients are +-1, so Gauss's lemma applies
     seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
-    members, complete, _ = cluster.exchange_graph(seed, cluster.SEEDS_LIMIT)
+    members, complete, _, _ = cluster.exchange_graph(seed, cluster.SEEDS_LIMIT)
     assert complete and len(members) == SNAPSHOTS["seed_closures"][name]
     variables = {poly for member in members for _, poly in member.variables}
     labels = [v.label for v in seed.quiver.vertices]
@@ -805,7 +805,7 @@ def two_pass_exchanges(seed):
 def test_exchange_sweep_matches_the_two_pass_reference(sigma):
     # the neighbour found by key holds the variable that mutation divides out
     seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
-    members, exchanges = numeric._exchange_identities(seed)
+    (members, *_), exchanges = numeric._exchange_identities(seed)
     swept = [
         (name, vid, members[idx].key(), members[target].key(), members[target].variable(new))
         for name, idx, vid, target, new in exchanges
@@ -835,7 +835,7 @@ def tropical_exchanges(seed):
 def test_facet_neighbours_match_the_tropical_route_on_snapshot_cells(name, sigma):
     assert "_tropical_step" not in vars(numeric)
     seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(sigma)))
-    members, exchanges = numeric._exchange_identities(seed)
+    (members, *_), exchanges = numeric._exchange_identities(seed)
     reference_members, reference = tropical_exchanges(seed)
     assert len(members) == SNAPSHOTS["seed_closures"][name]
     assert [m.key() for m in members] == [m.key() for m in reference_members]
@@ -849,7 +849,7 @@ def test_exchange_sweep_leaves_the_seed_key_to_cluster(monkeypatch):
     key = cluster.Seed.key
     monkeypatch.setattr(cluster.Seed, "key", lambda seed: calls.append(seed) or key(seed))
     seed = initial_seed(quiver_from_graph(bridge_graph_from_permutation(uniform_perm(3, 6))))
-    members, exchanges = numeric._exchange_identities(seed)
+    (members, *_), exchanges = numeric._exchange_identities(seed)
     assert len(members) == 50 and len(exchanges) == 200
     assert calls == [seed]
 
@@ -907,8 +907,8 @@ def test_shared_values_match_the_per_seat_reference_on_snapshot_cells(name, sigm
 
     def exchange_graph(seed, limit):
         # both routes read one mutation class per cell, each from its own list
-        members, complete, neighbours = once(seed, limit)
-        return list(members), complete, neighbours
+        graph = once(seed, limit)
+        return graph._replace(members=list(graph.members))
 
     monkeypatch.setattr(numeric, "exchange_graph", exchange_graph)
     g = bridge_graph_from_permutation(sigma)
@@ -927,25 +927,31 @@ def test_shared_values_match_the_per_seat_reference_on_snapshot_cells(name, sigm
 
 
 def test_verify_checks_the_seeds_of_the_mutation_class(monkeypatch):
-    # perturb one unlabeled variable of a non-initial member: exactly the
-    # exchanges that read it fail, as x, as a neighbour of x, or as x'
+    # perturb the expansion of the g-vector of one unlabeled seat of a
+    # non-initial member: exactly the exchanges that read an unlabeled seat
+    # with that g-vector fail, as x, as a neighbour of x, or as x'
     sigma = uniform_perm(3, 6)
     g = bridge_graph_from_permutation(sigma)
     seed = initial_seed(quiver_from_graph(g))
     clean, exchanges = numeric._exchange_identities(seed)
-    idx, vid = next(
-        (i, v.id) for i, member in enumerate(clean[1:], 1) for v in member.quiver.vertices if v.label is None
+
+    def g_vector(member, vid):
+        # the g-vector of an unlabeled seat, None at a labelled one
+        if member.quiver.vertex(vid).label is None:
+            return member.g_vectors[member.quiver.mutable_ids().index(vid)]
+
+    perturbed = next(
+        g_vector(member, v.id) for member in clean.members[1:] for v in member.quiver.vertices if v.label is None
     )
-    quiver = clean[idx].quiver
-    reads = {
-        name
-        for name, member, pivot, target, new in exchanges
-        if (member == idx and vid in (pivot, *(w for w, _ in quiver.arrows_in(pivot) + quiver.arrows_out(pivot))))
-        or (target, new) == (idx, vid)
-    }
-    perturbed = clean[:idx] + [corrupt_seed(clean[idx], vid)] + clean[idx + 1 :]
-    neighbours = numeric.exchange_graph(seed, cluster.SEEDS_LIMIT)[2]
-    monkeypatch.setattr(numeric, "exchange_graph", lambda start, limit: (perturbed, True, neighbours))
+    reads = set()
+    for name, idx, pivot, target, new in exchanges:
+        quiver = clean.members[idx].quiver
+        seats = (pivot, *(w for w, _ in quiver.arrows_in(pivot) + quiver.arrows_out(pivot)))
+        if perturbed in [g_vector(clean.members[idx], w) for w in seats] + [g_vector(clean.members[target], new)]:
+            reads.add(name)
+    expansions = dict(clean.expansions)
+    expansions[perturbed] += LaurentPoly.const(1)
+    monkeypatch.setattr(numeric, "exchange_graph", lambda start, limit: clean._replace(expansions=expansions))
     report = verify_identities(
         necklace_from_permutation(sigma),
         seed,
@@ -985,8 +991,8 @@ def test_the_verify_path_builds_no_fraction_rows():
 
 
 def test_verify_hashes_no_fraction(monkeypatch):
-    # cluster variables carry int coefficients, so keying the shared value
-    # table by variable hashes no Fraction
+    # the shared value table is keyed by labels and int g-vectors, so it
+    # hashes no Fraction
     sigma = uniform_perm(3, 6)
     g = bridge_graph_from_permutation(sigma)
     points = tuple(sample_cell_point(g, rng_seed=s) for s in range(3))
