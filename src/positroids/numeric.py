@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 
-# Graphs kept cached (network, positroid), and shapes (n, k) (three-term table).  Callers
-# sample one graph at a time, so a small bound keeps every hit and long runs stay flat.
+# Graphs kept cached (one network each, positroid included) and shapes (n, k) (three-term table).
+# Callers sample one graph at a time, so a small bound keeps every hit and long runs stay flat.
 GRAPH_CACHE_SIZE = 16
 
 # The default edge weights a / b with 1 <= a, b <= 9, drawn by index.
@@ -92,8 +92,9 @@ class RationalMatrix:
         return tuple(tuple(Fraction(a, d) for a in row) for row, d in zip(self.numerators, self.denominators))
 
     @cached_property
-    def scaled_minors(self) -> tuple[dict[tuple[int, ...], int], int]:
-        """:func:`_scaled_table`, built on first use, once per matrix; read only."""
+    def scaled_minors(self) -> tuple[dict[int, int], int]:
+        """:func:`_scaled_table`, keyed by column mask (:attr:`KSet.mask`), built on
+        first use, once per matrix; read only."""
         return _scaled_table(self)
 
     def to_json(self) -> list[list[str]]:
@@ -109,16 +110,16 @@ def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
     the entry it reads.
     """
     dets, scale = matrix.scaled_minors
-    return {s.elements: Fraction(dets.get(s.elements, 0), scale) for s in k_subsets(matrix.n, matrix.k)}
+    return {s.elements: Fraction(dets.get(s.mask, 0), scale) for s in k_subsets(matrix.n, matrix.k)}
 
 
-def _scaled_table(matrix: RationalMatrix) -> tuple[dict[tuple[int, ...], int], int]:
+def _scaled_table(matrix: RationalMatrix) -> tuple[dict[int, int], int]:
     """(dets, scale): the nonzero maximal minors times ``scale`` as ints, keyed
-    by sorted column tuple.  The minors are read from the integer rows, and
-    ``scale`` > 0 is the product of the row denominators, so signs and zeros
-    are kept.  The nonzero minors of the first r rows, keyed by column bit mask,
-    come from those of the first r - 1 by Laplace expansion along row r: about
-    sum_r r * C(n, r) integer products; keys become column tuples at the end."""
+    by column bit mask, bit j for column j.  The minors are read from the
+    integer rows, and ``scale`` > 0 is the product of the row denominators, so
+    signs and zeros are kept.  The nonzero minors of the first r rows come from
+    those of the first r - 1 by Laplace expansion along row r: about
+    sum_r r * C(n, r) integer products."""
     level: dict[int, int] = {0: 1}
     for row in matrix.numerators:
         entries = [(1 << j, a) for j, a in enumerate(row, 1) if a]
@@ -129,13 +130,7 @@ def _scaled_table(matrix: RationalMatrix) -> tuple[dict[tuple[int, ...], int], i
                     term = -a * det if (cols & -bit).bit_count() & 1 else a * det
                     grown[cols | bit] = grown.get(cols | bit, 0) + term
         level = {cols: det for cols, det in grown.items() if det}
-    for cols in level.keys() - _COLUMNS.keys():
-        _COLUMNS[cols] = tuple(j for j in range(cols.bit_length()) if cols >> j & 1)
-    return {_COLUMNS[cols]: det for cols, det in level.items()}, math.prod(matrix.denominators)
-
-
-# column bit mask -> sorted column tuple, filled as tables meet masks (at most 2 ** n of them)
-_COLUMNS: dict[int, tuple[int, ...]] = {}
+    return level, math.prod(matrix.denominators)
 
 
 def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
@@ -153,7 +148,7 @@ def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
     if columns.n != matrix.n:
         raise DimensionError(f"matrix has {matrix.n} columns, label lives on [{columns.n}]")
     dets, scale = matrix.scaled_minors
-    return Fraction(dets.get(columns.elements, 0), scale)
+    return Fraction(dets.get(columns.mask, 0), scale)
 
 
 def pluecker_relation_check(
@@ -188,26 +183,23 @@ class _Network(NamedTuple):
     """A graph's perfect orientation as sorted (edge id, (tail, head)) pairs, its
     boundary sources and the path-sum plan over the topological order that accepted
     it: ``arcs[i]``, the (head position, edge id) arcs out of position i; ``rows``,
-    per source its position and (column index, position, sign bit) per sink."""
+    per source its position and (column index, position, sign bit) per sink.
+    ``members`` holds the column masks of the positroid of the graph's trip
+    permutation, which anchors the sampler's vanishing check."""
 
     orientation: tuple[tuple[int, tuple[int, int]], ...]
     sources: KSet
     arcs: tuple[tuple[tuple[int, int], ...], ...]
     rows: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
-
-
-def _oriented(graph: PlabicGraph) -> _Network:
-    network = _network(graph)
-    if network is None:
-        raise ConstructionError("graph admits no acyclic perfect orientation")
-    return network
+    members: frozenset[int]
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _network(graph: PlabicGraph) -> _Network | None:
+def _network(graph: PlabicGraph) -> _Network:
     """An acyclic orientation with one outgoing edge per internal black vertex
     and one incoming edge per internal white vertex, as edge id -> (tail, head)
-    pairs in a :class:`_Network`; None when the graph admits none.
+    pairs in a :class:`_Network`, with the positroid of the graph's trip
+    permutation; ConstructionError when the graph admits no such orientation.
 
     Found by backtracking over the distinguished edge of each internal vertex
     (the outgoing one at black, the incoming one at white) with unit
@@ -284,31 +276,35 @@ def _network(graph: PlabicGraph) -> _Network | None:
             directed[eid] = (w, x) if out_of_w else (x, w)
         return directed
 
-    def search() -> _Network | None:
+    def search() -> tuple[dict[int, tuple[int, int]], list[int]] | None:
         free = [v for v in internal if v not in chosen]
         if not free:
             directed = orientation_of(chosen)
             order = _topological_order(rot, directed.values())
-            if order is None:
-                return None
-            return _plan(sorted(directed.items()), order, [b for b in range(1, n + 1) if directed[rot[b][0]][0] == b], n)
+            return None if order is None else (directed, order)
         v = min(free, key=lambda x: len(domains[x]))
         for eid in sorted(domains[v]):
             trail: list[tuple[str, int, int]] = []
-            if assign(v, eid, trail) and (network := search()) is not None:
-                return network
+            if assign(v, eid, trail) and (found := search()) is not None:
+                return found
             undo(trail, 0)
         return None
 
     # degree-1 internal vertices are forced immediately
     trail0: list[tuple[str, int, int]] = []
-    for v in internal:
-        if len(incident[v]) == 1 and not force(v, incident[v][0], trail0):
-            return None
-    return search()
+    found = all(len(incident[v]) != 1 or force(v, incident[v][0], trail0) for v in internal) and search()
+    if not found:
+        raise ConstructionError("graph admits no acyclic perfect orientation")
+    directed, order = found
+    sources = [b for b in range(1, n + 1) if directed[rot[b][0]][0] == b]
+    positroid = positroid_members(necklace_from_permutation(trip_permutation(graph)))
+    return _plan(sorted(directed.items()), order, sources, n, frozenset(s.mask for s in positroid.members))
 
 
-def _plan(orientation: list[tuple[int, tuple[int, int]]], order: list[int], sources: list[int], n: int) -> _Network:
+def _plan(
+    orientation: list[tuple[int, tuple[int, int]]], order: list[int], sources: list[int], n: int,
+    members: frozenset[int],
+) -> _Network:
     position = {v: i for i, v in enumerate(order)}
     arcs: list[list[tuple[int, int]]] = [[] for _ in order]
     for eid, (tail, head) in orientation:
@@ -321,7 +317,7 @@ def _plan(orientation: list[tuple[int, tuple[int, int]]], order: list[int], sour
         (position[s], tuple((j - 1, position[j], (i + before[j - 1] + (s < j)) & 1) for j in sinks))
         for i, s in enumerate(sources)
     )
-    return _Network(tuple(orientation), KSet(tuple(sources), n), tuple(map(tuple, arcs)), rows)
+    return _Network(tuple(orientation), KSet(tuple(sources), n), tuple(map(tuple, arcs)), rows, members)
 
 
 def _topological_order(
@@ -362,11 +358,11 @@ class CellPoint:
 
     @property
     def orientation(self) -> tuple[tuple[int, tuple[int, int]], ...]:
-        return _oriented(self.graph).orientation
+        return _network(self.graph).orientation
 
     @property
     def sources(self) -> KSet:
-        return _oriented(self.graph).sources
+        return _network(self.graph).sources
 
     def weight_map(self) -> dict[int, Fraction]:
         return dict(self.weights)
@@ -379,15 +375,8 @@ class CellPoint:
         }
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _graph_positroid(graph: PlabicGraph) -> frozenset[tuple[int, ...]]:
-    """Column tuples of the positroid of the graph's trip permutation."""
-    necklace = necklace_from_permutation(trip_permutation(graph))
-    return frozenset(lab.elements for lab in positroid_members(necklace).members)
-
-
 def _measurement_matrix(graph: PlabicGraph, weights: Mapping[int, Fraction]) -> RationalMatrix:
-    network = _oriented(graph)
+    network = _network(graph)
     arcs = [[(w, weights[eid].numerator, weights[eid].denominator) for w, eid in out] for out in network.arcs]
     numerators, denominators = [], []
     for s, (start, sinks) in zip(network.sources, network.rows):
@@ -436,18 +425,19 @@ def sample_cell_point(
         weights = dict(weights)
         if set(weights) != set(range(len(graph.edges))):
             raise ValidationError("need one weight per edge id")
-        if any(w <= 0 for w in weights.values()):
-            raise ValidationError("weights must be positive")
+        if any(type(w) not in (int, Fraction) or w <= 0 for w in weights.values()):
+            raise ValidationError("weights must be positive ints or Fractions")
     matrix = _measurement_matrix(graph, weights)
 
-    members = _graph_positroid(graph)
+    members = _network(graph).members
     dets, _ = matrix.scaled_minors
     if dets.keys() != members or any(det < 0 for det in dets.values()):
-        for cols, value in pluecker_table(matrix).items():
-            if cols in members and value <= 0:
-                raise ConstructionError(f"minor {KSet(cols, matrix.n)} should be positive, got {value}")
-            if cols not in members and value != 0:
-                raise ConstructionError(f"minor {KSet(cols, matrix.n)} should vanish, got {value}")
+        for s in k_subsets(matrix.n, matrix.k):
+            value = minor(matrix, s)
+            if s.mask in members and value <= 0:
+                raise ConstructionError(f"minor {s} should be positive, got {value}")
+            if s.mask not in members and value != 0:
+                raise ConstructionError(f"minor {s} should vanish, got {value}")
     return CellPoint(matrix, tuple(sorted(weights.items())), graph)
 
 
@@ -458,9 +448,9 @@ def gauge_rescale(point: CellPoint, vertex: int, factor: Fraction) -> CellPoint:
     Every source-to-sink path through the vertex picks up both factors, so
     the measurement matrix, and hence every minor, is unchanged.
     """
+    if type(factor) not in (int, Fraction) or factor <= 0:
+        raise ValidationError("gauge factor must be a positive int or Fraction")
     factor = Fraction(factor)
-    if factor <= 0:
-        raise ValidationError("gauge factor must be positive")
     if vertex <= point.graph.boundary or vertex not in point.graph.rotation_map:
         raise ValidationError(f"{vertex} is not an internal vertex")
     directed = dict(point.orientation)
@@ -526,9 +516,9 @@ def _minor_identities(
     one of the two reroutings lies in the positroid, so the relation through
     label * J keeps two of its three products.
     """
-    n, columns, out = necklace.n, {s.elements for s in members}, []
+    n, columns, out = necklace.n, {s.mask for s in members}, []
     for relation in _three_term_table(n, necklace.k):
-        alive = [(KSet(x, n), KSet(y, n)) for x, y in relation if x in columns and y in columns]
+        alive = [(KSet.from_mask(x, n), KSet.from_mask(y, n)) for x, y in relation if x in columns and y in columns]
         if 0 < len(alive) < len(relation):
             name = "=".join(f"{x.label()}*{y.label()}" for x, y in alive)
             out.append((f"restricted:{name}", alive[0], tuple(alive[1:])))
@@ -536,21 +526,21 @@ def _minor_identities(
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _three_term_table(n: int, k: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
+def _three_term_table(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Every three-term relation through a (k-2)-core of [n]: its three products
-    in :func:`three_term` order, each a pair of column tuples."""
+    in :func:`three_term` order, each a pair of column masks."""
     if k < 2:  # no quadruple fits around a (k-2)-core
         return ()
     ground = range(1, n + 1)
     return tuple(
-        tuple((x.elements, y.elements) for x, y in three_term(core, *quad, n))
+        tuple((x.mask, y.mask) for x, y in three_term(core, *quad, n))
         for core in itertools.combinations(ground, k - 2)
         for quad in itertools.combinations([x for x in ground if x not in core], 4)
     )
 
 
-def _product(dets: Mapping[tuple[int, ...], int], pair: tuple[KSet, KSet]) -> int:
-    return dets.get(pair[0].elements, 0) * dets.get(pair[1].elements, 0)
+def _product(dets: Mapping[int, int], pair: tuple[KSet, KSet]) -> int:
+    return dets.get(pair[0].mask, 0) * dets.get(pair[1].mask, 0)
 
 
 def _exchange_checks(
@@ -612,7 +602,7 @@ def verify_identities(
         raise ValidationError("the negative control needs an exchange relation; this cell has none")
 
     minors = [matrix.scaled_minors[0] for matrix in generic]
-    assignments = [{lab.label(): dets.get(lab.elements, 0) for lab in initial_labels} for dets in minors]
+    assignments = [{lab.label(): dets.get(lab.mask, 0) for lab in initial_labels} for dets in minors]
     shared: dict[KSet | tuple[int, ...], list[int | Fraction]] = {}
 
     def value(member: Seed, vid: int) -> list[int | Fraction]:
@@ -621,7 +611,7 @@ def verify_identities(
         key = label if label is not None else member.g_vectors[member.quiver.mutable_ids().index(vid)]
         if key not in shared:
             if label is not None:
-                shared[key] = [dets.get(label.elements, 0) for dets in minors]
+                shared[key] = [dets.get(label.mask, 0) for dets in minors]
             else:
                 values = map(graph.expansions[key].evaluate, assignments)
                 shared[key] = [v.numerator if v.denominator == 1 else v for v in values]
@@ -645,11 +635,11 @@ def verify_identities(
         )
         identities.append(_entry(name, checks))
 
-    # the zero sets as column tuples; a KSet is built only to show a failure
-    every = set(itertools.combinations(range(1, n + 1), k))
-    expected = every.difference(s.elements for s in positroid.members)
+    # the zero sets as column masks; a KSet is built only to show a failure
+    every = set(map(sum, itertools.combinations([1 << j for j in range(1, n + 1)], k)))
+    expected = every.difference(s.mask for s in positroid.members)
     profiles = ((f"cell:{pidx}", every.difference(dets), expected) for pidx, (dets, _) in enumerate(tables))
     identities.append(
-        _entry("vanishing-profile", profiles, show=lambda sets: sorted(KSet(c, n).label() for c in sets))
+        _entry("vanishing-profile", profiles, show=lambda sets: sorted(KSet.from_mask(c, n).label() for c in sets))
     )
     return {"identities": identities, "passed": all(not e["failures"] for e in identities)}

@@ -57,6 +57,12 @@ from conftest import (
 )
 
 
+def mask_keyed(table):
+    # a reference table's column tuples as the column masks scaled_minors is keyed by
+    dets, scale = table
+    return {sum(1 << j for j in cols): det for cols, det in dets.items()}, scale
+
+
 def det_cofactor(rows):
     # slow but independent of the integer expansion behind minor()
     if not rows:
@@ -149,7 +155,7 @@ def test_integer_rows_match_the_fraction_rows_reference(m):
     # one form per matrix: each row over the lcm of its reduced denominators
     assert all(math.gcd(d, *row) == 1 for row, d in zip(m.numerators, m.denominators))
     assert RationalMatrix.of(m.rows, m.n) == m
-    assert m.scaled_minors == reference_scaled_table(m)
+    assert m.scaled_minors == mask_keyed(reference_scaled_table(m))
 
 
 def test_sampling_builds_each_table_once(monkeypatch, ex_135264):
@@ -174,7 +180,7 @@ def test_sampling_a_new_graph_analyses_no_faces_and_divides_no_minors(monkeypatc
     analysed = []
     label_faces = plabic._label_faces
     monkeypatch.setattr(plabic, "_label_faces", lambda *args: analysed.append(args) or label_faces(*args))
-    numeric._graph_positroid.cache_clear()
+    numeric._network.cache_clear()
     graph = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string("(14)(263):-"))
     point = sample_cell_point(graph, rng_seed=9)
     assert analysed == []
@@ -182,14 +188,15 @@ def test_sampling_a_new_graph_analyses_no_faces_and_divides_no_minors(monkeypatc
     assert "scaled_minors" in vars(point.matrix) and not hasattr(point.matrix, "minors")
     dets, scale = point.matrix.scaled_minors
     table = pluecker_table(point.matrix)
-    assert table == {c: Fraction(dets.get(c, 0), scale) for c in table}
+    assert table == {c: Fraction(dets.get(KSet(c, 6).mask, 0), scale) for c in table}
 
 
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_integer_vanishing_check_names_the_fraction_loops_offender(monkeypatch, ex_135264, change):
     graph = ex_135264["graph"]
     table = pluecker_table(sample_cell_point(graph, rng_seed=5).matrix)
-    members = numeric._graph_positroid(graph)
+    network = numeric._network(graph)
+    members = {cols for cols in table if KSet(cols, 6).mask in network.members}
     off = min(members) if change == "drop" else min(set(table) - members)
     wrong = members - {off} if change == "drop" else members | {off}
     expected = None
@@ -201,7 +208,8 @@ def test_integer_vanishing_check_names_the_fraction_loops_offender(monkeypatch, 
         if expected:
             break
     assert ("should vanish" if change == "drop" else "should be positive") in expected
-    monkeypatch.setattr(numeric, "_graph_positroid", lambda g: wrong)
+    wrong_network = network._replace(members=frozenset(KSet(cols, 6).mask for cols in wrong))
+    monkeypatch.setattr(numeric, "_network", lambda g: wrong_network)
     with pytest.raises(ConstructionError) as caught:
         sample_cell_point(graph, rng_seed=5)
     assert str(caught.value) == expected
@@ -388,7 +396,7 @@ def test_perfect_orientations_exist_and_are_acyclic():
     for _ in range(40):
         sigma = random_decorated(rng, rng.randint(2, 8))
         g = bridge_graph_from_permutation(sigma)
-        directed = dict(numeric._oriented(g).orientation)
+        directed = dict(numeric._network(g).orientation)
         assert set(directed) == set(range(len(g.edges)))
         assert orientation_is_perfect(g, directed)
         assert acyclic(g, directed)
@@ -396,7 +404,7 @@ def test_perfect_orientations_exist_and_are_acyclic():
 
 def test_orientation_source_count_is_the_rank(ex_135264):
     g = ex_135264["graph"]
-    directed = dict(numeric._oriented(g).orientation)
+    directed = dict(numeric._network(g).orientation)
     point = sample_cell_point(g)
     assert point.sources.k == ex_135264["sigma"].k
     assert orientation_is_perfect(g, directed)
@@ -430,32 +438,61 @@ def test_graph_caches_stay_bounded():
     graphs = set()
     while len(graphs) < 2 * numeric.GRAPH_CACHE_SIZE + 3:
         graphs.add(bridge_graph_from_permutation(random_decorated(rng, rng.randint(4, 6))))
-    caches = (numeric._network, numeric._graph_positroid)
-    for cache in caches:
-        cache.cache_clear()
+    cache = numeric._network  # the one per-graph cache: orientation, plan and positroid
+    cache.cache_clear()
     for g in graphs:
-        hits = [cache.cache_info().hits for cache in caches]
+        info = cache.cache_info()
         sample_cell_point(g, rng_seed=1)
         sample_cell_point(g, rng_seed=2)
-        # the second draw on the same graph reuses both entries
-        assert [cache.cache_info().hits for cache in caches] == [h + 1 for h in hits]
-        assert all(cache.cache_info().currsize <= numeric.GRAPH_CACHE_SIZE for cache in caches)
-    assert all(cache.cache_info().currsize == numeric.GRAPH_CACHE_SIZE for cache in caches)
+        # each draw reads the network twice, once to measure and once to check;
+        # the first read on a new graph is the one miss
+        assert cache.cache_info()[:2] == (info.hits + 3, info.misses + 1)
+        assert cache.cache_info().currsize <= numeric.GRAPH_CACHE_SIZE
+    assert cache.cache_info().currsize == numeric.GRAPH_CACHE_SIZE
 
 
 def test_sampling_and_verify_reuse_the_callers_positroid():
     # the vanishing check and verify read the members the caller built: no second Gale filter
     sigma = DecoratedPermutation.from_cycle_string("(135)(264)")
-    numeric._graph_positroid.cache_clear()
+    numeric._network.cache_clear()
     necklace = necklace_from_permutation(sigma)
     positroid_members(necklace)
     filters = combinatorics._member_sets.cache_info().misses
     graph = bridge_graph_from_permutation(sigma)
     points = [sample_cell_point(graph, rng_seed=draw) for draw in range(3)]
-    assert numeric._graph_positroid.cache_info().misses == 1
+    assert numeric._network.cache_info().misses == 1
     generic = [sample_generic_matrix(3, 6, random.Random(0))]
     assert verify_identities(necklace, initial_seed(quiver_from_graph(graph)), points, generic)["passed"]
     assert combinatorics._member_sets.cache_info().misses == filters
+
+
+def test_minor_tables_are_mask_keyed_and_the_network_carries_the_positroid(monkeypatch):
+    rng = random.Random(71)
+    cells = ["(135)(264)", "(14)(263):-", "(1357)(2468)", "(1,13)(2,12)"]
+    graphs = [bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string(c)) for c in cells]
+    matrices = [sample_cell_point(g, rng_seed=3).matrix for g in graphs]
+    matrices += [sample_generic_matrix(k, n, rng) for k, n in ((1, 4), (3, 6), (4, 8), (2, 13))]
+    for m in matrices:
+        # each key is the int KSet.mask of its columns, holding that cofactor minor times the scale
+        dets, scale = m.scaled_minors
+        columns = itertools.combinations(range(1, m.n + 1), m.k)
+        minors = {KSet(cols, m.n): det_cofactor([[row[j - 1] for j in cols] for row in m.rows]) for cols in columns}
+        assert all(type(key) is int for key in dets)
+        assert dets == {s.mask: value * scale for s, value in minors.items() if value}
+    assert matrices[3].n == matrices[-1].n == 13
+    for g in graphs:
+        # the one cached network holds the masks of its trip permutation's positroid
+        necklace = necklace_from_permutation(plabic.trip_permutation(g))
+        assert numeric._network(g).members == {s.mask for s in positroid_members(necklace).members}
+    calls = []
+    trip = numeric.trip_permutation
+    monkeypatch.setattr(numeric, "trip_permutation", lambda g: calls.append(g) or trip(g))
+    sample_cell_point(graphs[0], rng_seed=4)
+    assert calls == []  # a cached graph reads its positroid from its network
+    numeric._network.cache_clear()
+    for draw in range(3):
+        sample_cell_point(graphs[1], rng_seed=draw)
+    assert calls == [graphs[1]]  # a new graph traces its trips once, on its one miss
 
 
 def test_resampling_a_graph_reuses_its_network(ex_135264, monkeypatch):
@@ -497,10 +534,11 @@ def test_explicit_weights_are_validated(ex_135264):
     assert point.weight_map() == good
     with pytest.raises(ValidationError):
         sample_cell_point(g, weights={0: Fraction(1)})
-    bad = dict(good)
-    bad[0] = Fraction(0)
-    with pytest.raises(ValidationError):
-        sample_cell_point(g, weights=bad)
+    assert sample_cell_point(g, weights=dict.fromkeys(good, 1)).matrix == point.matrix
+    # only exact positive rationals: a float, a str or a bool weight is refused, not coerced
+    for weight in (Fraction(0), -1, 1.5, "1", True):
+        with pytest.raises(ValidationError):
+            sample_cell_point(g, weights={**good, 0: weight})
 
 
 def test_cell_point_json_shape(ex_135264):
@@ -515,8 +553,10 @@ def test_gauge_rescaling_fixes_every_minor(ex_135264):
     moved = gauge_rescale(point, vertex, Fraction(7, 3))
     assert moved.matrix == point.matrix
     assert moved.weights != point.weights
-    with pytest.raises(ValidationError):
-        gauge_rescale(point, vertex, Fraction(0))
+    assert gauge_rescale(point, vertex, 3).matrix == point.matrix
+    for factor in (Fraction(0), 0.5, True, "3"):
+        with pytest.raises(ValidationError):
+            gauge_rescale(point, vertex, factor)
     with pytest.raises(ValidationError):
         gauge_rescale(point, 1, Fraction(2))  # boundary vertex
 
@@ -559,7 +599,7 @@ def test_integer_measurement_matches_the_fraction_loop():
         graph = bridge_graph_from_permutation(sigma)
         for rng_seed in (0, 17):
             point = sample_cell_point(graph, rng_seed=rng_seed)
-            assert point.matrix.scaled_minors == reference_scaled_table(point.matrix)
+            assert point.matrix.scaled_minors == mask_keyed(reference_scaled_table(point.matrix))
             assert point.matrix.rows == fraction_measurement_rows(point)
             assert RationalMatrix.of(point.matrix.rows, sigma.n) == point.matrix
     assert len(cells) == 2371 + 1611
