@@ -24,6 +24,7 @@ from .combinatorics import (
     ValidationError,
     alignments,
     connected_components,
+    in_positroid,
     k_subsets,
     necklace_from_permutation,
     positroid_members,
@@ -146,7 +147,7 @@ def cmd_positroid(sigma: DecoratedPermutation, args: argparse.Namespace) -> int:
     n, k = sigma.n, sigma.k
     rows = []
     for lab in k_subsets(n, k):
-        in_p = cm.in_cm_b(lab, necklace)
+        in_p = in_positroid(necklace, lab)
         rows.append(
             {
                 "set": lab.to_json(),

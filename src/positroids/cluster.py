@@ -326,6 +326,9 @@ class IceQuiver:
 
 
 def _mutated_arrows(quiver: IceQuiver, vid: int) -> tuple[tuple[int, int, int], ...]:
+    """Fomin-Zelevinsky mutation of the arrows at mutable ``vid``: arrows at it reverse,
+    each path i -> vid -> j adds p*q arrows i -> j after cancelling j -> i; frozen-frozen
+    arrows follow the same rule, so they stay recorded."""
     if quiver.vertex(vid).frozen:
         raise ValidationError(f"cannot mutate frozen vertex {vid}")
     net: dict[tuple[int, int], tuple[int, int, int]] = {}
@@ -339,16 +342,6 @@ def _mutated_arrows(quiver: IceQuiver, vid: int) -> tuple[tuple[int, int, int], 
                 arrow = (i, j, total) if total > 0 else (j, i, -total)
                 net[arrow[:2]] = arrow
     return tuple(net.values())
-
-
-def fz_mutate_quiver(quiver: IceQuiver, vid: int) -> IceQuiver:
-    """Fomin-Zelevinsky mutation at a mutable vertex k, applied to the arrows.
-
-    Every arrow at k is reversed.  Each path i -> k -> j of multiplicities p
-    and q adds p*q arrows i -> j, cancelling opposite arrows j -> i first;
-    arrows away from k are unchanged.  Frozen-frozen arrows follow the same
-    rule, so they stay recorded.  A frozen k raises ValidationError."""
-    return IceQuiver(quiver.vertices, _mutated_arrows(quiver, vid))
 
 
 @dataclass(frozen=True)
@@ -440,16 +433,9 @@ def _tropical_step(seed: Seed, vid: int) -> tuple[tuple[tuple[int, ...], ...], t
     return tuple(cs), tuple(gs)
 
 
-def mutate_seed(seed: Seed, vid: int) -> Seed:
-    """Mutation at a mutable vertex: exchange polynomial divided exactly by the
-    departing variable, on every call, and C- and G-matrices by one
-    :func:`_tropical_step`.  The vertex keeps a label only when the
-    mutation is a square move in the quiver; otherwise it becomes unlabeled."""
-    return _mutate(seed, vid, _tropical_step(seed, vid), {})
-
-
 def _mutate(seed: Seed, vid: int, step: tuple, expansions: dict[tuple[int, ...], LaurentPoly]) -> Seed:
-    # ``expansions`` maps g-vectors to variables: divide only for a g-vector it lacks
+    # ``expansions`` maps g-vectors to variables: divide only for a g-vector it lacks.
+    # The vertex keeps a label only for a square move or a variable that is one initial symbol.
     arrows = _mutated_arrows(seed.quiver, vid)
     g = step[1][seed.quiver.mutable_ids().index(vid)]
     if g not in expansions:

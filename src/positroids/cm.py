@@ -2,9 +2,11 @@
 
 Rank-one modules correspond to k-subsets; extensions between them vanish
 exactly when the subsets are noncrossing, so the interesting membership
-predicates (Cohen-Macaulay over the boundary order, Gorenstein-projective)
-reduce to Gale-order and chord tests.  Higher-rank indecomposables are out of
-scope here: they only show up implicitly, as non-Pluecker cluster variables.
+predicates reduce to Gale-order and chord tests: Cohen-Macaulay over the
+boundary order is exactly positroid membership (``in_positroid``), and
+Gorenstein-projective adds the chord test against the necklace.  Higher-rank
+indecomposables are out of scope here: they only show up implicitly, as
+non-Pluecker cluster variables.
 """
 
 from __future__ import annotations
@@ -19,14 +21,11 @@ from .combinatorics import (
     cyclically_ordered,
     in_positroid,
     masks_cross,
-    noncrossing,
     positroid_members,
     three_term,
 )
 
 __all__ = [
-    "ext1_vanishes",
-    "in_cm_b",
     "in_gp_b",
     "gp_b_rank_one_list",
     "is_cluster_tilting_collection",
@@ -35,31 +34,13 @@ __all__ = [
 ]
 
 
-def ext1_vanishes(i_set: KSet, j_set: KSet) -> bool:
-    """First extensions between two rank-one modules vanish iff the labels are
-    noncrossing.  Symmetric; every label is rigid against itself.
-
-    >>> ext1_vanishes(KSet.of([1, 3], 4), KSet.of([2, 4], 4))
-    False
-    """
-    if i_set.k != j_set.k:
-        raise DimensionError("rank-one labels must share k")
-    return noncrossing(i_set, j_set)
-
-
-def in_cm_b(label: KSet, necklace: GrassmannNecklace) -> bool:
-    """Cohen-Macaulay membership over the boundary order: exactly positroid
-    membership, i.e. I_i <=_i label for every i."""
-    return in_positroid(necklace, label)
-
-
 def in_gp_b(label: KSet, necklace: GrassmannNecklace) -> bool:
     """Gorenstein-projective membership at rank one.
 
     Requires positroid membership plus vanishing extensions against every
     summand of the boundary order, i.e. noncrossing with each necklace set.
     """
-    return in_cm_b(label, necklace) and _first_crossing(label, necklace) is None
+    return in_positroid(necklace, label) and _first_crossing(label, necklace) is None
 
 
 def _first_crossing(label: KSet, necklace: GrassmannNecklace) -> KSet | None:
@@ -95,7 +76,7 @@ def is_cluster_tilting_collection(labels, necklace: GrassmannNecklace) -> bool:
     if not set(necklace.sets) <= labels:
         return False
     for lab in labels:
-        if not in_cm_b(lab, necklace):
+        if not in_positroid(necklace, lab):
             return False
     masks = [lab.mask for lab in labels]
     if any(masks_cross(a, b) for a, b in itertools.combinations(masks, 2)):
@@ -166,7 +147,7 @@ def k2_generator_decomposition(
     """
     if label.k != 2:
         raise DimensionError("decomposition applies to k=2 only")
-    if not in_cm_b(label, necklace):
+    if not in_positroid(necklace, label):
         raise ValidationError(f"{label} is outside the positroid")
     crossing = _first_crossing(label, necklace)
     if crossing is None:

@@ -161,21 +161,6 @@ def three_term(
     )
 
 
-def shifted_leq(i: int, a: KSet, b: KSet) -> bool:
-    """Gale order at base point i: componentwise <=_i after sorting both by <_i.
-
-    >>> shifted_leq(1, KSet.of([1, 2, 4], 6), KSet.of([2, 4, 5], 6))
-    True
-    """
-    if a.n != b.n or a.k != b.k:
-        raise DimensionError(f"cannot compare {a} and {b} in the Gale order")
-    n = a.n
-    for x, y in zip(a.sorted_by(i), b.sorted_by(i)):
-        if cyclic_pos(i, x, n) > cyclic_pos(i, y, n):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class DecoratedPermutation:
     """A permutation of [n] with fixed points colored +1 or -1.

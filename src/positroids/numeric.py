@@ -28,7 +28,6 @@ from .combinatorics import (
     GrassmannNecklace,
     KSet,
     ValidationError,
-    cyclically_ordered,
     k_subsets,
     necklace_from_permutation,
     positroid_members,
@@ -41,12 +40,8 @@ __all__ = [
     "RationalMatrix",
     "CellPoint",
     "minor",
-    "pluecker_table",
-    "pluecker_relation_check",
-    "minor_assignment",
     "sample_cell_point",
     "sample_generic_matrix",
-    "gauge_rescale",
     "verify_identities",
 ]
 
@@ -76,7 +71,9 @@ class RationalMatrix:
 
     @classmethod
     def of(cls, rows: Sequence[Sequence], n: int | None = None) -> RationalMatrix:
-        data = [[Fraction(x) for x in row] for row in rows]
+        """Entries are ints, Fractions or strs that Fraction parses (the JSON form);
+        a float, a bool or any other entry raises ValidationError."""
+        data = [[_rational(x) for x in row] for row in rows]
         n = (len(data[0]) if data else 0) if n is None else n
         if any(len(row) != n for row in data):
             raise DimensionError(f"ragged rows: expected {n} entries per row")
@@ -101,16 +98,13 @@ class RationalMatrix:
         return [[str(x) for x in row] for row in self.rows]
 
 
-def pluecker_table(matrix: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
-    """Every maximal minor of ``matrix``, keyed by sorted 1-based column tuple.
-
-    Each entry of ``matrix.scaled_minors``, the one table kept per matrix,
-    divided by its scale: the canonical Fractions of exact elimination, and
-    ``{(): 1}`` on Gr(0, n).  Nothing is cached; :func:`minor` divides only
-    the entry it reads.
-    """
-    dets, scale = matrix.scaled_minors
-    return {s.elements: Fraction(dets.get(s.mask, 0), scale) for s in k_subsets(matrix.n, matrix.k)}
+def _rational(x: object) -> Fraction:
+    try:
+        if type(x) in (int, Fraction, str):
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValidationError(f"matrix entries must be ints, Fractions or rational strs, got {x!r}")
 
 
 def _scaled_table(matrix: RationalMatrix) -> tuple[dict[int, int], int]:
@@ -149,30 +143,6 @@ def minor(matrix: RationalMatrix, columns: KSet) -> Fraction:
         raise DimensionError(f"matrix has {matrix.n} columns, label lives on [{columns.n}]")
     dets, scale = matrix.scaled_minors
     return Fraction(dets.get(columns.mask, 0), scale)
-
-
-def pluecker_relation_check(
-    matrix: RationalMatrix, core: KSet, a: int, b: int, c: int, d: int
-) -> bool:
-    """Exact three-term relation among minors through a common (k-2)-set.
-
-    minor(Lac) * minor(Lbd) == minor(Lab) * minor(Lcd) + minor(Lad) * minor(Lbc)
-    for four entries outside the core L in cyclic order, either way round, so
-    that the chords {a,c} and {b,d} cross; other quadruples raise DimensionError.
-    """
-    quad = (a, b, c, d)
-    if len(set(quad)) != 4 or set(quad) & set(core.elements):
-        raise DimensionError("quadruple must be four distinct entries outside the core")
-    if not (cyclically_ordered(a, b, c, d, core.n) or cyclically_ordered(d, c, b, a, core.n)):
-        raise DimensionError(f"chords {{{a},{c}}} and {{{b},{d}}} do not cross")
-    pairs = three_term(core, a, b, c, d, core.n)
-    lhs, *rhs = (minor(matrix, p) * minor(matrix, q) for p, q in pairs)
-    return lhs == sum(rhs)
-
-
-def minor_assignment(matrix: RationalMatrix, labels: Sequence[KSet]) -> dict[str, Fraction]:
-    """Symbol table mapping each label to its minor, for Laurent evaluation."""
-    return {lab.label(): minor(matrix, lab) for lab in labels}
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +320,15 @@ def _topological_order(
 class CellPoint:
     """A sampled point of the open cell: the measurement matrix, the edge
     weights that produced it and their graph, whose one cached network gives
-    the orientation and the sources."""
+    the sources."""
 
     matrix: RationalMatrix
     weights: tuple[tuple[int, Fraction], ...]
     graph: PlabicGraph
 
     @property
-    def orientation(self) -> tuple[tuple[int, tuple[int, int]], ...]:
-        return _network(self.graph).orientation
-
-    @property
     def sources(self) -> KSet:
         return _network(self.graph).sources
-
-    def weight_map(self) -> dict[int, Fraction]:
-        return dict(self.weights)
 
     def to_json(self) -> dict:
         return {
@@ -439,26 +402,6 @@ def sample_cell_point(
             if s.mask not in members and value != 0:
                 raise ConstructionError(f"minor {s} should vanish, got {value}")
     return CellPoint(matrix, tuple(sorted(weights.items())), graph)
-
-
-def gauge_rescale(point: CellPoint, vertex: int, factor: Fraction) -> CellPoint:
-    """Rescale the edges at one internal vertex compatibly with the
-    orientation: incoming weights by ``factor``, outgoing by its inverse.
-
-    Every source-to-sink path through the vertex picks up both factors, so
-    the measurement matrix, and hence every minor, is unchanged.
-    """
-    if type(factor) not in (int, Fraction) or factor <= 0:
-        raise ValidationError("gauge factor must be a positive int or Fraction")
-    factor = Fraction(factor)
-    if vertex <= point.graph.boundary or vertex not in point.graph.rotation_map:
-        raise ValidationError(f"{vertex} is not an internal vertex")
-    directed = dict(point.orientation)
-    weights = point.weight_map()
-    for eid in point.graph.rotation_map[vertex]:
-        weights[eid] *= factor if directed[eid][1] == vertex else 1 / factor
-    matrix = _measurement_matrix(point.graph, weights)
-    return CellPoint(matrix, tuple(sorted(weights.items())), point.graph)
 
 
 def _randints(rng: random.Random, count: int, low: int, high: int) -> list[int]:

@@ -27,7 +27,6 @@ darts then fix which value of its bit means "left".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import ne
 from typing import Mapping
@@ -38,7 +37,6 @@ from positroids.combinatorics import (
     GrassmannNecklace,
     KSet,
     ValidationError,
-    alignments,
 )
 
 WHITE = "white"
@@ -394,42 +392,6 @@ def trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
     no face analysis runs."""
     disk = _Disk(g)
     return _strand_permutation(disk, _trips(disk))
-
-
-def validate_reduced(g: PlabicGraph) -> bool:
-    """Trip-based reducedness test.
-
-    Checks: no strand avoids the boundary; no strand reuses an edge except for
-    the immediate bounce at a degree-1 vertex; no two strands share two edges
-    in the same order; faces have distinct labels of a common size; the face
-    count matches k(n-k) - (alignment count) + 1.
-    """
-    disk = _Disk(g)
-    strands = _trips(disk)
-    # trips follow a permutation of the darts; any dart they miss is on a closed strand
-    if sum(len(t.darts) for t in strands) != 2 * disk.m:
-        return False
-    for t in strands:
-        eids = t.edge_ids()
-        for k, l in itertools.combinations(range(len(eids)), 2):  # repeats only as a leaf bounce
-            if eids[k] == eids[l] and (l > k + 1 or disk.deg.get(disk.head(t.darts[k]), 0) != 1):
-                return False
-    firsts = [
-        {e: pos for pos, e in reversed(list(enumerate(t.edge_ids())))} for t in strands
-    ]
-    for fa, fb in itertools.combinations(firsts, 2):
-        shared = fa.keys() & fb.keys()
-        if any(fa[e1] < fa[e2] and fb[e1] < fb[e2] for e1, e2 in itertools.permutations(shared, 2)):
-            return False
-    try:
-        labeling = _label_faces(g, disk, strands)
-    except ReducednessError:
-        return False
-    if len(labeling.collection()) != len(labeling.faces):
-        return False
-    sigma = labeling.permutation
-    expected = sigma.k * (sigma.n - sigma.k) - alignments(sigma) + 1
-    return len(labeling.faces) == expected
 
 
 def bridge_graph_from_permutation(sigma: DecoratedPermutation) -> PlabicGraph:

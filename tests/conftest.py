@@ -23,20 +23,22 @@ import pytest
 from positroids import (
     DecoratedPermutation,
     GrassmannNecklace,
+    IceQuiver,
     KSet,
     LaurentPoly,
     PlabicGraph,
+    alignments,
     bridge_graph_from_permutation,
     connected_components,
     face_labels,
     initial_seed,
-    mutate_seed,
     necklace_from_permutation,
     quiver_from_graph,
 )
-from positroids import numeric
+from positroids import cluster, numeric, plabic
 from positroids.cluster import closure
-from positroids.combinatorics import ValidationError, affine_inversions, cyclically_ordered
+from positroids.combinatorics import DimensionError, ValidationError, affine_inversions, cyclic_pos
+from positroids.combinatorics import cyclically_ordered, k_subsets, three_term
 from positroids.plabic import (
     BLACK,
     WHITE,
@@ -124,6 +126,17 @@ def chords_cross(s, t, n: int) -> bool:
         for x, z in itertools.combinations(s, 2)
         for y, w in itertools.permutations(t, 2)
     )
+
+
+def shifted_leq(i: int, a: KSet, b: KSet) -> bool:
+    """Gale order at base point i: componentwise <=_i after sorting both by <_i."""
+    if a.n != b.n or a.k != b.k:
+        raise DimensionError(f"cannot compare {a} and {b} in the Gale order")
+    n = a.n
+    for x, y in zip(a.sorted_by(i), b.sorted_by(i)):
+        if cyclic_pos(i, x, n) > cyclic_pos(i, y, n):
+            return False
+    return True
 
 
 def restricted_necklace(necklace: GrassmannNecklace, elements: tuple[int, ...]) -> GrassmannNecklace:
@@ -217,6 +230,42 @@ def reference_label_faces(g, disk, strands) -> FaceLabeling:
     return FaceLabeling(g, faces, _strand_permutation(disk, strands))
 
 
+def validate_reduced(g: PlabicGraph) -> bool:
+    """Trip-based reducedness test.
+
+    Checks: no strand avoids the boundary; no strand reuses an edge except for
+    the immediate bounce at a degree-1 vertex; no two strands share two edges
+    in the same order; faces have distinct labels of a common size; the face
+    count matches k(n-k) - (alignment count) + 1.
+    """
+    disk = plabic._Disk(g)
+    strands = plabic._trips(disk)
+    # trips follow a permutation of the darts; any dart they miss is on a closed strand
+    if sum(len(t.darts) for t in strands) != 2 * disk.m:
+        return False
+    for t in strands:
+        eids = t.edge_ids()
+        for k, l in itertools.combinations(range(len(eids)), 2):  # repeats only as a leaf bounce
+            if eids[k] == eids[l] and (l > k + 1 or disk.deg.get(disk.head(t.darts[k]), 0) != 1):
+                return False
+    firsts = [
+        {e: pos for pos, e in reversed(list(enumerate(t.edge_ids())))} for t in strands
+    ]
+    for fa, fb in itertools.combinations(firsts, 2):
+        shared = fa.keys() & fb.keys()
+        if any(fa[e1] < fa[e2] and fb[e1] < fb[e2] for e1, e2 in itertools.permutations(shared, 2)):
+            return False
+    try:
+        labeling = plabic._label_faces(g, disk, strands)
+    except ReducednessError:
+        return False
+    if len(labeling.collection()) != len(labeling.faces):
+        return False
+    sigma = labeling.permutation
+    expected = sigma.k * (sigma.n - sigma.k) - alignments(sigma) + 1
+    return len(labeling.faces) == expected
+
+
 def recoloured_bridge_corpus(max_n: int, recolourings: int, seed: int):
     """The bridge graph of every decorated permutation with n <= max_n, each
     followed by ``recolourings`` copies with every internal vertex recoloured
@@ -263,6 +312,17 @@ def quiver_b(quiver, i: int, j: int) -> int:
         elif (s, t) == (j, i):
             total -= m
     return total
+
+
+def fz_mutate_quiver(quiver, vid: int):
+    """The quiver after Fomin-Zelevinsky mutation at ``vid``, by the kernel seeds mutate with."""
+    return IceQuiver(quiver.vertices, cluster._mutated_arrows(quiver, vid))
+
+
+def mutate_seed(seed, vid: int):
+    """Mutation at ``vid`` by the class's own step, with an empty expansion
+    table, so the exchange binomial is divided on every call."""
+    return cluster._mutate(seed, vid, cluster._tropical_step(seed, vid), {})
 
 
 def fingerprint_key(seed):
@@ -551,6 +611,53 @@ def reference_scaled_table(matrix) -> tuple[dict[tuple[int, ...], int], int]:
     return level, scale
 
 
+def pluecker_table(matrix) -> dict[tuple[int, ...], Fraction]:
+    """Every maximal minor of ``matrix`` through ``numeric.minor``, keyed by column tuple."""
+    return {s.elements: numeric.minor(matrix, s) for s in k_subsets(matrix.n, matrix.k)}
+
+
+def minor_assignment(matrix, labels) -> dict[str, Fraction]:
+    """Symbol table mapping each label to its minor, for Laurent evaluation."""
+    return {lab.label(): numeric.minor(matrix, lab) for lab in labels}
+
+
+def pluecker_relation_check(matrix, core: KSet, a: int, b: int, c: int, d: int) -> bool:
+    """Exact three-term relation among minors through a common (k-2)-set.
+
+    minor(Lac) * minor(Lbd) == minor(Lab) * minor(Lcd) + minor(Lad) * minor(Lbc)
+    for four entries outside the core L in cyclic order, either way round, so
+    that the chords {a,c} and {b,d} cross; other quadruples raise DimensionError.
+    """
+    quad = (a, b, c, d)
+    if len(set(quad)) != 4 or set(quad) & set(core.elements):
+        raise DimensionError("quadruple must be four distinct entries outside the core")
+    if not (cyclically_ordered(a, b, c, d, core.n) or cyclically_ordered(d, c, b, a, core.n)):
+        raise DimensionError(f"chords {{{a},{c}}} and {{{b},{d}}} do not cross")
+    pairs = three_term(core, a, b, c, d, core.n)
+    lhs, *rhs = (numeric.minor(matrix, p) * numeric.minor(matrix, q) for p, q in pairs)
+    return lhs == sum(rhs)
+
+
+def gauge_rescale(point, vertex: int, factor: Fraction):
+    """Rescale the edges at one internal vertex compatibly with the
+    orientation: incoming weights by ``factor``, outgoing by its inverse.
+
+    Every source-to-sink path through the vertex picks up both factors, so
+    the measurement matrix, and hence every minor, is unchanged.
+    """
+    if type(factor) not in (int, Fraction) or factor <= 0:
+        raise ValidationError("gauge factor must be a positive int or Fraction")
+    factor = Fraction(factor)
+    if vertex <= point.graph.boundary or vertex not in point.graph.rotation_map:
+        raise ValidationError(f"{vertex} is not an internal vertex")
+    directed = dict(numeric._network(point.graph).orientation)
+    weights = dict(point.weights)
+    for eid in point.graph.rotation_map[vertex]:
+        weights[eid] *= factor if directed[eid][1] == vertex else 1 / factor
+    matrix = numeric._measurement_matrix(point.graph, weights)
+    return numeric.CellPoint(matrix, tuple(sorted(weights.items())), point.graph)
+
+
 def reference_values(seed, generic, assignments) -> list[dict]:
     """Every variable of one seed once per matrix, as vertex id -> value: the
     direct minor for a labeled vertex, the Laurent route otherwise."""
@@ -601,7 +708,7 @@ def reference_verify_identities(necklace, seed, points, generic, corrupt=False) 
         members = [*members, corrupt_seed(members[target], new)]
         exchanges[0] = (f"{name}:corrupted", idx, vid, len(members) - 1, new)
     labels = [v.label for v in seed.quiver.vertices]
-    assignments = [numeric.minor_assignment(matrix, labels) for matrix in generic]
+    assignments = [minor_assignment(matrix, labels) for matrix in generic]
     values = [reference_values(member, generic, assignments) for member in members]
     identities = []
     for name, idx, vid, target, new in exchanges:

@@ -27,7 +27,6 @@ from positroids import (
     k2_generator_decomposition,
     maximal_noncrossing_collections,
     minor,
-    mutate_seed,
     mutation_class,
     necklace_from_permutation,
     positroid_members,
@@ -38,7 +37,6 @@ from positroids import (
 )
 from positroids import plabic
 from positroids.cluster import LaurentDivisionError
-from positroids.numeric import minor_assignment
 
 from conftest import (
     SNAPSHOTS,
@@ -46,6 +44,8 @@ from conftest import (
     has_core_two_cycle_or_loop,
     k2_permutations,
     ks,
+    minor_assignment,
+    mutate_seed,
     named_cells,
     random_decorated,
 )

@@ -19,7 +19,6 @@ from positroids import (
     LaurentPoly,
     bridge_graph_from_permutation,
     initial_seed,
-    mutate_seed,
     mutation_class,
     plabic,
     quiver_from_graph,
@@ -32,7 +31,6 @@ from positroids.cluster import (
     Seed,
     closure,
     exchange_graph,
-    fz_mutate_quiver,
     square_move_exchange,
     square_move_label,
 )
@@ -42,9 +40,11 @@ from conftest import (
     SNAPSHOTS,
     core_key,
     decorated_permutations,
+    fz_mutate_quiver,
     has_core_two_cycle_or_loop,
     ks,
     labels_of,
+    mutate_seed,
     named_cells,
     quiver_b,
     reference_mutation_class,

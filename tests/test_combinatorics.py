@@ -28,7 +28,6 @@ from positroids import (
     plabic,
     positroid_members,
     reverse_necklace,
-    shifted_leq,
 )
 from positroids.combinatorics import (
     ValidationError,
@@ -43,6 +42,7 @@ from conftest import (
     ks,
     random_decorated,
     restricted_necklace,
+    shifted_leq,
     uniform_perm,
 )
 

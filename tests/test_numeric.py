@@ -19,13 +19,10 @@ from positroids import (
     LaurentPoly,
     RationalMatrix,
     bridge_graph_from_permutation,
-    gauge_rescale,
     initial_seed,
     minor,
-    mutate_seed,
     mutation_class,
     necklace_from_permutation,
-    pluecker_relation_check,
     positroid_members,
     quiver_from_graph,
     sample_cell_point,
@@ -34,22 +31,22 @@ from positroids import (
 from positroids import cluster, combinatorics, numeric, plabic
 from positroids.cm import k2_generator_decomposition
 from positroids.combinatorics import DimensionError, ValidationError, three_term
-from positroids.numeric import (
-    ConstructionError,
-    minor_assignment,
-    pluecker_table,
-    sample_generic_matrix,
-)
+from positroids.numeric import ConstructionError, sample_generic_matrix
 
 from conftest import (
     SNAPSHOTS,
     corrupt_seed,
     decorated_permutations,
+    gauge_rescale,
     k2_permutations,
     ks,
     labels_of,
     matrix_rank,
+    minor_assignment,
+    mutate_seed,
     named_cells,
+    pluecker_relation_check,
+    pluecker_table,
     random_decorated,
     reference_scaled_table,
     reference_verify_identities,
@@ -92,6 +89,13 @@ def test_matrix_construction_and_rank():
     empty = RationalMatrix.of([], 4)  # Gr(0, 4) keeps its column count
     assert empty.k == 0 and empty.n == 4
     assert minor(empty, KSet((), 4)) == 1
+    # only exact entries: ints, Fractions and the strs of the JSON form
+    assert RationalMatrix.of([[Fraction(1, 2), "1/3", 2]]) == RationalMatrix.of([["1/2", Fraction(1, 3), "2"]])
+    for bad in (0.1, 1.0, True, "abc", "1/0", None, [1]):
+        with pytest.raises(ValidationError, match="matrix entries"):
+            RationalMatrix.of([[1, bad]])
+    with pytest.raises(ValidationError):
+        RationalMatrix.of([[0.1, 1.0], [True, 2]])
 
 
 def test_minor_goldens():
@@ -231,10 +235,8 @@ def test_the_vanishing_check_refuses_negative_minors(monkeypatch, spec):
         sample_cell_point(graph, rng_seed=5)
 
 
-def test_no_successful_path_divides_a_whole_table(monkeypatch, ex_135264):
-    # pluecker_table divides every minor; sampling, minor reads, generic draws
-    # and the sweep divide only the entries they read
-    monkeypatch.setattr(numeric, "pluecker_table", lambda matrix: pytest.fail("divided a whole table"))
+def test_no_successful_path_divides_a_whole_table(ex_135264):
+    # sampling, minor reads, generic draws and the sweep divide only the entries they read
     assert not hasattr(RationalMatrix, "minors")
     for spec in ("(135)(264)", "(14)(25)(36)", "(14)(263):-", "(12453)", "(13)(24)"):
         graph = bridge_graph_from_permutation(DecoratedPermutation.from_cycle_string(spec))
@@ -518,7 +520,7 @@ def test_points_read_orientation_and_sources_from_their_graph():
         moved = [gauge_rescale(point, v, Fraction(5, 2)) for v in graph.internal_ids()[:1]]
         legs = {b: eid for eid, ends in enumerate(graph.edges) for b in ends if b <= graph.boundary}
         for p in [point, *moved]:
-            directed = dict(p.orientation)
+            directed = dict(numeric._network(p.graph).orientation)
             assert set(directed) == set(range(len(graph.edges)))
             assert orientation_is_perfect(graph, directed) and acyclic(graph, directed)
             cols = p.sources.elements
@@ -531,7 +533,7 @@ def test_explicit_weights_are_validated(ex_135264):
     g = ex_135264["graph"]
     good = {eid: Fraction(1) for eid in range(len(g.edges))}
     point = sample_cell_point(g, weights=good)
-    assert point.weight_map() == good
+    assert dict(point.weights) == good
     with pytest.raises(ValidationError):
         sample_cell_point(g, weights={0: Fraction(1)})
     assert sample_cell_point(g, weights=dict.fromkeys(good, 1)).matrix == point.matrix
@@ -566,7 +568,7 @@ def fraction_measurement_rows(point):
     source over every vertex: the reference for the integer-pair loop."""
     graph = point.graph
     n, rot = graph.boundary, graph.rotation_map
-    directed, weights = dict(point.orientation), point.weight_map()
+    directed, weights = dict(numeric._network(graph).orientation), dict(point.weights)
     order = numeric._topological_order(rot, directed.values())
     outs = {v: [] for v in rot}
     for eid, (tail, head) in directed.items():

@@ -22,7 +22,6 @@ from positroids import (
     square_move,
     trip_permutation,
     trips,
-    validate_reduced,
 )
 from positroids import plabic
 from positroids.cluster import closure
@@ -43,6 +42,7 @@ from conftest import (
     reference_label_faces,
     reference_square_move,
     uniform_perm,
+    validate_reduced,
 )
 
 
